@@ -1,11 +1,18 @@
 """Edge/node connectivity, min cuts, and edge-disjoint path search.
 
-Single-pair questions reduce to unit-capacity max-flow with shortest
-augmenting paths (each undirected edge carries one unit in at most one
-direction); flow decomposition with lowest-edge-id tie-breaking turns
-the flow into concrete pairwise edge-disjoint paths, whose count equals
-the minimum cut.  Node connectivity goes through the usual node
-splitting into in/out halves.
+Every max-flow here runs on one integer residual graph (`_Network`):
+node ids map to ints once per call, arcs and their reverses sit in flat
+lists, and each flow starts from a copy of the capacity list.  Flows
+push unit shortest augmenting paths found by BFS.
+
+Single-pair questions are unit-capacity max-flows in which each
+undirected edge carries one unit in at most one direction; flow
+decomposition with lowest-edge-id tie-breaking turns the flow into
+concrete pairwise edge-disjoint paths, whose count equals the minimum
+cut.  Node connectivity splits each node into in/out halves and runs
+Even's algorithm (Even, 1975; Esfahanian & Hakimi, 1984): flows only
+from the first kappa+1 nodes, so O(kappa*n) flows instead of one per
+non-adjacent pair.
 
 The multi-pair variant (distinct source-receiver pairs that must be
 mutually edge-disjoint) is NP-complete in general, so it is solved by
@@ -51,84 +58,123 @@ class CutReport:
     witness: tuple[str, ...]
 
 
-# -- unit-capacity undirected max-flow ---------------------------------------------
-# flow[e] is -1, 0, or +1: one unit along the edge in the stored (u, v)
-# direction (+1), the reverse (-1), or unused.
+# -- one integer max-flow core -------------------------------------------------------
+# Nodes are ints.  Arc a and its reverse a ^ 1 are stored side by side:
+# head[a] is the node a enters and cap[a] its capacity.  An undirected
+# edge is the pair (1, 1): either direction can carry the unit, and a unit
+# sent one way can be cancelled by one sent back.  A directed arc is (c, 0).  One unit per augmenting
+# path is the bottleneck in both models used here: undirected edges have
+# capacity 1, and in the split-node graph every path between non-adjacent
+# nodes enters an intermediate in-half, which passes on at most one unit.
 
 
-def _bfs_augment(g: Graph, s: str, t: str, allowed: set[str] | None, flow: dict[str, int]):
-    parent: dict[str, tuple[str, str, int] | None] = {s: None}
-    queue = deque([s])
-    while queue:
-        x = queue.popleft()
-        for e in g._adj[x]:
-            if allowed is not None and e not in allowed:
-                continue
-            u, v = g.edges[e]
-            dirn = 1 if x == u else -1
-            if flow.get(e, 0) == dirn:
-                continue
-            y = v if x == u else u
-            if y in parent:
-                continue
-            parent[y] = (x, e, dirn)
-            if y == t:
-                node = y
-                while parent[node] is not None:
-                    px, pe, pd = parent[node]
-                    flow[pe] = flow.get(pe, 0) + pd
-                    node = px
-                return True, parent.keys()
-            queue.append(y)
-    return False, parent.keys()
+class _Network:
+    """Residual graph skeleton; out[x] lists the arcs leaving x in insertion order."""
+
+    __slots__ = ("out", "head", "cap")
+
+    def __init__(self, n: int):
+        self.out: list[list[int]] = [[] for _ in range(n)]
+        self.head: list[int] = []
+        self.cap: list[int] = []
+
+    def add(self, x: int, y: int, forward: int, backward: int) -> None:
+        a = len(self.head)
+        self.out[x].append(a)
+        self.out[y].append(a + 1)
+        self.head += (y, x)
+        self.cap += (forward, backward)
 
 
-def _max_flow(g: Graph, s: str, t: str, allowed: set[str] | None = None):
-    """Returns (value, flow map, residual-reachable node set from s)."""
-    flow: dict[str, int] = {}
+def _edge_network(g: Graph, allowed: set[str] | None = None) -> tuple[_Network, dict[str, int]]:
+    """g as a residual graph, with its node index.
+
+    Edge i becomes arcs 2i (u to v) and 2i+1 (v to u), of capacity 1 each
+    (0 outside `allowed`).  Adding the edges in id order lists each node's
+    arcs in g._adj order, which fixes the BFS order and so the paths found.
+    """
+    index = {v: i for i, v in enumerate(g.nodes)}
+    net = _Network(len(index))
+    for e, (u, v) in g.edges.items():
+        c = 1 if allowed is None or e in allowed else 0
+        net.add(index[u], index[v], c, c)
+    return net, index
+
+
+def _flow(net: _Network, cap: list[int], s: int, t: int, limit: int | None = None):
+    """Shortest augmenting paths from s to t until none is left or `limit` are found.
+
+    cap is updated in place.  Returns (value, parent).  parent is None when
+    the flow stopped at `limit`; otherwise it is the last BFS tree, and the
+    nodes with parent[x] != -1 are the residual-reachable source side of the
+    minimal minimum cut, the same set for every maximum flow.
+    """
+    out, head = net.out, net.head
+    n = len(out)
     value = 0
-    while True:
-        augmented, reach = _bfs_augment(g, s, t, allowed, flow)
-        if not augmented:
-            return value, flow, set(reach)
+    while value != limit:
+        parent = [-1] * n
+        parent[s] = -2
+        queue = [s]
+        for x in queue:
+            for a in out[x]:
+                if cap[a]:
+                    y = head[a]
+                    if parent[y] == -1:
+                        parent[y] = a
+                        queue.append(y)
+            if parent[t] != -1:
+                break
+        else:
+            return value, parent
+        y = t
+        while y != s:
+            a = parent[y]
+            cap[a] -= 1
+            cap[a ^ 1] += 1
+            y = head[a ^ 1]
         value += 1
+    return value, None
 
 
-def _walk_path(g: Graph, s: str, t: str, flow: dict[str, int]) -> Path:
-    """Follow one unit of flow from s to t, splicing out flow cycles."""
+def _walk_path(net: _Network, cap: list[int], s: int, t: int) -> tuple[list[int], list[int]]:
+    """Follow one unit of undirected flow from s to t, splicing out flow cycles.
+
+    Returns the node and arc sequences; the flow along them is cleared.
+    """
+    out, head = net.out, net.head
     nodes = [s]
-    edges: list[str] = []
+    arcs: list[int] = []
     pos = {s: 0}
     x = s
     while x != t:
-        chosen = None
-        for e in g._adj[x]:
-            u, v = g.edges[e]
-            dirn = 1 if x == u else -1
-            if flow.get(e, 0) == dirn:
-                chosen = e
+        for a in out[x]:
+            if cap[a] < cap[a ^ 1]:
                 break
-        if chosen is None:
+        else:
             raise AssertionError("flow conservation violated during decomposition")
-        y = g.other_end(chosen, x)
+        y = head[a]
         if y in pos:
             i = pos[y]
-            for ce in edges[i:]:
-                flow[ce] = 0
-            flow[chosen] = 0
+            for ca in arcs[i:] + [a]:
+                cap[ca] = cap[ca ^ 1] = 1
             for n2 in nodes[i + 1 :]:
                 del pos[n2]
             del nodes[i + 1 :]
-            del edges[i:]
-            x = y
+            del arcs[i:]
         else:
-            edges.append(chosen)
+            arcs.append(a)
             nodes.append(y)
             pos[y] = len(nodes) - 1
-            x = y
-    for e in edges:
-        flow[e] = 0
-    return Path(tuple(nodes), tuple(edges))
+        x = y
+    for a in arcs:
+        cap[a] = cap[a ^ 1] = 1
+    return nodes, arcs
+
+
+def _named_path(g: Graph, nodes: list[int], arcs: list[int]) -> Path:
+    names, eids = list(g.nodes), list(g.edges)
+    return Path(tuple(names[x] for x in nodes), tuple(eids[a >> 1] for a in arcs))
 
 
 def max_edge_disjoint_paths(g: Graph, s: str, r: str) -> DisjointPathSet:
@@ -137,13 +183,11 @@ def max_edge_disjoint_paths(g: Graph, s: str, r: str) -> DisjointPathSet:
     g._require_node(r)
     if s == r:
         raise ValueError("source and receiver must differ")
-    value, flow, _ = _max_flow(g, s, r)
-    paths = tuple(_walk_path(g, s, r, flow) for _ in range(value))
+    net, index = _edge_network(g)
+    cap = net.cap[:]
+    value, _ = _flow(net, cap, index[s], index[r])
+    paths = tuple(_named_path(g, *_walk_path(net, cap, index[s], index[r])) for _ in range(value))
     return DisjointPathSet(paths)
-
-
-def _crossing_edges(g: Graph, reach: set[str]) -> tuple[str, ...]:
-    return tuple(e for e, (u, v) in g.edges.items() if (u in reach) != (v in reach))
 
 
 def edge_connectivity(g: Graph) -> CutReport:
@@ -152,15 +196,18 @@ def edge_connectivity(g: Graph) -> CutReport:
         raise GraphError("edge connectivity needs at least 2 nodes")
     if not g.is_connected():
         return CutReport(0, ())
-    nodes = list(g.nodes)
-    s = nodes[0]
+    net, index = _edge_network(g)
     best_value = None
     best_witness: tuple[str, ...] = ()
-    for t in nodes[1:]:
-        value, _, reach = _max_flow(g, s, t)
-        if best_value is None or value < best_value:
+    for t in range(1, len(index)):
+        value, parent = _flow(net, net.cap[:], 0, t, best_value)
+        if parent is not None:
             best_value = value
-            best_witness = _crossing_edges(g, reach)
+            best_witness = tuple(
+                e
+                for e, (u, v) in g.edges.items()
+                if (parent[index[u]] == -1) != (parent[index[v]] == -1)
+            )
     return CutReport(best_value, best_witness)
 
 
@@ -174,51 +221,20 @@ def is_k_edge_connected(g: Graph, k: int) -> bool:
     return edge_connectivity(g).value >= k
 
 
-# -- node connectivity via node splitting ------------------------------------------
-
-
-def _directed_max_flow(n: int, arcs_fn, s: int, t: int):
-    """Edmonds-Karp on an arc list built by arcs_fn(add_arc)."""
-    adj: list[list[list[int]]] = [[] for _ in range(n)]
-
-    def add_arc(u: int, v: int, cap: int) -> None:
-        adj[u].append([v, cap, len(adj[v])])
-        adj[v].append([u, 0, len(adj[u]) - 1])
-
-    arcs_fn(add_arc)
-    value = 0
-    while True:
-        parent: list[tuple[int, int] | None] = [None] * n
-        parent[s] = (-1, -1)
-        queue = deque([s])
-        while queue and parent[t] is None:
-            x = queue.popleft()
-            for ai, arc in enumerate(adj[x]):
-                if arc[1] > 0 and parent[arc[0]] is None:
-                    parent[arc[0]] = (x, ai)
-                    queue.append(arc[0])
-        if parent[t] is None:
-            reach = {i for i in range(n) if parent[i] is not None}
-            return value, adj, reach
-        bottleneck = None
-        node = t
-        while node != s:
-            px, ai = parent[node]
-            cap = adj[px][ai][1]
-            bottleneck = cap if bottleneck is None else min(bottleneck, cap)
-            node = px
-        node = t
-        while node != s:
-            px, ai = parent[node]
-            arc = adj[px][ai]
-            arc[1] -= bottleneck
-            adj[arc[0]][arc[2]][1] += bottleneck
-            node = px
-        value += bottleneck
-
-
 def node_connectivity(g: Graph) -> CutReport:
-    """Fewest node removals that disconnect g (or reduce it to one node)."""
+    """Fewest node removals that disconnect g (or reduce it to one node).
+
+    Node i splits into in-half 2i and out-half 2i+1 joined by an arc of
+    capacity 1; each edge becomes two arcs of capacity n, out-half to
+    in-half.  Even's algorithm: a minimum separator misses one of the
+    first kappa+1 nodes, and every node it cuts off from the first such
+    node v_i comes later, so the pairs (v_i, v_j), j > i, find kappa.
+    Hence once the best value so far is at most the source index, it is
+    kappa and the scan stops; each flow stops once it reaches that value.
+    Pairs run in lexicographic order and only a strictly smaller value
+    replaces the witness, so the witness is the minimal cut of the first
+    minimising non-adjacent pair, as a scan of every pair would find.
+    """
     if g.num_nodes == 0:
         raise GraphError("node connectivity needs at least 1 node")
     if g.num_nodes == 1:
@@ -226,36 +242,32 @@ def node_connectivity(g: Graph) -> CutReport:
     if not g.is_connected():
         return CutReport(0, ())
     nodes = list(g.nodes)
+    n = len(nodes)
     index = {v: i for i, v in enumerate(nodes)}
-    non_adjacent = [
-        (x, y)
-        for i, x in enumerate(nodes)
-        for y in nodes[i + 1 :]
-        if y not in g.neighbors(x)
-    ]
-    if not non_adjacent:
-        # every pair adjacent: removals can only reduce to a one-node graph
-        return CutReport(g.num_nodes - 1, tuple(nodes[1:]))
-    big = g.num_nodes
-    best_value = None
-    best_witness: tuple[str, ...] = ()
-    for s, t in non_adjacent:
-        n2 = 2 * len(nodes)
-
-        def build(add_arc, s=s, t=t):
-            for v in nodes:
-                cap = big if v in (s, t) else 1
-                add_arc(2 * index[v], 2 * index[v] + 1, cap)
-            for u, v in g.edges.values():
-                add_arc(2 * index[u] + 1, 2 * index[v], big)
-                add_arc(2 * index[v] + 1, 2 * index[u], big)
-
-        value, _, reach = _directed_max_flow(n2, build, 2 * index[s] + 1, 2 * index[t])
-        if best_value is None or value < best_value:
-            best_value = value
-            best_witness = tuple(
-                v for v in nodes if 2 * index[v] in reach and 2 * index[v] + 1 not in reach
-            )
+    net = _Network(2 * n)
+    for i in range(n):
+        net.add(2 * i, 2 * i + 1, 1, 0)
+    adjacent: list[set[int]] = [set() for _ in range(n)]
+    for u, v in g.edges.values():
+        iu, iv = index[u], index[v]
+        net.add(2 * iu + 1, 2 * iv, n, 0)
+        net.add(2 * iv + 1, 2 * iu, n, 0)
+        adjacent[iu].add(iv)
+        adjacent[iv].add(iu)
+    # every pair adjacent: removals can only reduce to a one-node graph
+    best_value, best_witness = n - 1, tuple(nodes[1:])
+    i = 0
+    while i < best_value:
+        for j in range(i + 1, n):
+            if j in adjacent[i]:
+                continue
+            value, parent = _flow(net, net.cap[:], 2 * i + 1, 2 * j, best_value)
+            if parent is not None:
+                best_value = value
+                best_witness = tuple(
+                    v for x, v in enumerate(nodes) if parent[2 * x] != -1 and parent[2 * x + 1] == -1
+                )
+        i += 1
     return CutReport(best_value, best_witness)
 
 
@@ -280,30 +292,22 @@ def _validate_pairs(g: Graph, pairs: Sequence[tuple[str, str]]) -> None:
             raise ValueError(f"pair has identical endpoints {s!r}")
 
 
-def _fresh_id(existing, prefix: str) -> str:
-    i = 0
-    while f"{prefix}{i}" in existing:
-        i += 1
-    return f"{prefix}{i}"
-
-
 def _shared_source_flow(g: Graph, pairs: Sequence[tuple[str, str]]) -> DisjointPathSet | None:
     """All pairs share a source: a super-sink max-flow settles it exactly."""
-    source = pairs[0][0]
-    aux = g.copy()
-    sink = aux.add_node("relay", _fresh_id(aux.nodes, "_sink"))
-    tag_of = {}
-    for i, (_, r) in enumerate(pairs):
-        eid = aux.add_edge(r, sink, _fresh_id(aux.edges, f"_snk{i}_"))
-        tag_of[eid] = i
-    value, flow, _ = _max_flow(aux, source, sink)
+    net, index = _edge_network(g)
+    sink = len(index)
+    net.out.append([])
+    for _, r in pairs:
+        net.add(index[r], sink, 1, 1)
+    source = index[pairs[0][0]]
+    cap = net.cap[:]
+    value, _ = _flow(net, cap, source, sink)
     if value < len(pairs):
         return None
     result: list[Path | None] = [None] * len(pairs)
     for _ in range(value):
-        walk = _walk_path(aux, source, sink, flow)
-        pair_idx = tag_of[walk.edges[-1]]
-        result[pair_idx] = Path(walk.nodes[:-1], walk.edges[:-1])
+        nodes, arcs = _walk_path(net, cap, source, sink)
+        result[(arcs[-1] >> 1) - g.num_edges] = _named_path(g, nodes[:-1], arcs[:-1])
     return DisjointPathSet(tuple(result))
 
 
@@ -340,9 +344,11 @@ def _remaining_bound(g: Graph, pairs, start: int, allowed: set[str]) -> int | No
             return None
         total += d
         groups[(s, r)] = groups.get((s, r), 0) + 1
-    for (s, r), count in groups.items():
-        if count > 1:
-            value, _, _ = _max_flow(g, s, r, allowed)
+    repeated = [(s, r, count) for (s, r), count in groups.items() if count > 1]
+    if repeated:
+        net, index = _edge_network(g, allowed)
+        for s, r, count in repeated:
+            value, _ = _flow(net, net.cap[:], index[s], index[r], count)
             if value < count:
                 return None
     return total

@@ -276,3 +276,79 @@ def test_duplicated_pair_demands():
     assert found is not None
     found.validate(g)
     assert find_disjoint_paths_multi(g, pairs + [(ids[0], ids[3])]) is None
+
+
+# Exact values, witnesses and paths: the CLI `connectivity`, `feasibility`
+# and `simulate` verbs print them, so any change to the flow code keeps them.
+PINNED_CUTS = {
+    "H(3,20)": ((3, ("e0", "e1", "e20")), (3, ("v1", "v10", "v19"))),
+    "H(6,30)": (
+        (6, ("e0", "e1", "e2", "e3", "e4", "e5")),
+        (6, ("v1", "v2", "v3", "v27", "v28", "v29")),
+    ),
+    "fig2": ((1, ("e14",)), (1, ("a2",))),
+    "random40": ((2, ("e30", "e32")), (2, ("n13", "n32"))),
+}
+
+
+def _pinned_graph(name):
+    from npcode.feasibility import build_fig2_fixture
+
+    if name == "H(3,20)":
+        return harary(20, 3)
+    if name == "H(6,30)":
+        return harary(30, 6)
+    if name == "fig2":
+        return build_fig2_fixture().graph
+    g, _ = _random_graph(random.Random(40), 40, 60)
+    return g
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_CUTS))
+def test_cut_witnesses_pinned(name):
+    g = _pinned_graph(name)
+    ec, nc = edge_connectivity(g), node_connectivity(g)
+    assert ((ec.value, ec.witness), (nc.value, nc.witness)) == PINNED_CUTS[name]
+
+
+def _as_tuples(found):
+    return [(p.nodes, p.edges) for p in found.paths]
+
+
+def test_disjoint_paths_pinned():
+    h = harary(12, 4)
+    assert _as_tuples(max_edge_disjoint_paths(h, "v0", "v6")) == [
+        (("v0", "v1", "v3", "v5", "v6"), ("e0", "e5", "e10", "e13")),
+        (("v0", "v2", "v4", "v6"), ("e1", "e8", "e12")),
+        (("v0", "v10", "v8", "v6"), ("e2", "e20", "e16")),
+        (("v0", "v11", "v9", "v7", "v6"), ("e3", "e22", "e18", "e15")),
+    ]
+    shared_source = [("v0", "v3"), ("v0", "v6"), ("v0", "v9")]
+    assert _as_tuples(find_disjoint_paths_multi(h, shared_source)) == [
+        (("v0", "v1", "v3"), ("e0", "e5")),
+        (("v0", "v2", "v4", "v6"), ("e1", "e8", "e12")),
+        (("v0", "v10", "v9"), ("e2", "e21")),
+    ]
+    shared_receiver = [(r, s) for s, r in shared_source]
+    assert _as_tuples(find_disjoint_paths_multi(h, shared_receiver)) == [
+        (("v3", "v1", "v0"), ("e5", "e0")),
+        (("v6", "v4", "v2", "v0"), ("e12", "e8", "e1")),
+        (("v9", "v10", "v0"), ("e21", "e2")),
+    ]
+
+
+@pytest.mark.parametrize("n,k", [(60, 4), (40, 3)])
+def test_node_connectivity_runs_few_flows(monkeypatch, n, k):
+    from npcode import connectivity
+
+    calls = []
+    flow = connectivity._flow
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return flow(*args, **kwargs)
+
+    monkeypatch.setattr(connectivity, "_flow", counted)
+    assert node_connectivity(harary(n, k)).value == k
+    # v0 of a Harary graph is outside a minimum separator, so sources v0..v(k-1) suffice
+    assert len(calls) <= k * n
