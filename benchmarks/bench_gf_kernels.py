@@ -1,11 +1,13 @@
 #!/usr/bin/env python3
-"""Benchmark the GF(2^8) block kernels: numba @njit vs pure numpy.
+"""Time the GF(2^8) block kernel, `kernels.gf_matmul`, in MB/s.
 
-The same comparison drives the env switch: NPC_NO_NUMBA=1 makes the
-package use the numpy path that is timed here.
+Encodes the parity of random data blocks with a [k, k-t] code (the
+product of an (n, k-t) symbol matrix and the (k-t, t) parity matrix),
+checks one block against the scalar encoder, and prints the best of
+--repeat timings.  MB/s counts the data symbols read.
 
 Usage:
-    python benchmarks/bench_gf_kernels.py [--blocks N] [--k K] [--t T] [--repeat R]
+    PYTHONPATH=src python benchmarks/bench_gf_kernels.py [--blocks N] [--k K] [--t T] [--repeat R]
 """
 
 import argparse
@@ -14,22 +16,12 @@ import time
 import numpy as np
 
 from npcode import kernels
-from npcode.codec import build_code
+from npcode.codec import DataBlock, build_code, encode
 from npcode.galois import FieldContext
 
 
-def time_fn(fn, args, repeat):
-    best = None
-    for _ in range(repeat):
-        start = time.perf_counter()
-        fn(*args)
-        elapsed = time.perf_counter() - start
-        best = elapsed if best is None else min(best, elapsed)
-    return best
-
-
 def main():
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--blocks", type=int, default=200_000)
     parser.add_argument("--k", type=int, default=12)
     parser.add_argument("--t", type=int, default=4)
@@ -41,29 +33,21 @@ def main():
     rng = np.random.default_rng(0)
     data = rng.integers(0, 256, size=(args.blocks, code.data_len), dtype=np.uint8)
     parity = code.parity_int_matrix()
-    log, exp = field.log_table, field.exp_table
 
-    ref = kernels.gf_matmul_numpy(data, parity, log, exp)
-    rows = [("numpy", kernels.gf_matmul_numpy)]
-    if kernels.gf_matmul_numba is not None:
-        # first call pays JIT compilation; warm up before timing
-        got = kernels.gf_matmul_numba(data, parity, log, exp)
-        assert np.array_equal(got, ref), "kernel paths disagree"
-        rows.append(("numba", kernels.gf_matmul_numba))
-    else:
-        print("numba not importable; timing numpy only")
+    best = None
+    for _ in range(args.repeat):
+        start = time.perf_counter()
+        out = kernels.gf_matmul(data, parity, field)
+        elapsed = time.perf_counter() - start
+        best = elapsed if best is None else min(best, elapsed)
+    if args.blocks:
+        scalar = encode(code, DataBlock.of(field, [int(x) for x in data[-1]]))
+        assert scalar.values()[code.data_len :] == [int(x) for x in out[-1]], "kernel disagrees"
 
     mb = data.nbytes / 1e6
-    print(f"encode parity for {args.blocks} blocks, k={args.k} t={args.t} "
+    print(f"gf_matmul parity for {args.blocks} blocks, k={args.k} t={args.t} "
           f"({mb:.1f} MB of data symbols), best of {args.repeat}")
-    timings = {}
-    for name, fn in rows:
-        best = time_fn(fn, (data, parity, log, exp), args.repeat)
-        timings[name] = best
-        print(f"  {name:>6}: {best * 1e3:8.2f} ms   {mb / best:8.1f} MB/s")
-    if len(timings) == 2:
-        print(f"  speedup: {timings['numpy'] / timings['numba']:.1f}x "
-              f"(numba over numpy)")
+    print(f"  {best * 1e3:8.2f} ms   {mb / best:8.1f} MB/s")
 
 
 if __name__ == "__main__":

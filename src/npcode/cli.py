@@ -319,9 +319,8 @@ def _cmd_simulate(args) -> int:
         model = simulator.ExplicitFailures(tuple(labels[p] for p in positions))
     else:
         model = simulator.RandomFailures(args.random, args.seed)
-    sc = simulator.Scenario(
-        inst, code, np.array(payload, dtype=np.uint8), model, relaxed=relaxed
-    )
+    # the simulator picks the symbol dtype from the field (uint32 above m = 8)
+    sc = simulator.Scenario(inst, code, np.array(payload), model, relaxed=relaxed)
     report = simulator.run(sc)
     _emit(
         {

@@ -7,8 +7,16 @@ field points systematized by Gaussian elimination, which makes every
 choice of k-t generator columns invertible, so any t erased positions
 can be solved back from the survivors.
 
-Erasure positions are assumed known (detected failures).  Single blocks
-use FieldElement math; bulk payloads go through the uint8 block kernels.
+Erasure positions are assumed known (detected failures).  All arithmetic
+runs on integer arrays.  One Gauss-Jordan elimination, `_gf_inverse`,
+systematizes the Vandermonde matrix, tests generator minors in
+`verify_mds` and inverts the decode matrix of an erasure set.  Each code
+caches a decode plan per erasure set, shared by `recover` and
+`recover_blocks`, so a pattern that repeats is inverted once.  Bulk
+payloads go through `kernels.gf_matmul` (m <= 8); single blocks scale
+rows with `FieldContext.mul_row`, so they work for every m <= 16.
+FieldElement stays at the API edge: data blocks, codewords and
+`NpcCode.parity`.
 """
 
 from __future__ import annotations
@@ -99,7 +107,9 @@ class NpcCode:
     weights of parity symbol j as a combination of the data symbols.
     The constructor checks shape only, so verify_mds can inspect
     arbitrary parities; build_code guarantees the MDS and field-order
-    constraints for every code it produces.
+    constraints for every code it produces.  The code keeps its parity
+    and generator [I | P] as read-only integer arrays, and a decode plan
+    per erasure set once that set has been recovered.
     """
 
     def __init__(self, k: int, t: int, field: FieldContext, parity: Sequence[Sequence[FieldElement]]):
@@ -112,8 +122,16 @@ class NpcCode:
         self.t = t
         self.field = field
         self.parity = rows
-        self._parity_ints: np.ndarray | None = None
-        self._generator_ints: np.ndarray | None = None
+        dtype = _int_dtype(field)
+        p = np.array([[e.value for e in row] for row in rows], dtype=dtype).reshape(k - t, t)
+        g = np.hstack([np.eye(k - t, dtype=dtype), p])
+        p.setflags(write=False)
+        g.setflags(write=False)
+        self._parity_ints = p
+        self._generator_ints = g
+        # frozenset(erased) -> (use, solve, check); see _decode_plan.  Threads
+        # that miss together compute equal plans, so the last store is harmless.
+        self._decode: dict[frozenset[int], tuple] = {}
 
     @property
     def data_len(self) -> int:
@@ -121,83 +139,50 @@ class NpcCode:
 
     def generator_rows(self) -> list[list[FieldElement]]:
         """The full generator [I | P] as k-t rows of length k."""
-        f = self.field
-        rows = []
-        for i in range(self.data_len):
-            ident = [f.one if j == i else f.zero for j in range(self.data_len)]
-            rows.append(ident + list(self.parity[i]))
-        return rows
+        return [self.field.elements(int(v) for v in row) for row in self._generator_ints]
 
     def parity_int_matrix(self) -> np.ndarray:
-        if self._parity_ints is None:
-            self._parity_ints = np.array(
-                [[e.value for e in row] for row in self.parity], dtype=np.uint8
-            )
         return self._parity_ints
 
     def generator_int_matrix(self) -> np.ndarray:
-        if self._generator_ints is None:
-            self._generator_ints = np.array(
-                [[e.value for e in row] for row in self.generator_rows()], dtype=np.uint8
-            )
         return self._generator_ints
 
     def __repr__(self) -> str:
         return f"NpcCode(k={self.k}, t={self.t}, field=GF(2^{self.field.m}))"
 
 
-# -- dense linear algebra over the field (small matrices) ----------------------
+# -- linear algebra over the field on integer arrays ------------------------------
 
 
-def _mat_inv(rows: list[list[FieldElement]], field: FieldContext) -> list[list[FieldElement]]:
-    """Gauss-Jordan inverse; raises CodecError on a singular matrix."""
-    n = len(rows)
-    aug = [list(r) + [field.one if j == i else field.zero for j in range(n)] for i, r in enumerate(rows)]
+def _int_dtype(field: FieldContext):
+    return np.uint8 if field.has_tables else np.int64
+
+
+def _gf_inverse(a: np.ndarray, field: FieldContext) -> np.ndarray:
+    """Gauss-Jordan inverse of a square integer matrix; CodecError if singular."""
+    n = a.shape[0]
+    aug = np.hstack([a, np.eye(n, dtype=a.dtype)])
     for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col].value != 0), None)
+        pivot = next((r for r in range(col, n) if aug[r, col]), None)
         if pivot is None:
             raise CodecError("singular matrix")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv_p = aug[col][col].inverse()
-        aug[col] = [x * inv_p for x in aug[col]]
+        if pivot != col:
+            aug[[col, pivot]] = aug[[pivot, col]]
+        aug[col] = field.mul_row(field.inv_int(int(aug[col, col])), aug[col])
         for r in range(n):
-            if r != col and aug[r][col].value != 0:
-                factor = aug[r][col]
-                aug[r] = [x + factor * y for x, y in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
+            factor = int(aug[r, col])
+            if r != col and factor:
+                aug[r] ^= field.mul_row(factor, aug[col])
+    return aug[:, n:]
 
 
-def _mat_mul(a: list[list[FieldElement]], b: list[list[FieldElement]], field: FieldContext):
-    out = []
-    for row in a:
-        out_row = []
-        for j in range(len(b[0])):
-            acc = field.zero
-            for l, x in enumerate(row):
-                acc = acc + x * b[l][j]
-            out_row.append(acc)
-        out.append(out_row)
-    return out
-
-
-def _rank(rows: list[list[FieldElement]]) -> int:
-    work = [list(r) for r in rows]
-    n_rows = len(work)
-    n_cols = len(work[0]) if work else 0
-    rank = 0
-    for col in range(n_cols):
-        pivot = next((r for r in range(rank, n_rows) if work[r][col].value != 0), None)
-        if pivot is None:
-            continue
-        work[rank], work[pivot] = work[pivot], work[rank]
-        inv_p = work[rank][col].inverse()
-        work[rank] = [x * inv_p for x in work[rank]]
-        for r in range(n_rows):
-            if r != rank and work[r][col].value != 0:
-                factor = work[r][col]
-                work[r] = [x + factor * y for x, y in zip(work[r], work[rank])]
-        rank += 1
-    return rank
+def _vec_mat(field: FieldContext, x, m: np.ndarray) -> np.ndarray:
+    """The row vector x times the integer matrix m over the field."""
+    acc = np.zeros(m.shape[1], dtype=m.dtype)
+    for xi, row in zip(x, m):
+        if xi:
+            acc ^= field.mul_row(xi, row)
+    return acc
 
 
 # -- code construction ----------------------------------------------------------
@@ -222,30 +207,56 @@ def build_code(k: int, t: int, field: FieldContext | None = None) -> NpcCode:
             f"field too small: order {field.order} < k = {k} distinct evaluation points needed"
         )
     d = k - t
-    g = field.generator()
-    points = [field.zero] + [g**i for i in range(k - 1)]
-    rows = [[field.pow(x, i) for x in points] for i in range(d)]
-    lead = [row[:d] for row in rows]
-    lead_inv = _mat_inv(lead, field)
-    sys_rows = _mat_mul(lead_inv, rows, field)
-    for i in range(d):
-        for j in range(d):
-            expect = 1 if i == j else 0
-            if sys_rows[i][j].value != expect:
-                raise AssertionError("systematization failed")
-    parity = [row[d:] for row in sys_rows]
-    return NpcCode(k, t, field, parity)
+    g = field.generator().value
+    points = [0] + [field.pow_int(g, i) for i in range(k - 1)]
+    vander = np.array(
+        [[field.pow_int(x, i) for x in points] for i in range(d)], dtype=_int_dtype(field)
+    )
+    lead_inv = _gf_inverse(vander[:, :d], field)
+    parity = [_vec_mat(field, row, vander[:, d:]) for row in lead_inv]
+    return NpcCode(k, t, field, [field.elements(int(v) for v in row) for row in parity])
 
 
 def verify_mds(code: NpcCode) -> bool:
     """True iff every k-t generator columns are linearly independent."""
-    rows = code.generator_rows()
-    d = code.data_len
-    for cols in combinations(range(code.k), d):
-        sub = [[row[c] for c in cols] for row in rows]
-        if _rank(sub) < d:
+    g = code.generator_int_matrix()
+    for cols in combinations(range(code.k), code.data_len):
+        try:
+            _gf_inverse(g[:, list(cols)], code.field)
+        except CodecError:
             return False
     return True
+
+
+def _decode_plan(code: NpcCode, erased: Iterable[int]) -> tuple[list[int], np.ndarray | None, list[int]]:
+    """(use, solve, check) for an erasure set, from the code's cache.
+
+    use is the first k-t surviving positions and solve the inverse of
+    their generator columns (None when use is the data positions, whose
+    columns are the identity): data = received[use] @ solve.  check is
+    the surviving parity positions outside use.  Every surviving data
+    position is in use, and data @ G[:, use] equals received[use] by
+    construction, so the consistency check compares check alone.
+    """
+    key = frozenset(erased)
+    plan = code._decode.get(key)
+    if plan is not None:
+        return plan
+    if not key <= set(range(code.k)):
+        raise CodecError(f"erased positions out of range: {sorted(key)}")
+    if len(key) > code.t:
+        raise CapacityExceededError(
+            f"capacity exceeded: {len(key)} erasures > t = {code.t}"
+        )
+    survivors = [i for i in range(code.k) if i not in key]
+    d = code.data_len
+    use = survivors[:d]
+    solve = None
+    if use != list(range(d)):
+        solve = _gf_inverse(code.generator_int_matrix()[:, use], code.field)
+        solve.setflags(write=False)
+    plan = code._decode[key] = (use, solve, survivors[d:])
+    return plan
 
 
 # -- single-block encode / recover ----------------------------------------------
@@ -258,13 +269,8 @@ def encode(code: NpcCode, data: DataBlock | Sequence[FieldElement]) -> Codeword:
         raise CodecError(f"expected {code.data_len} data symbols, got {len(symbols)}")
     f = code.field
     f._check(*symbols)
-    parity = []
-    for j in range(code.t):
-        acc = f.zero
-        for i, x in enumerate(symbols):
-            acc = acc + code.parity[i][j] * x
-        parity.append(acc)
-    return Codeword(symbols + tuple(parity))
+    parity = _vec_mat(f, [s.value for s in symbols], code.parity_int_matrix())
+    return Codeword(symbols + tuple(FieldElement(int(v), f) for v in parity))
 
 
 def recover(code: NpcCode, received: Codeword) -> DataBlock:
@@ -275,37 +281,23 @@ def recover(code: NpcCode, received: Codeword) -> DataBlock:
     """
     if len(received.symbols) != code.k:
         raise CodecError(f"expected {code.k} symbols, got {len(received.symbols)}")
-    erased = set(received.erased)
-    if not erased <= set(range(code.k)):
-        raise CodecError(f"erased positions out of range: {sorted(erased)}")
-    if len(erased) > code.t:
-        raise CapacityExceededError(
-            f"capacity exceeded: {len(erased)} erasures > t = {code.t}"
-        )
-    survivors = [i for i in range(code.k) if i not in erased]
-    d = code.data_len
+    use, solve, check = _decode_plan(code, received.erased)
     f = code.field
-    use = survivors[:d]
-    if use == list(range(d)):
-        data = DataBlock(received.symbols[:d])
+    f._check(*(received.symbols[i] for i in use + check))
+    values = [s.value for s in received.symbols]
+    if solve is None:
+        data = DataBlock(received.symbols[: code.data_len])
+        solved = values[: code.data_len]
     else:
-        rows = code.generator_rows()
-        sub = [[rows[r][c] for c in use] for r in range(d)]
-        sub_inv = _mat_inv(sub, f)
-        received_use = [received.symbols[c] for c in use]
-        solved = []
-        for i in range(d):
-            acc = f.zero
-            for r in range(d):
-                acc = acc + received_use[r] * sub_inv[r][i]
-            solved.append(acc)
-        data = DataBlock(tuple(solved))
-    check = encode(code, data)
-    for pos in survivors:
-        if check.symbols[pos] != received.symbols[pos]:
-            raise InconsistentSymbolsError(
-                f"surviving symbol at position {pos} fits no codeword"
-            )
+        solved = _vec_mat(f, [values[i] for i in use], solve)
+        data = DataBlock(tuple(FieldElement(int(v), f) for v in solved))
+    if check:
+        expect = _vec_mat(f, solved, code.generator_int_matrix()[:, check])
+        for pos, v in zip(check, expect):
+            if v != values[pos]:
+                raise InconsistentSymbolsError(
+                    f"surviving symbol at position {pos} fits no codeword"
+                )
     return data
 
 
@@ -330,8 +322,7 @@ def encode_blocks(code: NpcCode, data: np.ndarray) -> np.ndarray:
     """Encode n data blocks at once: (n, k-t) uint8 -> (n, k) uint8."""
     _require_block_field(code)
     a = _as_symbol_matrix(data, code.data_len, code.field.order)
-    log, exp = code.field.log_table, code.field.exp_table
-    parity = kernels.gf_matmul(a, code.parity_int_matrix(), log, exp)
+    parity = kernels.gf_matmul(a, code.parity_int_matrix(), code.field)
     return np.hstack([a, parity])
 
 
@@ -339,27 +330,13 @@ def recover_blocks(code: NpcCode, received: np.ndarray, erased: Iterable[int]) -
     """Recover n blocks sharing one erasure pattern: (n, k) -> (n, k-t)."""
     _require_block_field(code)
     r = _as_symbol_matrix(received, code.k, code.field.order)
-    erased = set(erased)
-    if not erased <= set(range(code.k)):
-        raise CodecError(f"erased positions out of range: {sorted(erased)}")
-    if len(erased) > code.t:
-        raise CapacityExceededError(
-            f"capacity exceeded: {len(erased)} erasures > t = {code.t}"
-        )
-    survivors = [i for i in range(code.k) if i not in erased]
-    d = code.data_len
-    f = code.field
-    log, exp = f.log_table, f.exp_table
-    use = survivors[:d]
-    if use == list(range(d)):
-        data = r[:, :d].copy()
+    use, solve, check = _decode_plan(code, erased)
+    if solve is None:
+        data = r[:, : code.data_len].copy()
     else:
-        rows = code.generator_rows()
-        sub = [[rows[i][c] for c in use] for i in range(d)]
-        sub_inv = _mat_inv(sub, f)
-        solve = np.array([[e.value for e in row] for row in sub_inv], dtype=np.uint8)
-        data = kernels.gf_matmul(r[:, use], solve, log, exp)
-    full = kernels.gf_matmul(data, code.generator_int_matrix(), log, exp)
-    if not np.array_equal(full[:, survivors], r[:, survivors]):
-        raise InconsistentSymbolsError("surviving symbols fit no codeword")
+        data = kernels.gf_matmul(r[:, use], solve, code.field)
+    if check:
+        expect = kernels.gf_matmul(data, code.generator_int_matrix()[:, check], code.field)
+        if not np.array_equal(expect, r[:, check]):
+            raise InconsistentSymbolsError("surviving symbols fit no codeword")
     return data

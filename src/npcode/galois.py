@@ -8,11 +8,18 @@ combined silently.
 
 Contexts with m <= 8 precompute log/antilog tables over a multiplicative
 generator, turning products into two table lookups; wider fields fall
-back to shift-and-reduce multiplication.  Contexts are immutable after
-construction and safe to share across threads; every operation is pure.
+back to shift-and-reduce multiplication.  Tables-backed contexts also
+build the full q x q product table, `mul_table`, on first use, so
+importing the package builds none.  `mul_row` scales an integer array
+by one element: the codec's linear algebra needs no other array
+operation, and it is the only place that chooses between the product
+table and shift-and-reduce.  Contexts are immutable after construction
+and safe to share across threads; every operation is pure.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 import numpy as np
 
@@ -166,6 +173,18 @@ class FieldContext:
     def has_tables(self) -> bool:
         return self.exp_table is not None
 
+    @cached_property
+    def mul_table(self) -> np.ndarray:
+        """The q x q uint8 product table, mul_table[a, b] = a*b (m <= 8)."""
+        if not self.has_tables:
+            raise ValueError(f"GF(2^{self.m}) has no product table; tables need m <= {_TABLE_MAX_M}")
+        logs = self.log_table
+        table = self.exp_table[logs[:, None] + logs[None, :]].astype(np.uint8)
+        table[0, :] = 0
+        table[:, 0] = 0
+        table.setflags(write=False)
+        return table
+
     # -- element construction --------------------------------------------------
 
     def element(self, value: int) -> "FieldElement":
@@ -198,6 +217,17 @@ class FieldContext:
             q1 = self.order - 1
             return int(self.exp_table[(int(self.log_table[a]) + int(self.log_table[b])) % q1])
         return self._mul_shift_reduce(a, b)
+
+    def mul_row(self, c: int, row: np.ndarray) -> np.ndarray:
+        """c times every element of an integer array, as a new array.
+
+        Reads row c of the product table when m <= 8 (uint8 result) and
+        multiplies element by element otherwise (result in row's dtype).
+        """
+        if self.has_tables:
+            return self.mul_table[c].take(row)
+        c = int(c)
+        return np.array([self.mul_int(c, x) for x in row.tolist()], dtype=row.dtype)
 
     def inv_int(self, a: int) -> int:
         if a == 0:

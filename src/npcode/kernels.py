@@ -1,88 +1,48 @@
-"""Batched GF(2^m) matrix products for the block codec paths.
+"""The GF(2^m) block kernel (m <= 8): one product table, one column at a time.
 
-The hot loop is compiled with numba when it is importable; setting the
-environment variable NPC_NO_NUMBA=1 forces the pure-numpy fallback.
-Both implementations are exported so tests and the benchmark script can
-compare them directly.  Tables-backed fields only (m <= 8, uint8 data).
+`gf_matmul(a, b, field)` multiplies an (n, kk) uint8 symbol matrix by a
+small (kk, mm) coefficient matrix.  It transposes `a` once so that each
+input column is contiguous, then builds output column j as the XOR, over
+the coefficients c = b[l, j], of `MUL[c].take(column l)`: a zero
+coefficient is skipped and a coefficient of one XORs the column in as it
+is.  `MUL` is the field's full q x q product table, `field.mul_table`
+(the table-driven kernel of Plank, Greenan & Miller, "Screaming Fast
+Galois Field Arithmetic Using SIMD Instructions", FAST 2013).
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-try:
-    from numba import njit
+from .galois import FieldContext
 
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover
-    _HAVE_NUMBA = False
+# perfbench/run.py reads this for its run record; the kernel is numpy only.
+NUMBA_ACTIVE = False
 
-_FLAG = os.environ.get("NPC_NO_NUMBA", "").strip().lower()
-NUMBA_DISABLED = _FLAG in ("1", "true", "yes", "on")
-NUMBA_ACTIVE = _HAVE_NUMBA and not NUMBA_DISABLED
-
-__all__ = [
-    "NUMBA_ACTIVE",
-    "NUMBA_DISABLED",
-    "gf_matmul",
-    "gf_matmul_numpy",
-    "gf_matmul_numba",
-]
+__all__ = ["NUMBA_ACTIVE", "gf_matmul"]
 
 
-def gf_matmul_numpy(a: np.ndarray, b: np.ndarray, log: np.ndarray, exp: np.ndarray) -> np.ndarray:
-    """Matrix product over GF(2^m) via log/antilog gathers, vectorized."""
-    a = np.ascontiguousarray(a, dtype=np.uint8)
-    b = np.ascontiguousarray(b, dtype=np.uint8)
-    n, kk = a.shape
-    mm = b.shape[1]
-    out = np.zeros((n, mm), dtype=np.uint8)
-    la = log[a]
-    lb = log[b]
-    for l in range(kk):
-        prod = exp[la[:, l][:, None] + lb[l][None, :]].astype(np.uint8)
-        col_zero = a[:, l] == 0
-        row_zero = b[l] == 0
-        if col_zero.any():
-            prod[col_zero, :] = 0
-        if row_zero.any():
-            prod[:, row_zero] = 0
-        out ^= prod
-    return out
+def gf_matmul(a: np.ndarray, b: np.ndarray, field: FieldContext) -> np.ndarray:
+    """Matrix product a @ b over a field with m <= 8, on uint8 symbols.
 
-
-def _matmul_loops(a, b, log, exp, out):
-    n, kk = a.shape
-    mm = b.shape[1]
-    for i in range(n):
-        for j in range(mm):
-            acc = 0
-            for l in range(kk):
-                x = a[i, l]
-                y = b[l, j]
-                if x != 0 and y != 0:
-                    acc ^= exp[log[x] + log[y]]
-            out[i, j] = acc
-
-
-if _HAVE_NUMBA:
-    _matmul_jit = njit(cache=True)(_matmul_loops)
-
-    def gf_matmul_numba(a: np.ndarray, b: np.ndarray, log: np.ndarray, exp: np.ndarray) -> np.ndarray:
-        a = np.ascontiguousarray(a, dtype=np.uint8)
-        b = np.ascontiguousarray(b, dtype=np.uint8)
-        out = np.zeros((a.shape[0], b.shape[1]), dtype=np.uint8)
-        _matmul_jit(a, b, log, exp, out)
-        return out
-
-else:  # pragma: no cover
-    gf_matmul_numba = None
-
-
-def gf_matmul(a: np.ndarray, b: np.ndarray, log: np.ndarray, exp: np.ndarray) -> np.ndarray:
-    """Matrix product over GF(2^m); picks the compiled path unless disabled."""
-    if NUMBA_ACTIVE:
-        return gf_matmul_numba(a, b, log, exp)
-    return gf_matmul_numpy(a, b, log, exp)
+    Every symbol of `a` must lie below the field order.  The result is
+    an (n, mm) uint8 array, returned as the transpose of a C-ordered
+    (mm, n) array.
+    """
+    mul = field.mul_table
+    cols_t = np.ascontiguousarray(np.asarray(a, dtype=np.uint8).T)
+    cols = list(cols_t)
+    b = np.asarray(b)
+    n = cols_t.shape[1]
+    out = np.zeros((b.shape[1], n), dtype=np.uint8)
+    buf = np.empty(n, dtype=np.uint8)
+    coeffs = b.tolist()
+    for j, acc in enumerate(out):
+        for col, row in zip(cols, coeffs):
+            c = row[j]
+            if c == 1:
+                acc ^= col
+            elif c:
+                mul[c].take(col, out=buf, mode="clip")
+                acc ^= buf
+    return out.T

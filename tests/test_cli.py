@@ -200,6 +200,23 @@ def test_simulate_deterministic_output():
     assert runs[0].stdout == runs[1].stdout
 
 
+def test_simulate_wide_field():
+    # GF(2^16) symbols do not fit uint8; the payload keeps the field's width
+    gen = npcode("generate", "--harary", "10", "3")
+    feas = npcode(
+        "feasibility", "--sources", "v0", "--receivers", "v3,v5,v8", stdin=gen.stdout
+    )
+    res = npcode(
+        "simulate", "--k", "3", "--t", "1", "--failures", "L2", "--blocks", "16",
+        stdin=feas.stdout, env_extra={"NPC_FIELD_POLY": "0x1100B"},
+    )
+    assert res.returncode == 0, res.stderr
+    doc = json.loads(res.stdout)
+    assert doc["recovered"] is True
+    assert doc["mismatches"] == 0
+    assert doc["field"] == {"m": 16, "reduction_poly": "0x1100B"}
+
+
 def test_simulate_k_mismatch():
     gen = npcode("generate", "--harary", "10", "3")
     res = npcode(

@@ -3,7 +3,10 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from npcode import codec as codec_module
 from npcode.codec import (
     CapacityExceededError,
     CodecError,
@@ -221,3 +224,137 @@ def test_parity_uses_oracle_arithmetic():
     points = [0, 1, g, gf_mul_ref(g, g, GF8.reduction_poly, 8)]
     rows = [[1, 1, 1, 1], points]
     assert rank_ref(rows, GF8.reduction_poly, 8) == 2
+
+
+# -- integer core: properties over several fields, and the decode cache ------------
+
+PROPERTY_FIELDS = {
+    "GF(2^8)/0x11B": GF8,
+    "GF(2^8)/0x11D": FieldContext(8, 0x11D),
+    "GF(2^4)": FieldContext(4),
+}
+_CODES: dict = {}
+
+
+def _code(name, k, t):
+    key = (name, k, t)
+    if key not in _CODES:
+        _CODES[key] = build_code(k, t, PROPERTY_FIELDS[name])
+    return _CODES[key]
+
+
+@st.composite
+def _cases(draw):
+    """(code, data, erased): k <= 16, t < k, at most t erased positions."""
+    name = draw(st.sampled_from(sorted(PROPERTY_FIELDS)))
+    k = draw(st.integers(2, 16))
+    t = draw(st.integers(1, k - 1))
+    code = _code(name, k, t)
+    erased = draw(st.lists(st.integers(0, k - 1), max_size=t, unique=True))
+    n = draw(st.integers(1, 6))
+    order = code.field.order
+    values = draw(st.lists(st.integers(0, order - 1),
+                           min_size=n * code.data_len, max_size=n * code.data_len))
+    data = np.array(values, dtype=np.uint8).reshape(n, code.data_len)
+    return code, data, sorted(erased)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_cases())
+def test_property_block_round_trip(case):
+    code, data, erased = case
+    received = encode_blocks(code, data)
+    received[:, erased] = 0
+    assert np.array_equal(recover_blocks(code, received, erased), data)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_cases())
+def test_property_scalar_agrees_with_blocks(case):
+    code, data, erased = case
+    f = code.field
+    sent = encode_blocks(code, data)
+    received = sent.copy()
+    received[:, erased] = 0
+    bulk = recover_blocks(code, received, erased)
+    for block, row, got in zip(data, sent, bulk):
+        cw = encode(code, DataBlock.of(f, [int(x) for x in block]))
+        assert cw.values() == [int(x) for x in row]
+        assert recover(code, cw.with_erasures(erased)).values() == [int(x) for x in got]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_cases(), st.data())
+def test_property_single_corruption_detected(case, extra):
+    code, data, erased = case
+    if len(erased) >= code.t:
+        erased = erased[: code.t - 1]
+    survivors = [i for i in range(code.k) if i not in erased]
+    pos = extra.draw(st.sampled_from(survivors))
+    delta = extra.draw(st.integers(1, code.field.order - 1))
+    row = extra.draw(st.integers(0, data.shape[0] - 1))
+    received = encode_blocks(code, data)
+    received[:, erased] = 0
+    received[row, pos] ^= delta
+    with pytest.raises(InconsistentSymbolsError):
+        recover_blocks(code, received, erased)
+    cw = Codeword.of(code.field, [int(x) for x in received[row]], erased)
+    with pytest.raises(InconsistentSymbolsError):
+        recover(code, cw)
+
+
+def _count_inversions(monkeypatch):
+    calls = []
+    real = codec_module._gf_inverse
+
+    def counting(a, field):
+        calls.append(field)
+        return real(a, field)
+
+    monkeypatch.setattr(codec_module, "_gf_inverse", counting)
+    return calls
+
+
+def test_decode_cache_inverts_once_per_erasure_set(monkeypatch):
+    code = build_code(8, 3, GF8)
+    calls = _count_inversions(monkeypatch)
+    rng = np.random.default_rng(31)
+    for _ in range(5):
+        data = rng.integers(0, 256, size=(9, 5), dtype=np.uint8)
+        received = encode_blocks(code, data)
+        received[:, [1, 6]] = 0
+        assert np.array_equal(recover_blocks(code, received, [6, 1]), data)
+    assert len(calls) == 1
+    # the scalar path shares the cache, in any order of the positions
+    cw = encode(code, DataBlock.of(GF8, [1, 2, 3, 4, 5])).with_erasures([6, 1])
+    assert recover(code, cw).values() == [1, 2, 3, 4, 5]
+    assert len(calls) == 1
+    # parity-only erasures need no inversion at all
+    received = encode_blocks(code, data)
+    received[:, [5, 7]] = 0
+    assert np.array_equal(recover_blocks(code, received, [5, 7]), data)
+    assert len(calls) == 1
+    assert set(code._decode) == {frozenset({1, 6}), frozenset({5, 7})}
+
+
+def test_decode_cache_is_per_code(monkeypatch):
+    a = build_code(6, 2, GF8)
+    b = build_code(6, 2, FieldContext(8, 0x11D))
+    calls = _count_inversions(monkeypatch)
+    data = np.arange(1, 17, dtype=np.uint8).reshape(4, 4)
+    for code in (a, b, a, b):
+        received = encode_blocks(code, data)
+        received[:, [0, 3]] = 0
+        assert np.array_equal(recover_blocks(code, received, [0, 3]), data)
+    assert [f.reduction_poly for f in calls] == [0x11B, 0x11D]
+    assert not np.array_equal(a._decode[frozenset({0, 3})][1], b._decode[frozenset({0, 3})][1])
+
+
+def test_invalid_erasure_sets_are_not_cached():
+    code = build_code(6, 2, GF8)
+    received = encode_blocks(code, np.zeros((2, 4), dtype=np.uint8))
+    with pytest.raises(CapacityExceededError):
+        recover_blocks(code, received, [0, 1, 2])
+    with pytest.raises(CodecError):
+        recover_blocks(code, received, [7])
+    assert code._decode == {}

@@ -28,19 +28,9 @@ def test_numpy_path_matches_oracle(shape):
     rng = np.random.default_rng(n * 100 + kk)
     a = rng.integers(0, 256, size=(n, kk), dtype=np.uint8)
     b = rng.integers(0, 256, size=(kk, mm), dtype=np.uint8)
-    got = kernels.gf_matmul_numpy(a, b, GF8.log_table, GF8.exp_table)
+    got = kernels.gf_matmul(a, b, GF8)
+    assert got.shape == (n, mm) and got.dtype == np.uint8
     assert np.array_equal(got, _matmul_oracle(a, b, GF8))
-
-
-@pytest.mark.skipif(kernels.gf_matmul_numba is None, reason="numba unavailable")
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_numba_path_matches_numpy_path(seed):
-    rng = np.random.default_rng(seed)
-    a = rng.integers(0, 256, size=(23, 7), dtype=np.uint8)
-    b = rng.integers(0, 256, size=(7, 5), dtype=np.uint8)
-    jit = kernels.gf_matmul_numba(a, b, GF8.log_table, GF8.exp_table)
-    plain = kernels.gf_matmul_numpy(a, b, GF8.log_table, GF8.exp_table)
-    assert np.array_equal(jit, plain)
 
 
 def test_zero_heavy_inputs():
@@ -49,11 +39,30 @@ def test_zero_heavy_inputs():
     a[0, 0] = 7
     b[0, 1] = 9
     expect = _matmul_oracle(a, b, GF8)
-    assert np.array_equal(kernels.gf_matmul_numpy(a, b, GF8.log_table, GF8.exp_table), expect)
-    if kernels.gf_matmul_numba is not None:
-        assert np.array_equal(
-            kernels.gf_matmul_numba(a, b, GF8.log_table, GF8.exp_table), expect
-        )
+    assert np.array_equal(kernels.gf_matmul(a, b, GF8), expect)
+
+
+def test_zero_and_one_coefficients():
+    # 0 skips a column and 1 XORs it in untouched; mix both with general ones
+    rng = np.random.default_rng(7)
+    a = rng.integers(0, 256, size=(33, 5), dtype=np.uint8)
+    b = rng.integers(0, 256, size=(5, 6), dtype=np.uint8)
+    b[:, 0] = 0
+    b[:, 1] = 1
+    b[::2, 2] = 0
+    b[1::2, 2] = 1
+    b[0, 3] = 1
+    b[4, 4] = 0
+    got = kernels.gf_matmul(a, b, GF8)
+    assert np.array_equal(got, _matmul_oracle(a, b, GF8))
+    assert not got[:, 0].any()
+    assert np.array_equal(got[:, 1], np.bitwise_xor.reduce(a, axis=1))
+
+
+def test_zero_row_batch():
+    b = np.arange(1, 13, dtype=np.uint8).reshape(4, 3)
+    got = kernels.gf_matmul(np.zeros((0, 4), dtype=np.uint8), b, GF8)
+    assert got.shape == (0, 3) and got.dtype == np.uint8
 
 
 def test_small_field_tables():
@@ -61,38 +70,33 @@ def test_small_field_tables():
     rng = np.random.default_rng(3)
     a = rng.integers(0, 16, size=(9, 4), dtype=np.uint8)
     b = rng.integers(0, 16, size=(4, 3), dtype=np.uint8)
-    got = kernels.gf_matmul(a, b, ctx.log_table, ctx.exp_table)
+    got = kernels.gf_matmul(a, b, ctx)
     assert np.array_equal(got, _matmul_oracle(a, b, ctx))
 
 
-def test_dispatch_agrees_with_both_paths():
-    rng = np.random.default_rng(11)
-    a = rng.integers(0, 256, size=(8, 4), dtype=np.uint8)
-    b = rng.integers(0, 256, size=(4, 4), dtype=np.uint8)
-    got = kernels.gf_matmul(a, b, GF8.log_table, GF8.exp_table)
-    assert np.array_equal(got, kernels.gf_matmul_numpy(a, b, GF8.log_table, GF8.exp_table))
+def test_non_default_polynomial():
+    ctx = FieldContext(8, 0x11D)
+    rng = np.random.default_rng(5)
+    a = rng.integers(0, 256, size=(21, 6), dtype=np.uint8)
+    b = rng.integers(0, 256, size=(6, 4), dtype=np.uint8)
+    got = kernels.gf_matmul(a, b, ctx)
+    assert np.array_equal(got, _matmul_oracle(a, b, ctx))
+    # the product table follows the polynomial, so 0x11B gives other bytes
+    assert not np.array_equal(got, kernels.gf_matmul(a, b, GF8))
 
 
-def test_env_flag_forces_numpy_fallback():
-    import os
-    import subprocess
-    import sys
-
-    env = dict(os.environ, NPC_NO_NUMBA="1")
-    probe = (
-        "from npcode import kernels; "
-        "assert not kernels.NUMBA_ACTIVE; "
-        "import numpy as np; "
-        "from npcode.codec import build_code, encode_blocks, recover_blocks; "
-        "code = build_code(6, 2); "
-        "data = np.arange(40, dtype=np.uint8).reshape(10, 4); "
-        "sent = encode_blocks(code, data); "
-        "sent[:, [0, 5]] = 0; "
-        "assert np.array_equal(recover_blocks(code, sent, [0, 5]), data); "
-        "print('fallback ok')"
+@pytest.mark.parametrize("m", [1, 2, 4, 8])
+def test_product_table_matches_oracle(m):
+    ctx = FieldContext(m)
+    q = ctx.order
+    expect = np.array(
+        [[gf_mul_ref(x, y, ctx.reduction_poly, m) for y in range(q)] for x in range(q)],
+        dtype=np.uint8,
     )
-    res = subprocess.run(
-        [sys.executable, "-c", probe], capture_output=True, text=True, env=env
-    )
-    assert res.returncode == 0, res.stderr
-    assert "fallback ok" in res.stdout
+    assert ctx.mul_table.shape == (q, q)
+    assert np.array_equal(ctx.mul_table, expect)
+
+
+def test_no_product_table_above_m8():
+    with pytest.raises(ValueError):
+        FieldContext(12).mul_table
