@@ -120,6 +120,7 @@ def _report_json(inst, report) -> dict:
         "paths": _paths_json(report.paths, pairs) if report.paths else None,
         "source_tree": list(report.source_tree),
         "receiver_tree": list(report.receiver_tree),
+        "certificate": list(report.certificate),
         "instance": _instance_json(inst),
     }
 
@@ -170,7 +171,7 @@ def _cmd_feasibility(args) -> int:
     else:
         report = feasibility.check_feasibility(inst, relaxed=args.relaxed, pairing=args.pairing)
     doc = _report_json(inst, report)
-    if args.verify and report.feasible:
+    if args.verify and (report.feasible or report.certificate):
         problems = feasibility.verify_report(inst, report)
         doc["verified"] = not problems
         if problems:
@@ -369,7 +370,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--receivers", help="comma-separated node ids (default: role tags)")
     p.add_argument("--relaxed", action="store_true", help="let trees reuse path edges")
     p.add_argument("--pairing", choices=("fixed", "auto"), default="fixed")
-    p.add_argument("--verify", action="store_true", help="re-verify the witness independently")
+    p.add_argument("--verify", action="store_true",
+                   help="re-verify the witness or certificate independently")
     p.set_defaults(func=_cmd_feasibility)
 
     p = sub.add_parser("bounds", help="minimum-edge formulas")

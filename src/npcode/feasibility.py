@@ -12,17 +12,26 @@ The search is exact: path assignments are enumerated exhaustively (with
 flow-based pruning) and, for each, minimal source-connecting trees are
 enumerated in the leftover edges until a receiver tree fits too.  A
 "feasible" answer always carries a full witness; an "infeasible" answer
-means the whole space was exhausted.
+means the whole space was exhausted, or names a cut certificate.
+
+A certificate is a node set X.  Every path of a pair that X separates
+crosses X, and so does each tree whose terminals X splits; in strict
+mode these structures are pairwise edge-disjoint, so fewer crossing
+edges than crossing structures rule out every deployment at once.  This
+generalises the bridged counterexample below, whose bridge cannot carry
+both a path and the receiver tree.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import permutations
 from typing import Iterator, Sequence
 
 from .connectivity import (
     SearchBudgetExceeded,
+    _edge_network,
+    _flow,
     find_disjoint_paths_multi,
     is_k_edge_connected,
     iter_disjoint_path_sets,
@@ -126,6 +135,7 @@ class FeasibilityReport:
     pairing: tuple[str, ...] | None = None
     k_edge_connected: bool | None = None
     hamiltonian: bool | None = None
+    certificate: tuple[str, ...] = ()
 
 
 # -- tree machinery -----------------------------------------------------------------
@@ -272,21 +282,78 @@ def _witness_for_path_set(
     return None, None, source_tree_found
 
 
+def _cut_demand(g: Graph, pairs, sources, receivers, side: set[str]) -> tuple[int, int, int, int]:
+    """(c, p, s, r) for a node set: the edges crossing it, the pairs it
+    separates, and whether it splits the sources and the receivers (1 or 0).
+    """
+
+    def split(terms) -> int:
+        return int(len({t in side for t in terms}) == 2)
+
+    crossing = sum((u in side) != (v in side) for u, v in g.edges.values())
+    separated = sum((s in side) != (r in side) for s, r in pairs)
+    return crossing, separated, split(sources), split(receivers)
+
+
+def _deficient_cut(g: Graph, pairs, sources, receivers, any_source_tree: bool):
+    """(certificate, failure reason) for a strict infeasible instance, or None.
+
+    Candidate sides are the minimal minimum cuts between terminals, one
+    flow per unordered pair stopped at k+2 units: no side crossed by that
+    many edges can be deficient.  A deficient side proves infeasibility,
+    but it gives the reason the exhaustive search names only in two cases:
+    receiver-tree when there is one source or the first path set left room
+    for a source tree, and source-tree when the side splits the sources and
+    every crossing edge carries a path (c == p), so no path set leaves room.
+    """
+    terminals = list(dict.fromkeys((*sources, *receivers)))
+    net, index = _edge_network(g)
+    limit = len(pairs) + 2
+    for i, a in enumerate(terminals):
+        for b in terminals[i + 1 :]:
+            _, parent = _flow(net, net.cap[:], index[a], index[b], limit)
+            if parent is None:
+                continue
+            certificate = tuple(v for v in g.nodes if parent[index[v]] != -1)
+            c, p, s, r = _cut_demand(g, pairs, sources, receivers, set(certificate))
+            if c >= p + s + r:
+                continue
+            if len(sources) == 1 or any_source_tree:
+                return certificate, REASON_RECEIVER_TREE
+            if s and c == p:
+                return certificate, REASON_SOURCE_TREE
+    return None
+
+
 def _search(g: Graph, pairs: list[tuple[str, str]], sources, receivers, relaxed: bool):
-    """Exact witness search; returns a report without pairing metadata."""
+    """Exact witness search; returns a report without pairing metadata.
+
+    Relaxed trees are placed in the whole graph, so the first path set's
+    answer is every path set's.  In strict mode a deficient cut settles an
+    infeasible verdict; otherwise every path set is tried, once per set of
+    used edges, which is all a tree placement depends on.
+    """
     fast = find_disjoint_paths_multi(g, pairs)
     if fast is None:
         return FeasibilityReport(False, failure_reason=REASON_PATHS, relaxed=relaxed)
-    any_source_tree = False
-    stree, rtree, s_found = _witness_for_path_set(g, fast, sources, receivers, relaxed)
-    any_source_tree = any_source_tree or s_found
+    stree, rtree, any_source_tree = _witness_for_path_set(g, fast, sources, receivers, relaxed)
     if rtree is not None:
         return FeasibilityReport(True, fast, stree, rtree, relaxed=relaxed)
-    for candidate in iter_disjoint_path_sets(g, pairs):
-        stree, rtree, s_found = _witness_for_path_set(g, candidate, sources, receivers, relaxed)
-        any_source_tree = any_source_tree or s_found
-        if rtree is not None:
-            return FeasibilityReport(True, candidate, stree, rtree, relaxed=relaxed)
+    if not relaxed:
+        cut = _deficient_cut(g, pairs, sources, receivers, any_source_tree)
+        if cut is not None:
+            certificate, reason = cut
+            return FeasibilityReport(False, failure_reason=reason, certificate=certificate)
+        tried = {frozenset(fast.edge_ids())}
+        for candidate in iter_disjoint_path_sets(g, pairs):
+            used = frozenset(candidate.edge_ids())
+            if used in tried:
+                continue
+            tried.add(used)
+            stree, rtree, s_found = _witness_for_path_set(g, candidate, sources, receivers, relaxed)
+            any_source_tree = any_source_tree or s_found
+            if rtree is not None:
+                return FeasibilityReport(True, candidate, stree, rtree, relaxed=relaxed)
     if len(sources) > 1 and not any_source_tree:
         return FeasibilityReport(False, failure_reason=REASON_SOURCE_TREE, relaxed=relaxed)
     return FeasibilityReport(False, failure_reason=REASON_RECEIVER_TREE, relaxed=relaxed)
@@ -341,10 +408,7 @@ def check_single_source(inst: ProtectionInstance, relaxed: bool = False) -> Feas
     g = inst.graph
     k_conn = is_k_edge_connected(g, inst.k)
     ham = _hamiltonian_cycle_exists(g) if g.num_nodes <= _HAMILTON_MAX else None
-    return FeasibilityReport(
-        base.feasible, base.paths, base.source_tree, base.receiver_tree,
-        base.failure_reason, relaxed, base.pairing, k_conn, ham,
-    )
+    return replace(base, k_edge_connected=k_conn, hamiltonian=ham)
 
 
 def _hamiltonian_cycle_exists(g: Graph) -> bool:
@@ -382,17 +446,24 @@ def _hamiltonian_cycle_exists(g: Graph) -> bool:
 
 
 def verify_report(inst: ProtectionInstance, report: FeasibilityReport) -> list[str]:
-    """Re-check a feasible report's witness from scratch; returns problems."""
+    """Re-check a report from scratch; returns problems.
+
+    A feasible report's witness is rebuilt edge by edge; an infeasible
+    report's cut certificate is recounted.
+    """
     problems: list[str] = []
-    if not report.feasible:
-        return ["report is not feasible; nothing to verify"]
     g = inst.graph
-    paths = report.paths
     pairs = (
         list(zip(inst.sources, report.pairing))
         if report.pairing is not None
         else inst.pairs()
     )
+    receiver_terms = list(dict.fromkeys(r for _, r in pairs))
+    if not report.feasible:
+        if not report.certificate:
+            return ["report is not feasible; nothing to verify"]
+        return _verify_certificate(inst, report, pairs, receiver_terms)
+    paths = report.paths
     if paths is None or len(paths) != len(pairs):
         return ["witness path count does not match the instance"]
     try:
@@ -402,7 +473,6 @@ def verify_report(inst: ProtectionInstance, report: FeasibilityReport) -> list[s
     for p, (s, r) in zip(paths, pairs):
         if p.start != s or p.end != r:
             problems.append(f"path endpoints {p.start}-{p.end} differ from pair {s}-{r}")
-    receiver_terms = list(dict.fromkeys(r for _, r in pairs))
     for name, tree, terms in (
         ("source tree", report.source_tree, list(inst.sources)),
         ("receiver tree", report.receiver_tree, receiver_terms),
@@ -437,6 +507,25 @@ def verify_report(inst: ProtectionInstance, report: FeasibilityReport) -> list[s
             problems.append("source tree reuses path edges in strict mode")
         if path_edges & rtree:
             problems.append("receiver tree reuses path edges in strict mode")
+    return problems
+
+
+def _verify_certificate(inst, report, pairs, receiver_terms) -> list[str]:
+    """Recount a cut certificate: fewer crossing edges than structures that must cross."""
+    if report.relaxed:
+        return ["cut certificates hold in strict mode only"]
+    unknown = [v for v in report.certificate if v not in inst.graph.nodes]
+    if unknown:
+        return [f"certificate names unknown nodes {unknown}"]
+    side = set(report.certificate)
+    c, p, s, r = _cut_demand(inst.graph, pairs, inst.sources, receiver_terms, side)
+    problems = []
+    if c >= p + s + r:
+        problems.append(
+            f"certificate is not deficient: {c} crossing edges for {p + s + r} crossings"
+        )
+    if report.failure_reason == REASON_SOURCE_TREE and not (s and c <= p):
+        problems.append("certificate leaves room for a source tree beside the paths")
     return problems
 
 

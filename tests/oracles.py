@@ -211,6 +211,8 @@ def feasible_ref(g, sources, receivers, pairs, relaxed):
             b_side = set(spool) - a_side
             if connected_ref(receivers, edges, b_side):
                 return True
+        if relaxed:
+            break  # the relaxed pool is every edge, so every path set gives this answer
     return False
 
 

@@ -66,11 +66,22 @@ def test_feasibility_exit_codes_and_verify():
     assert doc["feasible"] is True
     assert doc["verified"] is True
     assert doc["k_edge_connected"] is True
+    assert doc["certificate"] == []
     bad = npcode("feasibility", "--graph", str(FIG2))
     assert bad.returncode == 1
     doc = json.loads(bad.stdout)
     assert doc["feasible"] is False
     assert doc["failure_reason"] == "receiver-tree"
+    assert "verified" not in doc
+
+
+def test_feasibility_verifies_certificate():
+    res = npcode("feasibility", "--graph", str(FIG2), "--verify")
+    assert res.returncode == 1
+    doc = json.loads(res.stdout)
+    assert doc["certificate"] == ["a1", "b1", "c1", "d1", "e1"]
+    assert doc["verified"] is True
+    assert res.stderr == ""
 
 
 def test_feasibility_relaxed_flag():

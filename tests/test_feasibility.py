@@ -1,7 +1,9 @@
 import random
+from dataclasses import replace
 
 import pytest
 
+from npcode import connectivity, feasibility
 from npcode.connectivity import max_edge_disjoint_paths
 from npcode.construction import harary
 from npcode.feasibility import (
@@ -199,6 +201,13 @@ def test_source_tree_failure_reason():
     report = check_feasibility(inst)
     assert not report.feasible
     assert report.failure_reason == "source-tree"
+    assert report.certificate == ("s1",)  # its one edge carries the s1-r1 path
+    assert verify_report(inst, report) == []
+    # a cut that splits the sources but spares an edge does not show the reason
+    spare = replace(report, certificate=("s1", "r1"))
+    assert verify_report(inst, spare) == [
+        "certificate leaves room for a source tree beside the paths"
+    ]
 
 
 def test_instance_validation():
@@ -226,7 +235,6 @@ def test_verify_report_catches_tampering():
     inst = ProtectionInstance(g, [ids[0]], ids[1:4])
     report = check_feasibility(inst)
     assert verify_report(inst, report) == []
-    from dataclasses import replace
 
     # steal a path edge into the receiver tree
     stolen = report.paths.paths[0].edges[0]
@@ -271,3 +279,166 @@ def test_sufficient_condition_regime_samples():
             assert report.hamiltonian is True
             assert report.feasible, f"H_{{{k},{n}}} source {picked[0]}"
             assert verify_report(inst, report) == []
+
+
+# -- cut certificates, the used-edge memo and the relaxed shortcut --------------------
+
+
+def _bridged_blocks(m):
+    """Two H(3,m) blocks joined by one bridge, as in the Fig. 2 argument scaled up."""
+    g = Graph()
+    for block in "ab":
+        h = harary(m, 3)
+        for v in h.nodes:
+            g.add_node("relay", f"{block}{v}")
+        for u, v in h.edges.values():
+            g.add_edge(f"{block}{u}", f"{block}{v}")
+    g.add_edge("av0", "bv0")
+    return ProtectionInstance(g, ["av1"], ["av2", "av3", "bv1"])
+
+
+def _small_corpus(seed, count):
+    """Seeded strict instances on 5-6 nodes, half with a K4 block hung on a bridge."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        g, ids = _random_connected(rng, rng.randint(5, 6), rng.randrange(2, 7))
+        if rng.random() < 0.5:
+            block = [g.add_node(node_id=f"b{i}") for i in range(4)]
+            for i in range(4):
+                for j in range(i + 1, 4):
+                    g.add_edge(block[i], block[j])
+            g.add_edge(rng.choice(ids), block[0])
+        nodes = list(g.nodes)
+        if rng.random() < 0.5:
+            picked = rng.sample(nodes, rng.randint(3, 4))
+            yield ProtectionInstance(g, picked[:1], picked[1:])
+        else:
+            picked = rng.sample(nodes, 4)
+            yield ProtectionInstance(g, picked[:2], picked[2:])
+
+
+def test_certificates_are_exact_on_a_bridged_corpus(monkeypatch):
+    instances = list(_small_corpus(2024, 100))
+    reports = [check_feasibility(inst) for inst in instances]
+    monkeypatch.setattr(feasibility, "_deficient_cut", lambda *args: None)
+    certified = searched = 0
+    for trial, (inst, report) in enumerate(zip(instances, reports)):
+        expect = feasible_ref(inst.graph, inst.sources, inst.receivers, inst.pairs(), False)
+        assert report.feasible == expect, f"trial {trial}"
+        # the full search gives the same verdict, reason and witness
+        assert replace(report, certificate=()) == check_feasibility(inst), f"trial {trial}"
+        if report.certificate:
+            certified += 1
+            assert verify_report(inst, report) == [], f"trial {trial}"
+        elif not report.feasible:
+            searched += 1
+    assert certified and searched  # the corpus exercises both infeasible routes
+
+
+def test_receiver_split_cut_does_not_name_the_reason():
+    # r1 hangs on x alone, so {r1} is a deficient cut that splits the
+    # receivers; but the only path set also cuts s1 off from s2, and the
+    # search names the source tree, which no candidate cut can certify
+    g = Graph()
+    s1, s2, r1, r2, x = (g.add_node(node_id=v) for v in ("s1", "s2", "r1", "r2", "x"))
+    for u, v in ((r1, x), (x, s2), (s2, r2), (r2, s1), (x, s1)):
+        g.add_edge(u, v)
+    inst = ProtectionInstance(g, [s1, s2], [r1, r2])
+    c, p, s, r = feasibility._cut_demand(g, inst.pairs(), inst.sources, inst.receivers, {r1})
+    assert r == 1 and c < p + s + r
+    report = check_feasibility(inst)
+    assert not report.feasible
+    assert report.failure_reason == "source-tree"
+    assert report.certificate == ()
+
+
+def test_certified_verdicts_skip_enumeration(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("path sets enumerated")
+
+    monkeypatch.setattr(feasibility, "iter_disjoint_path_sets", refuse)
+    for inst, side in ((build_fig2_fixture(), "1"), (_bridged_blocks(14), "a")):
+        report = check_feasibility(inst)
+        assert not report.feasible
+        assert report.failure_reason == "receiver-tree"
+        # the bridge splits off the source's block
+        assert report.certificate == tuple(v for v in inst.graph.nodes if side in v)
+        assert verify_report(inst, report) == []
+
+
+def test_witness_attempt_once_per_used_edge_set(monkeypatch):
+    g = harary(10, 4)
+    inst = ProtectionInstance(g, ["v0", "v1", "v2", "v3"], ["v5", "v6", "v7", "v8"])
+    tried = []
+    attempt = feasibility._witness_for_path_set
+
+    def counted(g, paths, *args):
+        tried.append(frozenset(paths.edge_ids()))
+        return attempt(g, paths, *args)
+
+    monkeypatch.setattr(feasibility, "_witness_for_path_set", counted)
+    report = check_feasibility(inst)
+    assert report.failure_reason == "receiver-tree" and report.certificate == ()
+    path_sets = connectivity.iter_disjoint_path_sets(g, inst.pairs())
+    every = {frozenset(ps.edge_ids()) for ps in path_sets}
+    assert len(tried) == len(set(tried)) == len(every)
+
+
+def test_verify_report_rechecks_certificates():
+    inst = build_fig2_fixture()
+    report = check_feasibility(inst)
+    assert report.certificate == ("a1", "b1", "c1", "d1", "e1")
+    assert verify_report(inst, report) == []
+    # with a2 inside, two edges cross for the two structures that must cross
+    wider = replace(report, certificate=report.certificate + ("a2",))
+    assert verify_report(inst, wider) == [
+        "certificate is not deficient: 2 crossing edges for 2 crossings"
+    ]
+    assert verify_report(inst, replace(report, certificate=("zz",)))
+    assert verify_report(inst, replace(report, relaxed=True)) == [
+        "cut certificates hold in strict mode only"
+    ]
+    assert verify_report(inst, replace(report, certificate=())) == [
+        "report is not feasible; nothing to verify"
+    ]
+    assert check_single_source(inst).certificate == report.certificate
+
+
+# Relaxed-infeasible instances, each a small graph with a K4 or H(3,6) block
+# on one bridge.  Every path set gives the same relaxed answer, so the first
+# one decides; trying them all takes 1-4 s on each (2-core Xeon).
+RELAXED_MANY_PATH_SETS = [
+    (
+        "v0 v1 v2 v3 v4 v5 bv0 bv1 bv2 bv3",
+        "v0-v4 v4-v3 v3-v1 v1-v5 v5-v2 v5-v0 v3-v5 v4-v1 "
+        "bv0-bv1 bv0-bv3 bv1-bv2 bv2-bv3 bv0-bv2 bv1-bv3 v4-bv3",
+        ["v0", "bv2", "bv1"], ["v4", "bv3", "bv0"],
+    ),
+    (
+        "v0 v1 v2 v3 v4 v5 v6 v7 bv0 bv1 bv2 bv3",
+        "v5-v6 v6-v4 v4-v7 v7-v0 v0-v3 v3-v2 v2-v1 v4-v2 v3-v5 "
+        "bv0-bv1 bv0-bv3 bv1-bv2 bv2-bv3 bv0-bv2 bv1-bv3 v2-bv0",
+        ["bv0", "v5", "v2"], ["bv2", "v1", "bv3"],
+    ),
+    (
+        "v0 v1 v2 v3 v4 v5 bv0 bv1 bv2 bv3 bv4 bv5",
+        "v3-v2 v2-v4 v4-v0 v0-v1 v1-v5 v5-v0 v5-v2 bv0-bv1 bv0-bv5 bv1-bv2 "
+        "bv2-bv3 bv3-bv4 bv4-bv5 bv0-bv3 bv1-bv4 bv2-bv5 v1-bv2",
+        ["bv0", "bv5", "v4"], ["v1", "bv3", "v0"],
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "nodes, edges, sources, receivers", RELAXED_MANY_PATH_SETS, ids=["k4-10", "k4-12", "h36-12"]
+)
+def test_relaxed_answers_from_the_first_path_set(nodes, edges, sources, receivers):
+    g = Graph()
+    for v in nodes.split():
+        g.add_node(node_id=v)
+    for uv in edges.split():
+        g.add_edge(*uv.split("-"))
+    inst = ProtectionInstance(g, sources, receivers)
+    report = check_feasibility(inst, relaxed=True)
+    assert report.feasible == feasible_ref(g, sources, receivers, inst.pairs(), True)
+    assert report.failure_reason == "receiver-tree" and report.certificate == ()
