@@ -23,7 +23,6 @@ a single max-flow.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -86,18 +85,17 @@ class _Network:
         self.cap += (forward, backward)
 
 
-def _edge_network(g: Graph, allowed: set[str] | None = None) -> tuple[_Network, dict[str, int]]:
+def _edge_network(g: Graph) -> tuple[_Network, dict[str, int]]:
     """g as a residual graph, with its node index.
 
-    Edge i becomes arcs 2i (u to v) and 2i+1 (v to u), of capacity 1 each
-    (0 outside `allowed`).  Adding the edges in id order lists each node's
+    Edge i becomes arcs 2i (u to v) and 2i+1 (v to u), of capacity 1 each.
+    Adding the edges in id order lists each node's
     arcs in g._adj order, which fixes the BFS order and so the paths found.
     """
     index = {v: i for i, v in enumerate(g.nodes)}
     net = _Network(len(index))
-    for e, (u, v) in g.edges.items():
-        c = 1 if allowed is None or e in allowed else 0
-        net.add(index[u], index[v], c, c)
+    for u, v in g.edges.values():
+        net.add(index[u], index[v], 1, 1)
     return net, index
 
 
@@ -315,101 +313,160 @@ def _reverse_path(p: Path) -> Path:
     return Path(tuple(reversed(p.nodes)), tuple(reversed(p.edges)))
 
 
-def _bfs_dist(g: Graph, s: str, t: str, allowed: set[str] | None) -> int | None:
-    if s == t:
-        return 0
-    dist = {s: 0}
-    queue = deque([s])
-    while queue:
-        x = queue.popleft()
-        for e in g._adj[x]:
-            if allowed is not None and e not in allowed:
-                continue
-            y = g.other_end(e, x)
-            if y not in dist:
-                dist[y] = dist[x] + 1
-                if y == t:
-                    return dist[y]
+# -- the integer path walker -----------------------------------------------------------
+# Each multi-pair search builds one read-only integer snapshot of the graph:
+# node i is the i-th of g.nodes, edge j the j-th edge in edge-id order and
+# bit 1 << j of an edge mask, and adj[i] lists (bit, j, neighbour) for the
+# edges at node i, lowest j first.  Walks try edges in that order, so paths
+# come out lowest-edge-id first, as the string-keyed walk listed them.
+
+
+class _Snapshot:
+    __slots__ = ("nodes", "edges", "index", "adj", "full")
+
+    def __init__(self, g: Graph):
+        self.nodes = list(g.nodes)
+        self.edges = list(g.edges)
+        self.index = {v: i for i, v in enumerate(self.nodes)}
+        self.adj: list[list[tuple[int, int, int]]] = [[] for _ in self.nodes]
+        for j, (u, v) in enumerate(g.edges.values()):
+            iu, iv = self.index[u], self.index[v]
+            self.adj[iu].append((1 << j, j, iv))
+            self.adj[iv].append((1 << j, j, iu))
+        self.full = (1 << len(self.edges)) - 1
+
+    def mask(self, edge_ids) -> int:
+        return sum(1 << j for j, e in enumerate(self.edges) if e in edge_ids)
+
+    def path_set(self, walks) -> DisjointPathSet:
+        return DisjointPathSet(tuple(
+            Path(tuple(self.nodes[x] for x in nodes), tuple(self.edges[j] for j in edges))
+            for nodes, edges in walks
+        ))
+
+
+def _distances(adj, root: int, avail: int) -> list[int]:
+    """BFS hop counts from root over the edges in avail; -1 where unreachable."""
+    dist = [-1] * len(adj)
+    dist[root] = 0
+    queue = [root]
+    for x in queue:
+        d = dist[x] + 1
+        for bit, _, y in adj[x]:
+            if avail & bit and dist[y] < 0:
+                dist[y] = d
                 queue.append(y)
-    return None
+    return dist
 
 
-def _remaining_bound(g: Graph, pairs, start: int, allowed: set[str]) -> int | None:
-    """Admissible lower bound on edges still needed; None if hopeless."""
-    total = 0
-    groups: dict[tuple[str, str], int] = {}
-    for s, r in pairs[start:]:
-        d = _bfs_dist(g, s, r, allowed)
-        if d is None:
-            return None
-        total += d
-        groups[(s, r)] = groups.get((s, r), 0) + 1
-    repeated = [(s, r, count) for (s, r), count in groups.items() if count > 1]
-    if repeated:
-        net, index = _edge_network(g, allowed)
-        for s, r, count in repeated:
-            value, _ = _flow(net, net.cap[:], index[s], index[r], count)
-            if value < count:
-                return None
-    return total
+def _simple_paths(adj, s: int, r: int, avail: int, to_r: list[int] | None = None,
+                  max_len: int = 0) -> Iterator[tuple[list[int], list[int], int]]:
+    """Simple s-r paths inside the edge mask avail, lowest-edge-id first.
 
-
-def _iter_simple_paths(
-    g: Graph, s: str, r: str, allowed: set[str], max_len: int | None
-) -> Iterator[Path]:
-    """Simple s-r paths in lexicographic edge order, length-pruned."""
-    nodes = [s]
-    edges: list[str] = []
-    on_path = {s}
-
-    def rec() -> Iterator[Path]:
-        x = nodes[-1]
-        if x == r:
-            yield Path(tuple(nodes), tuple(edges))
-            return
-        if max_len is not None:
-            rest = _bfs_dist(g, x, r, allowed - set(edges))
-            if rest is None or len(edges) + rest > max_len:
-                return
-        for e in sorted(g._adj[x], key=g.edge_order):
-            if e not in allowed or e in edges:
-                continue
-            y = g.other_end(e, x)
-            if y in on_path:
-                continue
-            nodes.append(y)
-            edges.append(e)
-            on_path.add(y)
-            yield from rec()
+    Yields (nodes, edges, mask); the two lists are the walker's own and
+    change once it resumes.  With to_r (hop counts to r within avail), only
+    paths of at most max_len edges are walked: a step is dropped when even
+    the shortest way on from its end would be too long.
+    """
+    nodes, edges, masks = [s], [], [0]
+    on_path = 1 << s
+    stack = [iter(adj[s])]
+    while stack:
+        for bit, j, y in stack[-1]:
+            if avail & bit and not on_path >> y & 1:
+                break
+        else:
+            stack.pop()
+            on_path ^= 1 << nodes.pop()
+            masks.pop()
+            if edges:
+                edges.pop()
+            continue
+        mask = masks[-1] | bit
+        nodes.append(y)
+        edges.append(j)
+        if y == r:
+            yield nodes, edges, mask
             nodes.pop()
             edges.pop()
-            on_path.remove(y)
+        elif to_r is not None and not 0 <= to_r[y] <= max_len - len(edges):
+            nodes.pop()
+            edges.pop()
+        else:
+            masks.append(mask)
+            on_path |= 1 << y
+            stack.append(iter(adj[y]))
 
-    yield from rec()
+
+def _repeated_pairs(ends: list[tuple[int, int]]) -> list[list[tuple[int, int, int]]]:
+    """For each start i, the pairs that occur more than once in ends[i:], with counts."""
+    out = []
+    for i in range(len(ends)):
+        counts: dict[tuple[int, int], int] = {}
+        for pair in ends[i:]:
+            counts[pair] = counts.get(pair, 0) + 1
+        out.append([(s, r, c) for (s, r), c in counts.items() if c > 1])
+    return out
+
+
+def _room_for_repeats(net: _Network, repeated, avail: int) -> bool:
+    """Whether each repeated pair has as many edge-disjoint paths in avail as it needs."""
+    if not repeated:
+        return True
+    cap = []
+    for j in range(len(net.cap) // 2):
+        c = avail >> j & 1
+        cap += (c, c)
+    return all(_flow(net, cap[:], s, r, count)[0] == count for s, r, count in repeated)
 
 
 def iter_disjoint_path_sets(
     g: Graph, pairs: Sequence[tuple[str, str]], allowed: set[str] | None = None
 ) -> Iterator[DisjointPathSet]:
-    """Exhaustively enumerate every pairwise edge-disjoint path assignment."""
+    """Every distinct used-edge set of a pairwise edge-disjoint path assignment, once.
+
+    Assignments are walked pair by pair, each pair's simple paths
+    lowest-edge-id first in the edges the earlier pairs left; a branch ends
+    once a later pair has no path left, or a repeated pair too few
+    edge-disjoint ones.  Each distinct set of used edges is yielded with
+    the first path set, in that order, that uses it.  The rest of a walk
+    depends only on the pair index and the edges left, so a state walked
+    before is skipped: all it could yield repeats a used-edge set already
+    seen.
+    """
     _validate_pairs(g, pairs)
     _check_guard(g, pairs)
-    pool = set(g.edges) if allowed is None else set(allowed)
+    snap = _Snapshot(g)
+    adj, index = snap.adj, snap.index
+    ends = [(index[s], index[r]) for s, r in pairs]
+    repeated = _repeated_pairs(ends)
+    net = _edge_network(g)[0] if repeated[0] else None
+    k = len(ends)
+    walks: list = [None] * k
+    walked: set[tuple[int, int]] = set()
 
-    def rec(i: int, avail: set[str]) -> Iterator[list[Path]]:
-        if i == len(pairs):
-            yield []
+    def walk(i: int, avail: int) -> Iterator[DisjointPathSet]:
+        if (i, avail) in walked:
             return
-        if _remaining_bound(g, pairs, i, avail) is None:
+        walked.add((i, avail))
+        if i == k:
+            yield snap.path_set(walks)
             return
-        s, r = pairs[i]
-        for path in _iter_simple_paths(g, s, r, avail, None):
-            rest_avail = avail - set(path.edges)
-            for rest in rec(i + 1, rest_avail):
-                yield [path] + rest
+        reach: dict[int, list[int]] = {}
+        for s, r in ends[i:]:
+            if s not in reach:
+                reach[s] = _distances(adj, s, avail)
+            if reach[s][r] < 0:
+                return
+        if not _room_for_repeats(net, repeated[i], avail):
+            return
+        s, r = ends[i]
+        for nodes, edges, mask in _simple_paths(adj, s, r, avail):
+            walks[i] = (nodes, edges)
+            yield from walk(i + 1, avail ^ mask)
 
-    for combo in rec(0, pool):
-        yield DisjointPathSet(tuple(combo))
+    pool = snap.full if allowed is None else snap.mask(allowed)
+    yield from walk(0, pool)
 
 
 def find_disjoint_paths_multi(
@@ -420,8 +477,9 @@ def find_disjoint_paths_multi(
     Returns a witness set or None once the search space is exhausted.
     Coinciding sources (or receivers) short-circuit to a polynomial
     max-flow; otherwise iterative deepening on the total edge count with
-    per-pair residual reachability/flow pruning keeps the backtracking
-    honest without losing completeness.
+    per-pair residual distance/flow pruning keeps the backtracking
+    honest without losing completeness.  The witness is the first path set,
+    pair by pair and lowest-edge-id first, whose total length is the least.
     """
     _validate_pairs(g, pairs)
     _check_guard(g, pairs)
@@ -436,29 +494,48 @@ def find_disjoint_paths_multi(
             return None
         return DisjointPathSet(tuple(_reverse_path(p) for p in found.paths))
 
-    all_edges = set(g.edges)
-    base = _remaining_bound(g, pairs, 0, all_edges)
-    if base is None:
-        return None
+    snap = _Snapshot(g)
+    adj, index = snap.adj, snap.index
+    ends = [(index[s], index[r]) for s, r in pairs]
+    repeated = _repeated_pairs(ends)
+    net = _edge_network(g)[0] if repeated[0] else None
+    k = len(ends)
+    walks: list = [None] * k
 
-    def dfs(i: int, budget: int, avail: set[str]) -> list[Path] | None:
-        if i == len(pairs):
-            return []
-        bound = _remaining_bound(g, pairs, i, avail)
-        if bound is None or bound > budget:
+    def bounds(i: int, avail: int) -> list[list[int]] | None:
+        """Hop counts to each remaining receiver, or None when some pair is cut off."""
+        to_r = [_distances(adj, r, avail) for _, r in ends[i:]]
+        if any(d[s] < 0 for d, (s, _) in zip(to_r, ends[i:])):
             return None
-        s, r = pairs[i]
-        rest_bound = _remaining_bound(g, pairs, i + 1, avail)
-        if rest_bound is None:
-            rest_bound = 0
-        for path in _iter_simple_paths(g, s, r, avail, budget - rest_bound):
-            rest = dfs(i + 1, budget - len(path), avail - set(path.edges))
-            if rest is not None:
-                return [path] + rest
-        return None
+        if not _room_for_repeats(net, repeated[i], avail):
+            return None
+        return to_r
 
-    for budget in range(base, g.num_edges + 1):
-        combo = dfs(0, budget, all_edges)
-        if combo is not None:
-            return DisjointPathSet(tuple(combo))
+    def dfs(i: int, budget: int, avail: int) -> bool:
+        if i == k:
+            return True
+        to_r = bounds(i, avail)
+        if to_r is None:
+            return False
+        need = [d[s] for d, (s, _) in zip(to_r, ends[i:])]
+        if sum(need) > budget:
+            return False
+        s, r = ends[i]
+        for nodes, edges, mask in _simple_paths(adj, s, r, avail, to_r[0],
+                                                budget - sum(need[1:])):
+            walks[i] = (nodes[:], edges[:])
+            if dfs(i + 1, budget - len(edges), avail ^ mask):
+                return True
+        return False
+
+    to_r = bounds(0, snap.full)
+    if to_r is None:
+        return None
+    for budget in range(sum(d[s] for d, (s, _) in zip(to_r, ends)), g.num_edges + 1):
+        if dfs(0, budget, snap.full):
+            return snap.path_set(walks)
+    return None
+    for budget in range(sum(d[s] for d, (s, _) in zip(to_r, ends)), g.num_edges + 1):
+        if dfs(0, budget, snap.full, to_r):
+            return snap.path_set(walks)
     return None

@@ -330,8 +330,9 @@ def _search(g: Graph, pairs: list[tuple[str, str]], sources, receivers, relaxed:
 
     Relaxed trees are placed in the whole graph, so the first path set's
     answer is every path set's.  In strict mode a deficient cut settles an
-    infeasible verdict; otherwise every path set is tried, once per set of
-    used edges, which is all a tree placement depends on.
+    infeasible verdict; otherwise every other set of used edges is tried,
+    which is all a tree placement depends on, with the first path set that
+    uses it.
     """
     fast = find_disjoint_paths_multi(g, pairs)
     if fast is None:
@@ -344,12 +345,10 @@ def _search(g: Graph, pairs: list[tuple[str, str]], sources, receivers, relaxed:
         if cut is not None:
             certificate, reason = cut
             return FeasibilityReport(False, failure_reason=reason, certificate=certificate)
-        tried = {frozenset(fast.edge_ids())}
+        fast_used = fast.edge_ids()
         for candidate in iter_disjoint_path_sets(g, pairs):
-            used = frozenset(candidate.edge_ids())
-            if used in tried:
+            if candidate.edge_ids() == fast_used:
                 continue
-            tried.add(used)
             stree, rtree, s_found = _witness_for_path_set(g, candidate, sources, receivers, relaxed)
             any_source_tree = any_source_tree or s_found
             if rtree is not None:
@@ -398,7 +397,7 @@ def check_single_source(inst: ProtectionInstance, relaxed: bool = False) -> Feas
     """Single-source feasibility plus the sufficient-condition report.
 
     Also answers whether the graph is k-edge connected and (for up to
-    16 nodes, by exact backtracking) whether it carries a Hamiltonian
+    16 nodes, by an exact bitmask DP) whether it carries a Hamiltonian
     cycle; together these two are a sufficient condition for
     deployability from any source to any k receivers.
     """
@@ -412,6 +411,13 @@ def check_single_source(inst: ProtectionInstance, relaxed: bool = False) -> Feas
 
 
 def _hamiltonian_cycle_exists(g: Graph) -> bool:
+    """Bellman / Held-Karp bitmask DP over paths from the first node.
+
+    Nodes after the first are bits 0..n-2.  ends[mask] is the set (a
+    bitmask) of nodes at which some path from the first node that visits
+    exactly the nodes in mask can end; a cycle exists when one of the ends
+    of the full mask is a neighbour of the first node.  O(2^n * n) steps.
+    """
     n = g.num_nodes
     if n < 3:
         return False
@@ -420,26 +426,21 @@ def _hamiltonian_cycle_exists(g: Graph) -> bool:
     if any(g.degree(v) < 2 for v in g.nodes):
         return False
     nodes = list(g.nodes)
-    start = nodes[0]
-    adj = {v: sorted(g.neighbors(v)) for v in nodes}
-    visited = {start}
-    order = [start]
-
-    def rec() -> bool:
-        x = order[-1]
-        if len(order) == n:
-            return start in adj[x]
-        for y in adj[x]:
-            if y not in visited:
-                visited.add(y)
-                order.append(y)
-                if rec():
-                    return True
-                order.pop()
-                visited.remove(y)
-        return False
-
-    return rec()
+    bit = {v: 1 << i for i, v in enumerate(nodes[1:])}
+    first_nbrs = sum(bit[y] for y in g.neighbors(nodes[0]))
+    nbrs = [sum(bit.get(y, 0) for y in g.neighbors(v)) for v in nodes[1:]]
+    full = (1 << (n - 1)) - 1
+    ends = [0] * (full + 1)
+    for b in range(n - 1):
+        ends[1 << b] = first_nbrs & (1 << b)
+    for mask in range(1, full):
+        last = ends[mask]
+        if not last:
+            continue
+        for b in range(n - 1):
+            if nbrs[b] & last and not mask >> b & 1:
+                ends[mask | 1 << b] |= 1 << b
+    return bool(ends[full] & first_nbrs)
 
 
 # -- independent witness verification -------------------------------------------------

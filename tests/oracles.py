@@ -195,6 +195,75 @@ def brute_disjoint_path_sets(edges, pairs):
     return results
 
 
+def disjoint_path_sets_ref(edges, pairs, allowed=None):
+    """Every mutually edge-disjoint path assignment, lazily, in search order.
+
+    Pair by pair, each pair's simple paths are walked lowest-edge-id first
+    in the edges the earlier pairs left over; a branch is dropped as soon
+    as some later pair has no path at all.  This is the string-keyed
+    enumeration the library used before it deduplicated by used-edge set,
+    so it lists every path set, repeats of a used-edge set included.
+    """
+    incident = {}
+    for eid, u, v in edges:
+        incident.setdefault(u, []).append((eid, v))
+        incident.setdefault(v, []).append((eid, u))
+    pool = {e for e, _, _ in edges} if allowed is None else set(allowed)
+
+    def reaches(s, r, avail):
+        seen = {s}
+        stack = [s]
+        while stack:
+            x = stack.pop()
+            for eid, y in incident.get(x, ()):
+                if eid in avail and y not in seen:
+                    if y == r:
+                        return True
+                    seen.add(y)
+                    stack.append(y)
+        return False
+
+    def paths(s, r, avail):
+        nodes, eids = [s], []
+
+        def rec():
+            x = nodes[-1]
+            if x == r:
+                yield tuple(nodes), tuple(eids)
+                return
+            for eid, y in incident.get(x, ()):
+                if eid in avail and y not in nodes:
+                    nodes.append(y)
+                    eids.append(eid)
+                    yield from rec()
+                    nodes.pop()
+                    eids.pop()
+
+        yield from rec()
+
+    def rec(i, avail):
+        if i == len(pairs):
+            yield []
+            return
+        if not all(reaches(s, r, avail) for s, r in pairs[i:]):
+            return
+        for path in paths(*pairs[i], avail):
+            for rest in rec(i + 1, avail - set(path[1])):
+                yield [path] + rest
+
+    yield from rec(0, pool)
+
+
+def first_per_used_edge_set(path_sets):
+    """Keep the first path set of each distinct used-edge set, in order."""
+    seen = set()
+    for chosen in path_sets:
+        used = frozenset(e for _, eids in chosen for e in eids)
+        if used not in seen:
+            seen.add(used)
+            yield chosen
+
+
 def feasible_ref(g, sources, receivers, pairs, relaxed):
     """Exhaustive deployability oracle over (path set, tree, tree) splits."""
     edges = edge_list(g)

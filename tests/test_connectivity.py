@@ -1,4 +1,6 @@
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -21,9 +23,13 @@ from oracles import (
     brute_node_cut,
     connected_graph_corpus,
     connected_ref,
+    disjoint_path_sets_ref,
     edge_list,
+    first_per_used_edge_set,
     graph_from_pairs,
 )
+
+MULTI_PINS = json.loads((Path(__file__).parent / "data" / "multi_path_pins.json").read_text())
 
 
 def _path_graph(n):
@@ -352,3 +358,73 @@ def test_node_connectivity_runs_few_flows(monkeypatch, n, k):
     assert node_connectivity(harary(n, k)).value == k
     # v0 of a Harary graph is outside a minimum separator, so sources v0..v(k-1) suffice
     assert len(calls) <= k * n
+
+
+# -- the integer path walker against the string-keyed oracle -------------------------
+
+
+def _path_set_corpus(seed, count):
+    """Seeded small multigraphs, with repeated pairs and `allowed` subsets."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(5, 8)
+        g, ids = _random_graph(rng, n, rng.randrange(2, n + 2))  # parallel edges allowed
+        pairs = [tuple(rng.sample(ids, 2)) for _ in range(rng.randint(1, 3))]
+        if rng.random() < 0.4:
+            pairs.insert(rng.randrange(len(pairs) + 1), rng.choice(pairs))
+        allowed = None
+        if rng.random() < 0.4:
+            allowed = {e for e in g.edges if rng.random() < 0.8}
+        yield g, pairs, allowed
+
+
+def _multi_h(n, k):
+    return harary(n, k), [(f"v{i}", f"v{n // 2 + i}") for i in range(k)]
+
+
+def _listed(path_sets):
+    return [[(p.nodes, p.edges) for p in ps.paths] for ps in path_sets]
+
+
+def test_path_sets_are_first_per_used_edge_set_of_the_oracle():
+    cases = list(_path_set_corpus(606, 150))
+    cases.append((*_multi_h(10, 4), None))
+    repeated = 0
+    for trial, (g, pairs, allowed) in enumerate(cases):
+        ref = list(disjoint_path_sets_ref(edge_list(g), pairs, allowed))
+        got = _listed(iter_disjoint_path_sets(g, pairs, allowed))
+        assert got == list(first_per_used_edge_set(ref)), f"trial {trial}"
+        repeated += len(ref) - len(got)
+    assert repeated  # the corpus repeats used-edge sets, so the deduplication is exercised
+    assert len(got) == 157  # multi H(4,10): 1,636 path sets, 157 distinct used-edge sets
+
+
+def test_repeated_pair_path_sets_counted_once_per_used_edge_set():
+    # K7 with the pair v1-v3 twice: 476,256 path sets, 23,283 used-edge sets
+    # (counted once with disjoint_path_sets_ref and first_per_used_edge_set)
+    pairs = [("v1", "v3"), ("v1", "v3"), ("v2", "v4")]
+    assert sum(1 for _ in iter_disjoint_path_sets(harary(7, 6), pairs)) == 23_283
+
+
+def _pinned_multi_cases():
+    for k, n in ((3, 8), (3, 12), (3, 20), (4, 10), (4, 12)):
+        yield f"H({k},{n})", *_multi_h(n, k)
+    rng = random.Random(42)  # the instances of test_multi_matches_brute_on_random_graphs
+    for trial in range(25):
+        g, ids = _random_graph(rng, 8, rng.randrange(2, 8))
+        n_pairs = rng.choice([2, 3])
+        picked = rng.sample(ids, 2 * n_pairs)
+        yield f"random42-{trial}", g, [(picked[2 * i], picked[2 * i + 1]) for i in range(n_pairs)]
+    for trial, (g, pairs, _) in enumerate(_path_set_corpus(606, 150)):
+        if len({s for s, _ in pairs}) > 1 and len({r for _, r in pairs}) > 1:
+            yield f"corpus606-{trial}", g, pairs
+
+
+def test_multi_witnesses_pinned():
+    # general-branch witnesses, recorded with the string-keyed search
+    cases = list(_pinned_multi_cases())
+    assert sorted(label for label, _, _ in cases) == sorted(MULTI_PINS)
+    for label, g, pairs in cases:
+        found = find_disjoint_paths_multi(g, pairs)
+        got = None if found is None else [[" ".join(p.nodes), " ".join(p.edges)] for p in found]
+        assert got == MULTI_PINS[label], label

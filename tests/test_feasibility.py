@@ -442,3 +442,51 @@ def test_relaxed_answers_from_the_first_path_set(nodes, edges, sources, receiver
     report = check_feasibility(inst, relaxed=True)
     assert report.feasible == feasible_ref(g, sources, receivers, inst.pairs(), True)
     assert report.failure_reason == "receiver-tree" and report.certificate == ()
+
+
+# -- Hamiltonicity by the Held-Karp bitmask DP ----------------------------------------
+
+
+def _complete_bipartite(a, b):
+    g = Graph()
+    left = [g.add_node() for _ in range(a)]
+    right = [g.add_node() for _ in range(b)]
+    for u in left:
+        for v in right:
+            g.add_edge(u, v)
+    return g
+
+
+def test_hamiltonian_dp_matches_oracle_up_to_9_nodes():
+    from npcode.feasibility import _hamiltonian_cycle_exists
+
+    rng = random.Random(1916)
+    answers = set()
+    for _ in range(40):
+        n = rng.randint(3, 9)
+        g, _ = _random_connected(rng, n, rng.randrange(0, 2 * n))
+        expect = hamiltonian_ref(g)
+        assert _hamiltonian_cycle_exists(g) == expect, f"{n} nodes, {sorted(g.edges.values())}"
+        answers.add(expect)
+    assert answers == {True, False}
+
+
+def test_hamiltonian_dp_refutes_petersen_and_unbalanced_bipartite():
+    import time
+
+    from npcode.feasibility import _hamiltonian_cycle_exists
+
+    petersen = Graph()
+    outer = [petersen.add_node() for _ in range(5)]
+    inner = [petersen.add_node() for _ in range(5)]
+    for i in range(5):
+        petersen.add_edge(outer[i], outer[(i + 1) % 5])
+        petersen.add_edge(inner[i], inner[(i + 2) % 5])
+        petersen.add_edge(outer[i], inner[i])
+    assert _hamiltonian_cycle_exists(petersen) is False
+    for a, b in ((2, 3), (3, 4), (4, 6)):
+        assert _hamiltonian_cycle_exists(_complete_bipartite(a, b)) is False
+    assert _hamiltonian_cycle_exists(_complete_bipartite(4, 4)) is True
+    start = time.perf_counter()
+    assert _hamiltonian_cycle_exists(_complete_bipartite(7, 9)) is False
+    assert time.perf_counter() - start < 1.0  # 16 nodes; backtracking ran for minutes
