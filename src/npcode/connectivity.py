@@ -18,11 +18,17 @@ The multi-pair variant (distinct source-receiver pairs that must be
 mutually edge-disjoint) is NP-complete in general, so it is solved by
 exact backtracking with admissible pruning and an explicit size guard,
 except when all sources (or all receivers) coincide, which collapses to
-a single max-flow.
+a single max-flow.  Both multi-pair searches walk an integer snapshot of
+the graph, built per call: int nodes, and edge sets as Python-int masks.
+The exhaustive enumeration lists each distinct set of used edges once,
+with the first path set (pair by pair, lowest-edge-id first) that uses
+it; everything after a (pair index, edges left) state depends on those
+two alone, so each such state is walked once.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -322,21 +328,77 @@ def _reverse_path(p: Path) -> Path:
 
 
 class _Snapshot:
-    __slots__ = ("nodes", "edges", "index", "adj", "full")
+    __slots__ = ("nodes", "edges", "adj", "inc", "full", "ends", "repeated", "net")
 
-    def __init__(self, g: Graph):
+    def __init__(self, g: Graph, pairs: Sequence[tuple[str, str]]):
         self.nodes = list(g.nodes)
         self.edges = list(g.edges)
-        self.index = {v: i for i, v in enumerate(self.nodes)}
+        index = {v: i for i, v in enumerate(self.nodes)}
         self.adj: list[list[tuple[int, int, int]]] = [[] for _ in self.nodes]
         for j, (u, v) in enumerate(g.edges.values()):
-            iu, iv = self.index[u], self.index[v]
-            self.adj[iu].append((1 << j, j, iv))
-            self.adj[iv].append((1 << j, j, iu))
+            self.adj[index[u]].append((1 << j, j, index[v]))
+            self.adj[index[v]].append((1 << j, j, index[u]))
+        self.inc = [sum(bit for bit, _, _ in at) for at in self.adj]  # edge mask per node
         self.full = (1 << len(self.edges)) - 1
+        self.ends = [(index[s], index[r]) for s, r in pairs]
+        # repeated[i]: (s, r, count) for each pair that occurs count > 1 times in ends[i:]
+        self.repeated = [[(*pair, c) for pair, c in Counter(self.ends[i:]).items() if c > 1]
+                         for i in range(len(self.ends))]
+        self.net = _edge_network(g)[0] if self.repeated[0] else None
 
-    def mask(self, edge_ids) -> int:
-        return sum(1 << j for j, e in enumerate(self.edges) if e in edge_ids)
+    def bounds(self, i: int, avail: int) -> list[list[int]] | None:
+        """Hop counts to the receivers of pairs i.. within avail, or None when
+        some pair has no path left, or a repeated pair too few edge-disjoint ones."""
+        to_r = [_distances(self.adj, r, avail) for _, r in self.ends[i:]]
+        if any(d[s] < 0 for d, (s, _) in zip(to_r, self.ends[i:])):
+            return None
+        for s, r, count in self.repeated[i]:
+            cap = [avail >> (a >> 1) & 1 for a in range(2 * len(self.edges))]
+            if _flow(self.net, cap, s, r, count)[0] < count:
+                return None
+        return to_r
+
+    def paths(self, i: int, avail: int, to_r: list[int] | None = None,
+              max_len: int = 0) -> Iterator[tuple[list[int], list[int], int]]:
+        """Simple paths of pair i inside the edge mask avail, lowest-edge-id first.
+
+        Yields (nodes, edges, mask); the two lists are the walker's own and
+        change once it resumes.  With to_r (hop counts to the receiver within
+        avail), only paths of at most max_len edges are walked: a step is
+        dropped when even the shortest way on from its end would be too long.
+        The edges a walk may still take are avail less those at every path
+        node but the last, so no node repeats.
+        """
+        adj, inc = self.adj, self.inc
+        s, r = self.ends[i]
+        nodes, edges = [s], []
+        mask = 0
+        free = [avail]
+        stack = [iter(adj[s])]
+        while stack:
+            usable = free[-1]
+            for bit, j, y in stack[-1]:
+                if usable & bit:
+                    break
+            else:
+                stack.pop()
+                free.pop()
+                nodes.pop()
+                if edges:
+                    mask ^= 1 << edges.pop()
+                continue
+            if y == r:
+                nodes.append(y)
+                edges.append(j)
+                yield nodes, edges, mask | bit
+                nodes.pop()
+                edges.pop()
+            elif to_r is None or 0 <= to_r[y] <= max_len - len(edges) - 1:
+                free.append(usable & ~inc[nodes[-1]])
+                nodes.append(y)
+                edges.append(j)
+                mask |= bit
+                stack.append(iter(adj[y]))
 
     def path_set(self, walks) -> DisjointPathSet:
         return DisjointPathSet(tuple(
@@ -359,67 +421,6 @@ def _distances(adj, root: int, avail: int) -> list[int]:
     return dist
 
 
-def _simple_paths(adj, s: int, r: int, avail: int, to_r: list[int] | None = None,
-                  max_len: int = 0) -> Iterator[tuple[list[int], list[int], int]]:
-    """Simple s-r paths inside the edge mask avail, lowest-edge-id first.
-
-    Yields (nodes, edges, mask); the two lists are the walker's own and
-    change once it resumes.  With to_r (hop counts to r within avail), only
-    paths of at most max_len edges are walked: a step is dropped when even
-    the shortest way on from its end would be too long.
-    """
-    nodes, edges, masks = [s], [], [0]
-    on_path = 1 << s
-    stack = [iter(adj[s])]
-    while stack:
-        for bit, j, y in stack[-1]:
-            if avail & bit and not on_path >> y & 1:
-                break
-        else:
-            stack.pop()
-            on_path ^= 1 << nodes.pop()
-            masks.pop()
-            if edges:
-                edges.pop()
-            continue
-        mask = masks[-1] | bit
-        nodes.append(y)
-        edges.append(j)
-        if y == r:
-            yield nodes, edges, mask
-            nodes.pop()
-            edges.pop()
-        elif to_r is not None and not 0 <= to_r[y] <= max_len - len(edges):
-            nodes.pop()
-            edges.pop()
-        else:
-            masks.append(mask)
-            on_path |= 1 << y
-            stack.append(iter(adj[y]))
-
-
-def _repeated_pairs(ends: list[tuple[int, int]]) -> list[list[tuple[int, int, int]]]:
-    """For each start i, the pairs that occur more than once in ends[i:], with counts."""
-    out = []
-    for i in range(len(ends)):
-        counts: dict[tuple[int, int], int] = {}
-        for pair in ends[i:]:
-            counts[pair] = counts.get(pair, 0) + 1
-        out.append([(s, r, c) for (s, r), c in counts.items() if c > 1])
-    return out
-
-
-def _room_for_repeats(net: _Network, repeated, avail: int) -> bool:
-    """Whether each repeated pair has as many edge-disjoint paths in avail as it needs."""
-    if not repeated:
-        return True
-    cap = []
-    for j in range(len(net.cap) // 2):
-        c = avail >> j & 1
-        cap += (c, c)
-    return all(_flow(net, cap[:], s, r, count)[0] == count for s, r, count in repeated)
-
-
 def iter_disjoint_path_sets(
     g: Graph, pairs: Sequence[tuple[str, str]], allowed: set[str] | None = None
 ) -> Iterator[DisjointPathSet]:
@@ -436,37 +437,27 @@ def iter_disjoint_path_sets(
     """
     _validate_pairs(g, pairs)
     _check_guard(g, pairs)
-    snap = _Snapshot(g)
-    adj, index = snap.adj, snap.index
-    ends = [(index[s], index[r]) for s, r in pairs]
-    repeated = _repeated_pairs(ends)
-    net = _edge_network(g)[0] if repeated[0] else None
-    k = len(ends)
+    snap = _Snapshot(g, pairs)
+    k = len(pairs)
     walks: list = [None] * k
-    walked: set[tuple[int, int]] = set()
+    walked: list[set[int]] = [set() for _ in range(k + 1)]  # edges left, per pair index
 
     def walk(i: int, avail: int) -> Iterator[DisjointPathSet]:
-        if (i, avail) in walked:
-            return
-        walked.add((i, avail))
+        walked[i].add(avail)
         if i == k:
             yield snap.path_set(walks)
             return
-        reach: dict[int, list[int]] = {}
-        for s, r in ends[i:]:
-            if s not in reach:
-                reach[s] = _distances(adj, s, avail)
-            if reach[s][r] < 0:
-                return
-        if not _room_for_repeats(net, repeated[i], avail):
+        if snap.bounds(i, avail) is None:
             return
-        s, r = ends[i]
-        for nodes, edges, mask in _simple_paths(adj, s, r, avail):
-            walks[i] = (nodes, edges)
-            yield from walk(i + 1, avail ^ mask)
+        for nodes, edges, mask in snap.paths(i, avail):
+            if avail ^ mask not in walked[i + 1]:
+                walks[i] = (nodes, edges)
+                yield from walk(i + 1, avail ^ mask)
 
-    pool = snap.full if allowed is None else snap.mask(allowed)
-    yield from walk(0, pool)
+    if allowed is None:
+        yield from walk(0, snap.full)
+    else:
+        yield from walk(0, sum(1 << j for j, e in enumerate(snap.edges) if e in allowed))
 
 
 def find_disjoint_paths_multi(
@@ -494,48 +485,29 @@ def find_disjoint_paths_multi(
             return None
         return DisjointPathSet(tuple(_reverse_path(p) for p in found.paths))
 
-    snap = _Snapshot(g)
-    adj, index = snap.adj, snap.index
-    ends = [(index[s], index[r]) for s, r in pairs]
-    repeated = _repeated_pairs(ends)
-    net = _edge_network(g)[0] if repeated[0] else None
-    k = len(ends)
+    snap = _Snapshot(g, pairs)
+    k = len(pairs)
     walks: list = [None] * k
-
-    def bounds(i: int, avail: int) -> list[list[int]] | None:
-        """Hop counts to each remaining receiver, or None when some pair is cut off."""
-        to_r = [_distances(adj, r, avail) for _, r in ends[i:]]
-        if any(d[s] < 0 for d, (s, _) in zip(to_r, ends[i:])):
-            return None
-        if not _room_for_repeats(net, repeated[i], avail):
-            return None
-        return to_r
 
     def dfs(i: int, budget: int, avail: int) -> bool:
         if i == k:
             return True
-        to_r = bounds(i, avail)
+        to_r = snap.bounds(i, avail)
         if to_r is None:
             return False
-        need = [d[s] for d, (s, _) in zip(to_r, ends[i:])]
+        need = [d[s] for d, (s, _) in zip(to_r, snap.ends[i:])]
         if sum(need) > budget:
             return False
-        s, r = ends[i]
-        for nodes, edges, mask in _simple_paths(adj, s, r, avail, to_r[0],
-                                                budget - sum(need[1:])):
+        for nodes, edges, mask in snap.paths(i, avail, to_r[0], budget - sum(need[1:])):
             walks[i] = (nodes[:], edges[:])
             if dfs(i + 1, budget - len(edges), avail ^ mask):
                 return True
         return False
 
-    to_r = bounds(0, snap.full)
+    to_r = snap.bounds(0, snap.full)
     if to_r is None:
         return None
-    for budget in range(sum(d[s] for d, (s, _) in zip(to_r, ends)), g.num_edges + 1):
+    for budget in range(sum(d[s] for d, (s, _) in zip(to_r, snap.ends)), g.num_edges + 1):
         if dfs(0, budget, snap.full):
-            return snap.path_set(walks)
-    return None
-    for budget in range(sum(d[s] for d, (s, _) in zip(to_r, ends)), g.num_edges + 1):
-        if dfs(0, budget, snap.full, to_r):
             return snap.path_set(walks)
     return None
