@@ -95,8 +95,8 @@ def _edge_network(g: Graph) -> tuple[_Network, dict[str, int]]:
     """g as a residual graph, with its node index.
 
     Edge i becomes arcs 2i (u to v) and 2i+1 (v to u), of capacity 1 each.
-    Adding the edges in id order lists each node's
-    arcs in g._adj order, which fixes the BFS order and so the paths found.
+    Adding the edges in id order lists each node's arcs in g._adj order,
+    which fixes the BFS order and so the paths found.
     """
     index = {v: i for i, v in enumerate(g.nodes)}
     net = _Network(len(index))
@@ -324,7 +324,8 @@ def _reverse_path(p: Path) -> Path:
 # node i is the i-th of g.nodes, edge j the j-th edge in edge-id order and
 # bit 1 << j of an edge mask, and adj[i] lists (bit, j, neighbour) for the
 # edges at node i, lowest j first.  Walks try edges in that order, so paths
-# come out lowest-edge-id first, as the string-keyed walk listed them.
+# come out lowest-edge-id first.  A search carries each path as its edge
+# mask and traces it back to a string Path only for the result.
 
 
 class _Snapshot:
@@ -359,52 +360,46 @@ class _Snapshot:
         return to_r
 
     def paths(self, i: int, avail: int, to_r: list[int] | None = None,
-              max_len: int = 0) -> Iterator[tuple[list[int], list[int], int]]:
-        """Simple paths of pair i inside the edge mask avail, lowest-edge-id first.
+              max_len: int = 0) -> Iterator[int]:
+        """Edge masks of the simple paths of pair i inside avail, lowest-edge-id first.
 
-        Yields (nodes, edges, mask); the two lists are the walker's own and
-        change once it resumes.  With to_r (hop counts to the receiver within
-        avail), only paths of at most max_len edges are walked: a step is
-        dropped when even the shortest way on from its end would be too long.
-        The edges a walk may still take are avail less those at every path
-        node but the last, so no node repeats.
+        With to_r (hop counts to the receiver within avail), only paths of
+        at most max_len edges are walked: a step is dropped when even the
+        shortest way on from its end would be too long.  The edges a walk
+        may still take are avail less those at every path node but the
+        last, so no node repeats.
         """
         adj, inc = self.adj, self.inc
-        s, r = self.ends[i]
-        nodes, edges = [s], []
-        mask = 0
-        free = [avail]
-        stack = [iter(adj[s])]
-        while stack:
-            usable = free[-1]
-            for bit, j, y in stack[-1]:
-                if usable & bit:
+        x, r = self.ends[i]
+        it, usable, mask = iter(adj[x]), avail, 0
+        stack = []
+        while True:
+            for bit, _, y in it:
+                if not usable & bit:
+                    continue
+                if y == r:
+                    yield mask | bit
+                elif to_r is None or 0 <= to_r[y] < max_len - len(stack):
+                    stack.append((it, x, usable, mask))
+                    it, x, usable, mask = iter(adj[y]), y, usable & ~inc[x], mask | bit
                     break
             else:
-                stack.pop()
-                free.pop()
-                nodes.pop()
-                if edges:
-                    mask ^= 1 << edges.pop()
-                continue
-            if y == r:
-                nodes.append(y)
-                edges.append(j)
-                yield nodes, edges, mask | bit
-                nodes.pop()
-                edges.pop()
-            elif to_r is None or 0 <= to_r[y] <= max_len - len(edges) - 1:
-                free.append(usable & ~inc[nodes[-1]])
-                nodes.append(y)
-                edges.append(j)
-                mask |= bit
-                stack.append(iter(adj[y]))
+                if not stack:
+                    return
+                it, x, usable, mask = stack.pop()
 
-    def path_set(self, walks) -> DisjointPathSet:
-        return DisjointPathSet(tuple(
-            Path(tuple(self.nodes[x] for x in nodes), tuple(self.edges[j] for j in edges))
-            for nodes, edges in walks
-        ))
+    def path_set(self, masks: list[int]) -> DisjointPathSet:
+        """The paths, one per pair, that the edge masks trace."""
+        paths = []
+        for (x, r), mask in zip(self.ends, masks):
+            nodes, edges = [self.nodes[x]], []
+            while x != r:
+                bit, j, x = next(step for step in self.adj[x] if mask & step[0])
+                mask ^= bit
+                nodes.append(self.nodes[x])
+                edges.append(self.edges[j])
+            paths.append(Path(tuple(nodes), tuple(edges)))
+        return DisjointPathSet(tuple(paths))
 
 
 def _distances(adj, root: int, avail: int) -> list[int]:
@@ -439,7 +434,7 @@ def iter_disjoint_path_sets(
     _check_guard(g, pairs)
     snap = _Snapshot(g, pairs)
     k = len(pairs)
-    walks: list = [None] * k
+    walks = [0] * k  # edge mask of each pair's path
     walked: list[set[int]] = [set() for _ in range(k + 1)]  # edges left, per pair index
 
     def walk(i: int, avail: int) -> Iterator[DisjointPathSet]:
@@ -449,9 +444,9 @@ def iter_disjoint_path_sets(
             return
         if snap.bounds(i, avail) is None:
             return
-        for nodes, edges, mask in snap.paths(i, avail):
+        for mask in snap.paths(i, avail):
             if avail ^ mask not in walked[i + 1]:
-                walks[i] = (nodes, edges)
+                walks[i] = mask
                 yield from walk(i + 1, avail ^ mask)
 
     if allowed is None:
@@ -487,7 +482,7 @@ def find_disjoint_paths_multi(
 
     snap = _Snapshot(g, pairs)
     k = len(pairs)
-    walks: list = [None] * k
+    walks = [0] * k  # edge mask of each pair's path
 
     def dfs(i: int, budget: int, avail: int) -> bool:
         if i == k:
@@ -498,9 +493,9 @@ def find_disjoint_paths_multi(
         need = [d[s] for d, (s, _) in zip(to_r, snap.ends[i:])]
         if sum(need) > budget:
             return False
-        for nodes, edges, mask in snap.paths(i, avail, to_r[0], budget - sum(need[1:])):
-            walks[i] = (nodes[:], edges[:])
-            if dfs(i + 1, budget - len(edges), avail ^ mask):
+        for mask in snap.paths(i, avail, to_r[0], budget - sum(need[1:])):
+            walks[i] = mask
+            if dfs(i + 1, budget - mask.bit_count(), avail ^ mask):
                 return True
         return False
 

@@ -8,9 +8,10 @@ relaxed flag lets the trees reuse path edges, which weakens the verdict
 (the bridged 3-regular counterexample below is relaxed-feasible but
 strictly infeasible).
 
-The search is exact: path assignments are enumerated exhaustively (with
-flow-based pruning) and, for each, minimal source-connecting trees are
-enumerated in the leftover edges until a receiver tree fits too.  A
+The search is exact: path assignments are enumerated exhaustively, one
+per distinct set of used edges (all that a tree placement depends on),
+and, for each, minimal source-connecting trees are enumerated in the
+leftover edges until a receiver tree fits too.  A
 "feasible" answer always carries a full witness; an "infeasible" answer
 means the whole space was exhausted, or names a cut certificate.
 

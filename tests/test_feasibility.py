@@ -255,6 +255,15 @@ def test_hamiltonian_matches_oracle_on_small_graphs():
     for _ in range(15):
         g, _ = _random_connected(rng, rng.randrange(3, 7), rng.randrange(0, 6))
         assert _hamiltonian_cycle_exists(g) == hamiltonian_ref(g)
+    rng = random.Random(1916)
+    answers = set()
+    for _ in range(40):
+        n = rng.randint(3, 9)
+        g, _ = _random_connected(rng, n, rng.randrange(0, 2 * n))
+        expect = hamiltonian_ref(g)
+        assert _hamiltonian_cycle_exists(g) == expect, f"{n} nodes, {sorted(g.edges.values())}"
+        answers.add(expect)
+    assert answers == {True, False}
 
 
 def test_hamiltonian_unknown_above_16_nodes():
@@ -455,20 +464,6 @@ def _complete_bipartite(a, b):
         for v in right:
             g.add_edge(u, v)
     return g
-
-
-def test_hamiltonian_dp_matches_oracle_up_to_9_nodes():
-    from npcode.feasibility import _hamiltonian_cycle_exists
-
-    rng = random.Random(1916)
-    answers = set()
-    for _ in range(40):
-        n = rng.randint(3, 9)
-        g, _ = _random_connected(rng, n, rng.randrange(0, 2 * n))
-        expect = hamiltonian_ref(g)
-        assert _hamiltonian_cycle_exists(g) == expect, f"{n} nodes, {sorted(g.edges.values())}"
-        answers.add(expect)
-    assert answers == {True, False}
 
 
 def test_hamiltonian_dp_refutes_petersen_and_unbalanced_bipartite():
