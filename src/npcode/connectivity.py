@@ -350,9 +350,11 @@ class _Snapshot:
     def bounds(self, i: int, avail: int) -> list[list[int]] | None:
         """Hop counts to the receivers of pairs i.. within avail, or None when
         some pair has no path left, or a repeated pair too few edge-disjoint ones."""
-        to_r = [_distances(self.adj, r, avail) for _, r in self.ends[i:]]
-        if any(d[s] < 0 for d, (s, _) in zip(to_r, self.ends[i:])):
-            return None
+        to_r = []
+        for s, r in self.ends[i:]:
+            to_r.append(_distances(self.adj, r, avail))
+            if to_r[-1][s] < 0:
+                return None
         for s, r, count in self.repeated[i]:
             cap = [avail >> (a >> 1) & 1 for a in range(2 * len(self.edges))]
             if _flow(self.net, cap, s, r, count)[0] < count:
