@@ -382,17 +382,14 @@ def _multi_h(n, k):
     return harary(n, k), [(f"v{i}", f"v{n // 2 + i}") for i in range(k)]
 
 
-def _listed(path_sets):
-    return [[(p.nodes, p.edges) for p in ps.paths] for ps in path_sets]
-
-
 def test_path_sets_are_first_per_used_edge_set_of_the_oracle():
     cases = list(_path_set_corpus(606, 150))
     cases.append((*_multi_h(10, 4), None))
     repeated = 0
     for trial, (g, pairs, allowed) in enumerate(cases):
         ref = list(disjoint_path_sets_ref(edge_list(g), pairs, allowed))
-        got = _listed(iter_disjoint_path_sets(g, pairs, allowed))
+        got = [[(p.nodes, p.edges) for p in found]
+               for found in iter_disjoint_path_sets(g, pairs, allowed)]
         assert got == list(first_per_used_edge_set(ref)), f"trial {trial}"
         repeated += len(ref) - len(got)
     assert repeated  # the corpus repeats used-edge sets, so the deduplication is exercised
