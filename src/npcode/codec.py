@@ -17,6 +17,13 @@ payloads go through `kernels.gf_matmul` (m <= 8); single blocks scale
 rows with `FieldContext.mul_row`, so they work for every m <= 16.
 FieldElement stays at the API edge: data blocks, codewords and
 `NpcCode.parity`.
+
+The block path keeps symbols column-major: `encode_blocks` returns its
+(n, k) codewords as the transpose of one C-ordered (k, n) buffer, so a
+codeword position is a contiguous row of n symbols, and `recover_blocks`
+returns (n, k-t) data the same way.  Both accept any input layout and
+check symbol ranges before any cast; codewords straight from
+`encode_blocks` reach the kernel with no copy or transpose.
 """
 
 from __future__ import annotations
@@ -309,34 +316,66 @@ def _require_block_field(code: NpcCode) -> None:
         raise CodecError("block operations need a tables-backed field (m <= 8)")
 
 
-def _as_symbol_matrix(arr: np.ndarray, cols: int, order: int) -> np.ndarray:
-    a = np.asarray(arr, dtype=np.uint8)
+def _symbols_in_range(a: np.ndarray, order: int) -> bool:
+    """True iff every entry of the integer array a lies in [0, order).
+
+    The scan is skipped only when a's dtype cannot hold a value outside
+    that range (unsigned, with 2^(8 * itemsize) <= order).
+    """
+    if a.dtype.kind not in "biu":
+        return False
+    if a.dtype.kind == "u" and 1 << 8 * a.dtype.itemsize <= order:
+        return True
+    return not a.size or (int(a.min()) >= 0 and int(a.max()) < order)
+
+
+def _as_symbol_matrix(arr, cols: int, order: int) -> np.ndarray:
+    """arr as an (n, cols) uint8 array of field symbols, without a copy if it is one.
+
+    The range is checked on the incoming dtype, before the cast, so an
+    out-of-range value raises instead of wrapping.
+    """
+    a = np.asarray(arr)
     if a.ndim != 2 or a.shape[1] != cols:
         raise CodecError(f"expected shape (n, {cols}), got {a.shape}")
-    if order < 256 and a.size and int(a.max()) >= order:
-        raise CodecError(f"symbol value exceeds field order {order}")
-    return a
+    if not _symbols_in_range(a, order):
+        raise CodecError(f"symbols must be integers in [0, {order})")
+    return a.astype(np.uint8, copy=False)
 
 
 def encode_blocks(code: NpcCode, data: np.ndarray) -> np.ndarray:
-    """Encode n data blocks at once: (n, k-t) uint8 -> (n, k) uint8."""
+    """Encode n data blocks at once: (n, k-t) symbols -> (n, k) uint8.
+
+    The codewords come back as the (n, k) transpose of one C-ordered
+    (k, n) buffer: each codeword position is a contiguous row of n
+    symbols, data rows first.  Any input layout is accepted; the data is
+    transposed into the buffer once.
+    """
     _require_block_field(code)
     a = _as_symbol_matrix(data, code.data_len, code.field.order)
-    parity = kernels.gf_matmul(a, code.parity_int_matrix(), code.field)
-    return np.hstack([a, parity])
+    rows = np.empty((code.k, a.shape[0]), dtype=np.uint8)
+    rows[: code.data_len] = a.T
+    parity = kernels.gf_matmul(rows[: code.data_len].T, code.parity_int_matrix(), code.field)
+    rows[code.data_len :] = parity.T
+    return rows.T
 
 
 def recover_blocks(code: NpcCode, received: np.ndarray, erased: Iterable[int]) -> np.ndarray:
-    """Recover n blocks sharing one erasure pattern: (n, k) -> (n, k-t)."""
+    """Recover n blocks sharing one erasure pattern: (n, k) -> (n, k-t) uint8.
+
+    Any input layout is accepted, and the column-major one that
+    `encode_blocks` returns is the fastest: its codeword positions are
+    read as contiguous rows without a transpose.  The data comes back as
+    the (n, k-t) transpose of a C-ordered (k-t, n) array.
+    """
     _require_block_field(code)
     r = _as_symbol_matrix(received, code.k, code.field.order)
     use, solve, check = _decode_plan(code, erased)
-    if solve is None:
-        data = r[:, : code.data_len].copy()
-    else:
-        data = kernels.gf_matmul(r[:, use], solve, code.field)
+    rows = np.ascontiguousarray(r.T)
+    survivors = rows[use]
+    data = survivors.T if solve is None else kernels.gf_matmul(survivors.T, solve, code.field)
     if check:
         expect = kernels.gf_matmul(data, code.generator_int_matrix()[:, check], code.field)
-        if not np.array_equal(expect, r[:, check]):
+        if not np.array_equal(expect.T, rows[check]):
             raise InconsistentSymbolsError("surviving symbols fit no codeword")
     return data

@@ -398,7 +398,7 @@ def check_single_source(inst: ProtectionInstance, relaxed: bool = False) -> Feas
     """Single-source feasibility plus the sufficient-condition report.
 
     Also answers whether the graph is k-edge connected and (for up to
-    16 nodes, by an exact bitmask DP) whether it carries a Hamiltonian
+    16 nodes, by an exact bitmask search) whether it carries a Hamiltonian
     cycle; together these two are a sufficient condition for
     deployability from any source to any k receivers.
     """
@@ -412,12 +412,15 @@ def check_single_source(inst: ProtectionInstance, relaxed: bool = False) -> Feas
 
 
 def _hamiltonian_cycle_exists(g: Graph) -> bool:
-    """Bellman / Held-Karp bitmask DP over paths from the first node.
+    """Depth-first search over (visited mask, end) states from the first node.
 
-    Nodes after the first are bits 0..n-2.  ends[mask] is the set (a
-    bitmask) of nodes at which some path from the first node that visits
-    exactly the nodes in mask can end; a cycle exists when one of the ends
-    of the full mask is a neighbour of the first node.  O(2^n * n) steps.
+    Nodes after the first are bits 0..n-2.  A state is a path from the
+    first node that visits exactly the nodes in mask and ends at one of
+    them; a cycle exists when a full path ends at a neighbour of the
+    first node.  A state that led to no cycle is recorded in failed[mask]
+    (a bitmask of ends) and never expanded again, so the search keeps the
+    Bellman / Held-Karp bound of O(2^n * n) states and stops at the first
+    cycle it finds.
     """
     n = g.num_nodes
     if n < 3:
@@ -431,17 +434,29 @@ def _hamiltonian_cycle_exists(g: Graph) -> bool:
     first_nbrs = sum(bit[y] for y in g.neighbors(nodes[0]))
     nbrs = [sum(bit.get(y, 0) for y in g.neighbors(v)) for v in nodes[1:]]
     full = (1 << (n - 1)) - 1
-    ends = [0] * (full + 1)
-    for b in range(n - 1):
-        ends[1 << b] = first_nbrs & (1 << b)
-    for mask in range(1, full):
-        last = ends[mask]
-        if not last:
-            continue
-        for b in range(n - 1):
-            if nbrs[b] & last and not mask >> b & 1:
-                ends[mask | 1 << b] |= 1 << b
-    return bool(ends[full] & first_nbrs)
+    failed: dict[int, int] = {}
+
+    def extend(mask: int, end: int) -> bool:
+        if mask == full:
+            return bool(first_nbrs & end)
+        if failed.get(mask, 0) & end:
+            return False
+        free = nbrs[end.bit_length() - 1] & ~mask
+        while free:
+            low = free & -free
+            if extend(mask | low, low):
+                return True
+            free ^= low
+        failed[mask] = failed.get(mask, 0) | end
+        return False
+
+    start = first_nbrs
+    while start:
+        low = start & -start
+        if extend(low, low):
+            return True
+        start ^= low
+    return False
 
 
 # -- independent witness verification -------------------------------------------------

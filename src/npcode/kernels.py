@@ -1,13 +1,17 @@
 """The GF(2^m) block kernel (m <= 8): one product table, one column at a time.
 
 `gf_matmul(a, b, field)` multiplies an (n, kk) uint8 symbol matrix by a
-small (kk, mm) coefficient matrix.  It transposes `a` once so that each
-input column is contiguous, then builds output column j as the XOR, over
-the coefficients c = b[l, j], of `MUL[c].take(column l)`: a zero
-coefficient is skipped and a coefficient of one XORs the column in as it
-is.  `MUL` is the field's full q x q product table, `field.mul_table`
-(the table-driven kernel of Plank, Greenan & Miller, "Screaming Fast
-Galois Field Arithmetic Using SIMD Instructions", FAST 2013).
+small (kk, mm) coefficient matrix.  It reads `a` column by column, as
+the rows of the C-ordered (kk, n) array `a.T`: that costs nothing when
+`a` is already the transpose of such an array (the column-major layout
+`codec` keeps), and one transpose otherwise.  It builds output column j
+as the XOR, over the coefficients c = b[l, j], of `MUL[c].take(column
+l)`: a zero coefficient is skipped and a coefficient of one XORs the
+column in as it is.  The output comes back in the same layout, as the
+transpose of a C-ordered (mm, n) array.  `MUL` is the field's full
+q x q product table, `field.mul_table` (the table-driven kernel of
+Plank, Greenan & Miller, "Screaming Fast Galois Field Arithmetic Using
+SIMD Instructions", FAST 2013).
 """
 
 from __future__ import annotations

@@ -16,7 +16,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .codec import DataBlock, NpcCode, encode, encode_blocks, recover, recover_blocks
+from .codec import (
+    DataBlock,
+    NpcCode,
+    _symbols_in_range,
+    encode,
+    encode_blocks,
+    recover,
+    recover_blocks,
+)
 from .feasibility import (
     FeasibilityReport,
     InfeasibleInstanceError,
@@ -98,9 +106,9 @@ def _payload_matrix(payload, code: NpcCode) -> np.ndarray:
     if mat.shape[0] == 0:
         raise ValueError("payload must contain at least one block")
     order = code.field.order
-    if int(mat.min()) < 0 or int(mat.max()) >= order:
-        raise ValueError(f"payload symbols must lie in [0, {order})")
-    return mat.astype(np.uint8 if order <= 256 else np.uint32)
+    if not _symbols_in_range(mat, order):
+        raise ValueError(f"payload symbols must be integers in [0, {order})")
+    return mat.astype(np.uint8 if order <= 256 else np.uint32, copy=False)
 
 
 def _provision(sc: Scenario) -> tuple[DisjointPathSet, FeasibilityReport]:
@@ -138,11 +146,15 @@ def _execute(sc: Scenario, provisioned: DisjointPathSet, failed: tuple[str, ...]
     if len(failed) > code.t:
         return TrialReport(provisioned, failed, False, data.shape[0], capacity_exceeded=True)
     if code.field.has_tables:
-        sent = encode_blocks(code, data)
-        received = sent.copy()
+        # The block codec returns column-major views: erase the sent words in
+        # place, and compare the data as contiguous (k-t, n) rows.
+        received = encode_blocks(code, data)
+        expect = received[:, : code.data_len].T.copy()
         received[:, positions] = 0
-        out = recover_blocks(code, received, positions)
-        mismatches = int(np.count_nonzero((out != data).any(axis=1)))
+        got = recover_blocks(code, received, positions).T
+        mismatches = 0
+        if not np.array_equal(got, expect):
+            mismatches = int(np.count_nonzero((got != expect).any(axis=0)))
     else:
         mismatches = 0
         f = code.field

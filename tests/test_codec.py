@@ -358,3 +358,74 @@ def test_invalid_erasure_sets_are_not_cached():
     with pytest.raises(CodecError):
         recover_blocks(code, received, [7])
     assert code._decode == {}
+
+
+# -- the block layout contract and symbol range checks ------------------------------
+
+
+def _encode_ref(code, data):
+    """np.hstack([data, data @ P]) over the field, one dot product at a time."""
+    f = code.field
+    p = code.parity_int_matrix()
+    parity = [
+        [gf_dot_ref([int(x) for x in row], [int(c) for c in p[:, j]], f.reduction_poly, f.m)
+         for j in range(code.t)]
+        for row in data
+    ]
+    return np.hstack([np.asarray(data, dtype=np.uint8), np.array(parity, dtype=np.uint8)])
+
+
+@pytest.mark.parametrize("blocks", [1, 17, 64])
+def test_encode_blocks_matches_reference_in_every_layout(blocks):
+    code = build_code(7, 3, GF8)
+    rng = np.random.default_rng(blocks)
+    base = rng.integers(0, 256, size=(2 * blocks, 4), dtype=np.uint8)
+    for data in (np.ascontiguousarray(base[:blocks]), np.asfortranarray(base[:blocks]), base[::2]):
+        out = encode_blocks(code, data)
+        assert out.shape == (data.shape[0], 7) and out.dtype == np.uint8
+        assert np.array_equal(out, _encode_ref(code, data))
+        assert out.T.flags.c_contiguous  # the (n, k) view of one (k, n) buffer
+
+
+def test_recover_blocks_is_layout_independent():
+    code = build_code(8, 3, GF8)
+    rng = np.random.default_rng(41)
+    data = rng.integers(0, 256, size=(33, 5), dtype=np.uint8)
+    wide = np.zeros((66, 8), dtype=np.uint8)
+    wide[::2] = encode_blocks(code, data)
+    erased = [1, 6]
+    wide[:, erased] = 0
+
+    def layouts():
+        return np.ascontiguousarray(wide[::2]), np.asfortranarray(wide[::2]), wide[::2]
+
+    for received in layouts():
+        assert np.array_equal(recover_blocks(code, received, erased), data)
+    # a corrupted survivor in a parity position must be caught in every layout
+    wide[9 * 2, 7] ^= 0x5A
+    for received in layouts():
+        with pytest.raises(InconsistentSymbolsError):
+            recover_blocks(code, received, erased)
+
+
+@pytest.mark.parametrize(
+    "m, bad",
+    [(8, 300), (8, -1), (4, 259), (4, 16)],
+)
+def test_block_api_rejects_out_of_range_symbols(m, bad):
+    field = FieldContext(m)
+    code = build_code(4, 1, field)
+    data = np.array([[1, 2, 3]], dtype=np.int64)
+    received = np.array([[1, 2, 3, 0]], dtype=np.int64)
+    bad_data = data.copy()
+    bad_data[0, 0] = bad
+    with pytest.raises(CodecError):
+        encode_blocks(code, bad_data)
+    bad_received = received.copy()
+    bad_received[0, 1] = bad
+    with pytest.raises(CodecError):
+        recover_blocks(code, bad_received, [3])
+    with pytest.raises(CodecError):
+        encode_blocks(code, data.astype(np.float64))
+    # in-range symbols of any integer dtype encode as their uint8 values
+    assert np.array_equal(encode_blocks(code, data), encode_blocks(code, data.astype(np.uint8)))

@@ -230,3 +230,37 @@ def test_wide_field_scalar_simulation():
     sc = Scenario(inst, code, payload, ExplicitFailures(("L1",)))
     report = run(sc)
     assert report.recovered
+
+
+def test_mismatch_count_is_exact(monkeypatch):
+    from npcode import simulator
+
+    real = simulator.recover_blocks
+
+    def corrupt_three_rows(code, received, erased):
+        out = real(code, received, erased).copy()
+        out[[3, 40, 41], 1] ^= 1  # one symbol in each of three blocks
+        return out
+
+    monkeypatch.setattr(simulator, "recover_blocks", corrupt_three_rows)
+    inst = _h310_instance()
+    code = build_code(3, 1, GF8)
+    report = run(Scenario(inst, code, _payload(64, 2, seed=4), ExplicitFailures(("L1",))))
+    assert not report.recovered
+    assert report.mismatches == 3
+    assert report.status == "mismatch"
+
+
+def test_payload_range_is_checked_before_the_cast():
+    from npcode.simulator import _payload_matrix
+
+    code = build_code(3, 1, GF8)
+    for bad in (300, -1):
+        payload = np.array([[1, 2], [bad, 3]], dtype=np.int64)
+        with pytest.raises(ValueError):
+            _payload_matrix(payload, code)
+    small = build_code(3, 1, FieldContext(4))
+    with pytest.raises(ValueError):
+        _payload_matrix(np.array([[1, 16]], dtype=np.uint8), small)
+    ok = np.array([[1, 15]], dtype=np.uint8)
+    assert _payload_matrix(ok, small) is ok  # in range and already uint8: no copy
