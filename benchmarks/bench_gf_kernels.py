@@ -1,13 +1,17 @@
 #!/usr/bin/env python3
 """Time the GF(2^8) block kernel, `kernels.gf_matmul`, and the block codec, in MB/s.
 
-Encodes the parity of random data blocks with a [k, k-t] code (the
-product of an (n, k-t) symbol matrix and the (k-t, t) parity matrix),
-checks one block against the scalar encoder, and prints the best of
---repeat timings.  It then times one round trip through the codec
-layer at the same size: `encode_blocks`, erase the first data column,
-`recover_blocks`, with the recovered bytes checked against the data.
-MB/s counts the data symbols read.
+Times the kernel on the two shapes a [k, k-t] code uses: the (k-t) x t
+parity matrix of an encode and the (k-t) x (k-t) matrix of a decode that
+lost data positions, each on --blocks blocks and on a 64-block batch.
+The parity product is checked against the scalar encoder.  A sweep over
+output widths then shows the packed words at work: up to 8 output
+columns share one table gather per input column.  Last comes one round
+trip through the codec layer at --blocks blocks: `encode_blocks`, erase
+the first data column, `recover_blocks`, with the recovered bytes
+checked against the data.  Each time is the best of --repeat; a 64-block
+time is per call, over a loop of calls.  MB/s counts the data symbols
+read.
 
 Usage:
     PYTHONPATH=src python benchmarks/bench_gf_kernels.py [--blocks N] [--k K] [--t T] [--repeat R]
@@ -22,6 +26,10 @@ from npcode import kernels
 from npcode.codec import DataBlock, build_code, encode, encode_blocks, recover_blocks
 from npcode.galois import FieldContext
 
+BATCH = 64
+BATCH_CALLS = 200
+WIDTHS = (1, 2, 3, 4, 5, 8, 9, 16)
+
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
@@ -33,15 +41,31 @@ def main():
 
     field = FieldContext(8)
     code = build_code(args.k, args.t, field)
+    d = code.data_len
     rng = np.random.default_rng(0)
-    data = rng.integers(0, 256, size=(args.blocks, code.data_len), dtype=np.uint8)
+    data = rng.integers(0, 256, size=(args.blocks, d), dtype=np.uint8)
+    batch = data[:BATCH]
     parity = code.parity_int_matrix()
+    decode = rng.integers(1, 256, size=(d, d), dtype=np.uint8)
 
-    best, out = _best_of(args.repeat, lambda: kernels.gf_matmul(data, parity, field))
-    if args.blocks:
-        scalar = encode(code, DataBlock.of(field, [int(x) for x in data[-1]]))
-        if scalar.values()[code.data_len :] != [int(x) for x in out[-1]]:
-            raise SystemExit("kernel disagrees with the scalar encoder")
+    print(f"gf_matmul, k={args.k} t={args.t}, best of {args.repeat}")
+    print(f"  {'shape':16} {'blocks':>8} {'ms':>10} {'MB/s':>10}")
+    for name, coeffs in (("parity", parity), ("decode", decode)):
+        for blocks in (data, batch):
+            calls = 1 if blocks is data else BATCH_CALLS
+            best, out = _best_of(args.repeat, lambda: kernels.gf_matmul(blocks, coeffs, field), calls)
+            if coeffs is parity and len(blocks):
+                scalar = encode(code, DataBlock.of(field, [int(x) for x in blocks[-1]]))
+                if scalar.values()[d:] != [int(x) for x in out[-1]]:
+                    raise SystemExit("kernel disagrees with the scalar encoder")
+            shape = f"{name} {d} x {coeffs.shape[1]}"
+            print(f"  {shape:16} {len(blocks):8d} " + _rate(blocks.nbytes, best))
+
+    print(f"gf_matmul by output width, {d} input columns, {args.blocks} blocks")
+    for mm in WIDTHS:
+        coeffs = rng.integers(1, 256, size=(d, mm), dtype=np.uint8)
+        best, _ = _best_of(args.repeat, lambda: kernels.gf_matmul(data, coeffs, field))
+        print(f"  {f'width {mm}':16} {args.blocks:8d} " + _rate(data.nbytes, best))
 
     def round_trip():
         received = encode_blocks(code, data)
@@ -51,22 +75,23 @@ def main():
     trip, got = _best_of(args.repeat, round_trip)
     if not np.array_equal(got, data):
         raise SystemExit("round trip did not recover the data")
-
-    mb = data.nbytes / 1e6
-    print(f"gf_matmul parity for {args.blocks} blocks, k={args.k} t={args.t} "
-          f"({mb:.1f} MB of data symbols), best of {args.repeat}")
-    print(f"  {best * 1e3:8.2f} ms   {mb / best:8.1f} MB/s")
-    print("encode_blocks, erase data column 0, recover_blocks, same blocks")
-    print(f"  {trip * 1e3:8.2f} ms   {mb / trip:8.1f} MB/s")
+    print(f"encode_blocks, erase data column 0, recover_blocks, {args.blocks} blocks")
+    print(f"  {'round trip':16} {args.blocks:8d} " + _rate(data.nbytes, trip))
 
 
-def _best_of(repeat, fn):
-    """(fastest time in seconds, last result) over repeat calls of fn."""
+def _rate(nbytes, seconds):
+    mbps = nbytes / 1e6 / seconds if seconds else float("inf")
+    return f"{seconds * 1e3:10.3f} {mbps:10.1f}"
+
+
+def _best_of(repeat, fn, calls=1):
+    """(fastest time per call in seconds, last result) over repeat loops of calls."""
     best = result = None
     for _ in range(repeat):
         start = time.perf_counter()
-        result = fn()
-        elapsed = time.perf_counter() - start
+        for _ in range(calls):
+            result = fn()
+        elapsed = (time.perf_counter() - start) / calls
         best = elapsed if best is None else min(best, elapsed)
     return best, result
 

@@ -13,8 +13,13 @@ systematizes the Vandermonde matrix, tests generator minors in
 `verify_mds` and inverts the decode matrix of an erasure set.  Each code
 caches a decode plan per erasure set, shared by `recover` and
 `recover_blocks`, so a pattern that repeats is inverted once.  Bulk
-payloads go through `kernels.gf_matmul` (m <= 8); single blocks scale
-rows with `FieldContext.mul_row`, so they work for every m <= 16.
+payloads go through `kernels.gf_matmul` (m <= 8), which packs up to
+eight output columns into each table gather; its word tables for a
+coefficient matrix (a parity matrix, a decode plan's inverse) are kept
+in the kernel's own memo, within the byte budget
+`kernels.TABLE_MEMO_BYTES`, so a repeating pattern also reuses them.
+Single blocks scale rows with `FieldContext.mul_row`, so they work for
+every m <= 16.
 FieldElement stays at the API edge: data blocks, codewords and
 `NpcCode.parity`.
 
@@ -35,6 +40,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import kernels
+from .kernels import _symbols_in_range
 from .galois import DEFAULT_M, FieldContext, FieldElement
 
 __all__ = [
@@ -314,19 +320,6 @@ def recover(code: NpcCode, received: Codeword) -> DataBlock:
 def _require_block_field(code: NpcCode) -> None:
     if not code.field.has_tables:
         raise CodecError("block operations need a tables-backed field (m <= 8)")
-
-
-def _symbols_in_range(a: np.ndarray, order: int) -> bool:
-    """True iff every entry of the integer array a lies in [0, order).
-
-    The scan is skipped only when a's dtype cannot hold a value outside
-    that range (unsigned, with 2^(8 * itemsize) <= order).
-    """
-    if a.dtype.kind not in "biu":
-        return False
-    if a.dtype.kind == "u" and 1 << 8 * a.dtype.itemsize <= order:
-        return True
-    return not a.size or (int(a.min()) >= 0 and int(a.max()) < order)
 
 
 def _as_symbol_matrix(arr, cols: int, order: int) -> np.ndarray:

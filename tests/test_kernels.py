@@ -1,7 +1,12 @@
+import sys
+import threading
+from itertools import combinations, product
+
 import numpy as np
 import pytest
 
 from npcode import kernels
+from npcode.codec import build_code, encode_blocks, recover_blocks
 from npcode.galois import FieldContext
 
 from oracles import gf_mul_ref
@@ -22,15 +27,69 @@ def _matmul_oracle(a, b, ctx):
     return out
 
 
-@pytest.mark.parametrize("shape", [(1, 1, 1), (5, 3, 4), (17, 8, 2), (40, 6, 6)])
+def _layouts(x):
+    """x in C order, in Fortran order and as a strided x[::2] view."""
+    spread = np.zeros((2 * x.shape[0], x.shape[1]), dtype=x.dtype)
+    spread[::2] = x
+    return [np.ascontiguousarray(x), np.asfortranarray(x), spread[::2]]
+
+
+# (n, kk, mm).  After the first four, mm falls on each side of the 1, 2, 4
+# and 8-byte word widths and of the 8-column chunk boundary.
+_SHAPES = [(1, 1, 1), (5, 3, 4), (17, 8, 2), (40, 6, 6)] + [
+    (9, kk, mm)
+    for kk, mm in [(16, 1), (2, 2), (5, 3), (16, 4), (3, 5), (8, 8), (16, 9), (1, 16), (16, 17)]
+]
+
+
+@pytest.mark.parametrize("shape", _SHAPES)
 def test_numpy_path_matches_oracle(shape):
     n, kk, mm = shape
-    rng = np.random.default_rng(n * 100 + kk)
-    a = rng.integers(0, 256, size=(n, kk), dtype=np.uint8)
-    b = rng.integers(0, 256, size=(kk, mm), dtype=np.uint8)
+    for m in (1, 2, 4, 8):
+        ctx = FieldContext(m)
+        rng = np.random.default_rng([n, kk, mm, m])
+        a = rng.integers(0, ctx.order, size=(n, kk), dtype=np.uint8)
+        b = rng.integers(0, ctx.order, size=(kk, mm), dtype=np.uint8)
+        if kk > 1:
+            b[kk // 2] = 0
+        if mm > 1:
+            # with mm = 9 or 17 this zero column is a chunk of its own
+            b[:, -1] = 0
+        expect = _matmul_oracle(a, b, ctx)
+        for a_in, b_in in product(_layouts(a), _layouts(b)):
+            got = kernels.gf_matmul(a_in, b_in, ctx)
+            assert got.shape == (n, mm) and got.dtype == np.uint8
+            assert got.T.flags.c_contiguous
+            assert np.array_equal(got, expect)
+
+
+@pytest.mark.parametrize("mm", [1, 3, 8, 9])
+def test_long_batches_across_slices(mm):
+    # the kernel walks n in slices of 128 KiB of accumulator words (16,384
+    # symbols for 8-byte words, 131,072 for 1-byte ones); check the rows on
+    # both sides of every possible slice edge
+    n = 2 * 131_072 + 5
+    rng = np.random.default_rng(mm)
+    a = rng.integers(0, 256, size=(n, 3), dtype=np.uint8)
+    b = rng.integers(1, 256, size=(3, mm), dtype=np.uint8)
     got = kernels.gf_matmul(a, b, GF8)
-    assert got.shape == (n, mm) and got.dtype == np.uint8
-    assert np.array_equal(got, _matmul_oracle(a, b, GF8))
+    edges = [0, n - 1] + [i + d for i in range(16_384, n, 16_384) for d in (-1, 0)]
+    assert np.array_equal(got[edges], _matmul_oracle(a[edges], b, GF8))
+
+
+@pytest.mark.parametrize("m, coeff", [(8, -1), (8, 256), (4, 20), (8, 1.9)])
+def test_rejects_bad_coefficients(m, coeff):
+    # unchecked, -1 would read the last table row and 1.9 is no table index
+    a = np.array([[3]], dtype=np.uint8)
+    with pytest.raises(ValueError):
+        kernels.gf_matmul(a, [[coeff]], FieldContext(m))
+
+
+def test_rejects_coefficients_of_wrong_shape():
+    a = np.ones((4, 3), dtype=np.uint8)
+    for b in ([1, 2, 3], np.ones((2, 2), dtype=np.uint8), np.ones((4, 2), dtype=np.uint8)):
+        with pytest.raises(ValueError):
+            kernels.gf_matmul(a, b, GF8)
 
 
 def test_zero_heavy_inputs():
@@ -79,10 +138,81 @@ def test_non_default_polynomial():
     rng = np.random.default_rng(5)
     a = rng.integers(0, 256, size=(21, 6), dtype=np.uint8)
     b = rng.integers(0, 256, size=(6, 4), dtype=np.uint8)
+    under_11b = kernels.gf_matmul(a, b, GF8)
     got = kernels.gf_matmul(a, b, ctx)
     assert np.array_equal(got, _matmul_oracle(a, b, ctx))
-    # the product table follows the polynomial, so 0x11B gives other bytes
-    assert not np.array_equal(got, kernels.gf_matmul(a, b, GF8))
+    # the product table, and so the memoized word tables, follow the
+    # polynomial: equal coefficients give other bytes under 0x11B
+    assert not np.array_equal(got, under_11b)
+    assert np.array_equal(kernels.gf_matmul(a, b, GF8), under_11b)
+
+
+def test_memo_follows_coefficients_changed_in_place():
+    rng = np.random.default_rng(11)
+    a = rng.integers(0, 256, size=(33, 5), dtype=np.uint8)
+    b = rng.integers(0, 256, size=(5, 3), dtype=np.uint8)
+    first = kernels.gf_matmul(a, b, GF8)
+    b[2, 1] ^= 0x5A
+    b[4] = 0
+    second = kernels.gf_matmul(a, b, GF8)
+    assert np.array_equal(second, _matmul_oracle(a, b, GF8))
+    assert not np.array_equal(first, second)
+
+
+def _memo_size(memo):
+    return sum(size for _, size in memo._entries.values())
+
+
+def test_memo_stays_within_budget():
+    # every erasure set of size <= 4 on a k=16, t=4 code: far more decode
+    # tables than the budget holds, so entries are evicted all along
+    code = build_code(16, 4, GF8)
+    rng = np.random.default_rng(13)
+    data = rng.integers(0, 256, size=(8, code.data_len), dtype=np.uint8)
+    sent = encode_blocks(code, data)
+    memo = kernels._TABLES
+    for size in range(5):
+        for erased in combinations(range(code.k), size):
+            received = sent.copy()
+            received[:, list(erased)] = 0
+            assert np.array_equal(recover_blocks(code, received, erased), data)
+            assert memo.nbytes <= kernels.TABLE_MEMO_BYTES
+    assert memo.nbytes == _memo_size(memo)
+    assert memo.nbytes > kernels.TABLE_MEMO_BYTES // 2
+
+
+def test_memo_under_concurrent_callers(monkeypatch):
+    # more threads than cores and a short switch interval, on a memo that
+    # holds three of the twelve matrices: every result must be right, and
+    # the byte count must match the entries kept
+    memo = kernels._TableMemo(1 << 16)
+    monkeypatch.setattr(kernels, "_TABLES", memo)
+    rng = np.random.default_rng(17)
+    a = rng.integers(0, 256, size=(16, 9), dtype=np.uint8)
+    bs = [rng.integers(0, 256, size=(9, 9), dtype=np.uint8) for _ in range(12)]
+    expect = [_matmul_oracle(a, b, GF8) for b in bs]
+    wrong = []
+
+    def work(offset):
+        for i in range(150):
+            j = (i + offset) % len(bs)
+            if not np.array_equal(kernels.gf_matmul(a, bs[j], GF8), expect[j]):
+                wrong.append(j)
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(6)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert not wrong
+    assert memo.nbytes == _memo_size(memo) <= memo.budget
+    assert memo._entries
 
 
 @pytest.mark.parametrize("m", [1, 2, 4, 8])
