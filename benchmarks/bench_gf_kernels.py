@@ -1,15 +1,16 @@
 #!/usr/bin/env python3
-"""Time the GF(2^8) block kernel, `kernels.gf_matmul`, and the block codec, in MB/s.
+"""Time the GF(2^m) block kernel, `kernels.gf_matmul`, and the block codec, in MB/s.
 
 Times the kernel on the two shapes a [k, k-t] code uses: the (k-t) x t
 parity matrix of an encode and the (k-t) x (k-t) matrix of a decode that
-lost data positions, each on --blocks blocks and on a 64-block batch.
-The parity product is checked against the scalar encoder.  A sweep over
-output widths then shows the packed words at work: up to 8 output
-columns share one table gather per input column.  Last comes one round
-trip through the codec layer at --blocks blocks: `encode_blocks`, erase
-the first data column, `recover_blocks`, with the recovered bytes
-checked against the data.  Each time is the best of --repeat; a 64-block
+lost data positions, each on --blocks blocks and on a 64-block batch,
+over GF(2^8) (one-byte symbols) and GF(2^16) (two-byte symbols, one
+gather per byte plane).  The parity product is checked against the
+scalar encoder.  A sweep over GF(2^8) output widths then shows the
+packed words at work: up to 8 output columns share one table gather per
+input column.  Last comes one GF(2^8) round trip through the codec layer
+at --blocks blocks: `encode_blocks`, erase the first data column,
+`recover_blocks`, with the recovered bytes checked against the data.  Each time is the best of --repeat; a 64-block
 time is per call, over a loop of calls.  MB/s counts the data symbols
 read.
 
@@ -39,27 +40,10 @@ def main():
     parser.add_argument("--repeat", type=int, default=5)
     args = parser.parse_args()
 
-    field = FieldContext(8)
-    code = build_code(args.k, args.t, field)
-    d = code.data_len
     rng = np.random.default_rng(0)
-    data = rng.integers(0, 256, size=(args.blocks, d), dtype=np.uint8)
-    batch = data[:BATCH]
-    parity = code.parity_int_matrix()
-    decode = rng.integers(1, 256, size=(d, d), dtype=np.uint8)
-
-    print(f"gf_matmul, k={args.k} t={args.t}, best of {args.repeat}")
-    print(f"  {'shape':16} {'blocks':>8} {'ms':>10} {'MB/s':>10}")
-    for name, coeffs in (("parity", parity), ("decode", decode)):
-        for blocks in (data, batch):
-            calls = 1 if blocks is data else BATCH_CALLS
-            best, out = _best_of(args.repeat, lambda: kernels.gf_matmul(blocks, coeffs, field), calls)
-            if coeffs is parity and len(blocks):
-                scalar = encode(code, DataBlock.of(field, [int(x) for x in blocks[-1]]))
-                if scalar.values()[d:] != [int(x) for x in out[-1]]:
-                    raise SystemExit("kernel disagrees with the scalar encoder")
-            shape = f"{name} {d} x {coeffs.shape[1]}"
-            print(f"  {shape:16} {len(blocks):8d} " + _rate(blocks.nbytes, best))
+    code, data = _time_shapes(FieldContext(8), args, rng)
+    _time_shapes(FieldContext(16), args, rng)
+    field, d = code.field, code.data_len
 
     print(f"gf_matmul by output width, {d} input columns, {args.blocks} blocks")
     for mm in WIDTHS:
@@ -77,6 +61,30 @@ def main():
         raise SystemExit("round trip did not recover the data")
     print(f"encode_blocks, erase data column 0, recover_blocks, {args.blocks} blocks")
     print(f"  {'round trip':16} {args.blocks:8d} " + _rate(data.nbytes, trip))
+
+
+def _time_shapes(field, args, rng):
+    """Time the parity and decode shapes over one field; return its (code, data)."""
+    code = build_code(args.k, args.t, field)
+    d = code.data_len
+    data = rng.integers(0, field.order, size=(args.blocks, d), dtype=field.symbol_dtype)
+    batch = data[:BATCH]
+    parity = code.parity_int_matrix()
+    decode = rng.integers(1, field.order, size=(d, d), dtype=field.symbol_dtype)
+
+    print(f"gf_matmul over GF(2^{field.m}), k={args.k} t={args.t}, best of {args.repeat}")
+    print(f"  {'shape':16} {'blocks':>8} {'ms':>10} {'MB/s':>10}")
+    for name, coeffs in (("parity", parity), ("decode", decode)):
+        for blocks in (data, batch):
+            calls = 1 if blocks is data else BATCH_CALLS
+            best, out = _best_of(args.repeat, lambda: kernels.gf_matmul(blocks, coeffs, field), calls)
+            if coeffs is parity and len(blocks):
+                scalar = encode(code, DataBlock.of(field, [int(x) for x in blocks[-1]]))
+                if scalar.values()[d:] != [int(x) for x in out[-1]]:
+                    raise SystemExit("kernel disagrees with the scalar encoder")
+            shape = f"{name} {d} x {coeffs.shape[1]}"
+            print(f"  {shape:16} {len(blocks):8d} " + _rate(blocks.nbytes, best))
+    return code, data
 
 
 def _rate(nbytes, seconds):

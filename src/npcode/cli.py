@@ -10,6 +10,7 @@ GF(2^m) reduction polynomial (hex, bit width inferred from the degree).
 from __future__ import annotations
 
 import argparse
+import binascii
 import json
 import os
 import random
@@ -21,12 +22,10 @@ import numpy as np
 from . import construction, feasibility, simulator
 from .codec import (
     CapacityExceededError,
-    Codeword,
-    DataBlock,
     InconsistentSymbolsError,
     build_code,
-    encode,
-    recover,
+    encode_blocks,
+    recover_blocks,
 )
 from .connectivity import SearchBudgetExceeded, edge_connectivity, node_connectivity
 from .galois import DEFAULT_M, FieldContext
@@ -202,27 +201,24 @@ def _cmd_bounds(args) -> int:
     return 0
 
 
-def _symbol_hex_width(field: FieldContext) -> int:
-    return 2 * ((field.m + 7) // 8)
-
-
-def _parse_symbols(raw: str, field: FieldContext) -> list[int]:
-    width = _symbol_hex_width(field)
+def _parse_symbols(raw: str, field: FieldContext) -> np.ndarray:
+    width = 2 * field.symbol_dtype.itemsize
     raw = raw.strip().lower().removeprefix("0x")
     if len(raw) % width:
         raise _UsageError(f"hex length must be a multiple of {width} chars per symbol")
     try:
-        values = [int(raw[i : i + width], 16) for i in range(0, len(raw), width)]
+        values = np.frombuffer(binascii.unhexlify(raw), dtype=field.symbol_dtype.newbyteorder(">"))
     except ValueError as exc:
         raise _UsageError(f"bad hex data: {exc}") from exc
-    for v in values:
-        if v >= field.order:
-            raise _UsageError(f"symbol 0x{v:X} exceeds field order {field.order}")
+    too_big = values[values >= field.order]
+    if too_big.size:
+        raise _UsageError(f"symbol 0x{int(too_big[0]):X} exceeds field order {field.order}")
     return values
 
-def _format_symbols(values, field: FieldContext) -> str:
-    width = _symbol_hex_width(field)
-    return "".join(f"{v:0{width}x}" for v in values)
+
+def _format_symbols(symbols: np.ndarray, field: FieldContext) -> str:
+    """An (n, cols) symbol array as hex, block by block, most significant byte first."""
+    return np.ascontiguousarray(symbols, dtype=field.symbol_dtype.newbyteorder(">")).tobytes().hex()
 
 
 def _cmd_encode(args) -> int:
@@ -230,19 +226,16 @@ def _cmd_encode(args) -> int:
     code = build_code(args.k, args.t, field)
     values = _parse_symbols(args.data, field)
     d = code.data_len
-    if not values or len(values) % d:
+    if not values.size or values.size % d:
         raise _UsageError(f"data must be a positive multiple of k-t = {d} symbols")
-    out: list[int] = []
-    for i in range(0, len(values), d):
-        cw = encode(code, DataBlock.of(field, values[i : i + d]))
-        out.extend(cw.values())
+    codewords = encode_blocks(code, values.reshape(-1, d))
     _emit(
         {
             "k": args.k,
             "t": args.t,
             "field": _field_json(field),
-            "blocks": len(values) // d,
-            "symbols": _format_symbols(out, field),
+            "blocks": len(codewords),
+            "symbols": _format_symbols(codewords, field),
         }
     )
     return 0
@@ -267,22 +260,18 @@ def _cmd_recover(args) -> int:
     field = _field_from_env()
     code = build_code(args.k, args.t, field)
     values = _parse_symbols(args.symbols, field)
-    if not values or len(values) % args.k:
+    if not values.size or values.size % args.k:
         raise _UsageError(f"symbols must be a positive multiple of k = {args.k}")
     erased = _parse_positions(args.erased, args.k) if args.erased else []
-    out: list[int] = []
-    for i in range(0, len(values), args.k):
-        cw = Codeword.of(field, values[i : i + args.k], erased)
-        block = recover(code, cw)
-        out.extend(block.values())
+    data = recover_blocks(code, values.reshape(-1, args.k), erased)
     _emit(
         {
             "k": args.k,
             "t": args.t,
             "field": _field_json(field),
-            "blocks": len(values) // args.k,
+            "blocks": len(data),
             "erased": [p + 1 for p in erased],
-            "data": _format_symbols(out, field),
+            "data": _format_symbols(data, field),
         }
     )
     return 0
@@ -320,7 +309,6 @@ def _cmd_simulate(args) -> int:
         model = simulator.ExplicitFailures(tuple(labels[p] for p in positions))
     else:
         model = simulator.RandomFailures(args.random, args.seed)
-    # the simulator picks the symbol dtype from the field (uint32 above m = 8)
     sc = simulator.Scenario(inst, code, np.array(payload), model, relaxed=relaxed)
     report = simulator.run(sc)
     _emit(

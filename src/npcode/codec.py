@@ -13,22 +13,22 @@ systematizes the Vandermonde matrix, tests generator minors in
 `verify_mds` and inverts the decode matrix of an erasure set.  Each code
 caches a decode plan per erasure set, shared by `recover` and
 `recover_blocks`, so a pattern that repeats is inverted once.  Bulk
-payloads go through `kernels.gf_matmul` (m <= 8), which packs up to
-eight output columns into each table gather; its word tables for a
+payloads go through `kernels.gf_matmul`, for every m <= 16, which packs
+up to eight output bytes into each table gather; its word tables for a
 coefficient matrix (a parity matrix, a decode plan's inverse) are kept
 in the kernel's own memo, within the byte budget
 `kernels.TABLE_MEMO_BYTES`, so a repeating pattern also reuses them.
-Single blocks scale rows with `FieldContext.mul_row`, so they work for
-every m <= 16.
-FieldElement stays at the API edge: data blocks, codewords and
-`NpcCode.parity`.
+The scalar `encode` and `recover` scale rows with
+`FieldContext.mul_row`.  FieldElement stays at the API edge: data
+blocks, codewords and `NpcCode.parity`.
 
-The block path keeps symbols column-major: `encode_blocks` returns its
-(n, k) codewords as the transpose of one C-ordered (k, n) buffer, so a
-codeword position is a contiguous row of n symbols, and `recover_blocks`
-returns (n, k-t) data the same way.  Both accept any input layout and
-check symbol ranges before any cast; codewords straight from
-`encode_blocks` reach the kernel with no copy or transpose.
+The block path keeps symbols column-major, in the field's symbol dtype
+(uint8 for m <= 8, uint16 above): `encode_blocks` returns its (n, k)
+codewords as the transpose of one C-ordered (k, n) buffer, so a codeword
+position is a contiguous row of n symbols, and `recover_blocks` returns
+(n, k-t) data the same way.  Both accept any input layout and check
+symbol ranges before any cast; codewords straight from `encode_blocks`
+reach the kernel with no copy or transpose.
 """
 
 from __future__ import annotations
@@ -135,7 +135,7 @@ class NpcCode:
         self.t = t
         self.field = field
         self.parity = rows
-        dtype = _int_dtype(field)
+        dtype = field.symbol_dtype
         p = np.array([[e.value for e in row] for row in rows], dtype=dtype).reshape(k - t, t)
         g = np.hstack([np.eye(k - t, dtype=dtype), p])
         p.setflags(write=False)
@@ -165,10 +165,6 @@ class NpcCode:
 
 
 # -- linear algebra over the field on integer arrays ------------------------------
-
-
-def _int_dtype(field: FieldContext):
-    return np.uint8 if field.has_tables else np.int64
 
 
 def _gf_inverse(a: np.ndarray, field: FieldContext) -> np.ndarray:
@@ -223,7 +219,7 @@ def build_code(k: int, t: int, field: FieldContext | None = None) -> NpcCode:
     g = field.generator().value
     points = [0] + [field.pow_int(g, i) for i in range(k - 1)]
     vander = np.array(
-        [[field.pow_int(x, i) for x in points] for i in range(d)], dtype=_int_dtype(field)
+        [[field.pow_int(x, i) for x in points] for i in range(d)], dtype=field.symbol_dtype
     )
     lead_inv = _gf_inverse(vander[:, :d], field)
     parity = [_vec_mat(field, row, vander[:, d:]) for row in lead_inv]
@@ -317,36 +313,31 @@ def recover(code: NpcCode, received: Codeword) -> DataBlock:
 # -- block (bulk) encode / recover ------------------------------------------------
 
 
-def _require_block_field(code: NpcCode) -> None:
-    if not code.field.has_tables:
-        raise CodecError("block operations need a tables-backed field (m <= 8)")
+def _as_symbol_matrix(arr, cols: int, field: FieldContext) -> np.ndarray:
+    """arr as an (n, cols) array of field symbols, without a copy if it is one.
 
-
-def _as_symbol_matrix(arr, cols: int, order: int) -> np.ndarray:
-    """arr as an (n, cols) uint8 array of field symbols, without a copy if it is one.
-
-    The range is checked on the incoming dtype, before the cast, so an
-    out-of-range value raises instead of wrapping.
+    The range is checked on the incoming dtype, before the cast to the
+    field's symbol dtype, so an out-of-range value raises instead of
+    wrapping.
     """
     a = np.asarray(arr)
     if a.ndim != 2 or a.shape[1] != cols:
         raise CodecError(f"expected shape (n, {cols}), got {a.shape}")
-    if not _symbols_in_range(a, order):
-        raise CodecError(f"symbols must be integers in [0, {order})")
-    return a.astype(np.uint8, copy=False)
+    if not _symbols_in_range(a, field.order):
+        raise CodecError(f"symbols must be integers in [0, {field.order})")
+    return a.astype(field.symbol_dtype, copy=False)
 
 
 def encode_blocks(code: NpcCode, data: np.ndarray) -> np.ndarray:
-    """Encode n data blocks at once: (n, k-t) symbols -> (n, k) uint8.
+    """Encode n data blocks at once: (n, k-t) symbols -> (n, k) symbols.
 
     The codewords come back as the (n, k) transpose of one C-ordered
     (k, n) buffer: each codeword position is a contiguous row of n
-    symbols, data rows first.  Any input layout is accepted; the data is
-    transposed into the buffer once.
+    symbols, data rows first, in the field's symbol dtype.  Any input
+    layout is accepted; the data is transposed into the buffer once.
     """
-    _require_block_field(code)
-    a = _as_symbol_matrix(data, code.data_len, code.field.order)
-    rows = np.empty((code.k, a.shape[0]), dtype=np.uint8)
+    a = _as_symbol_matrix(data, code.data_len, code.field)
+    rows = np.empty((code.k, a.shape[0]), dtype=code.field.symbol_dtype)
     rows[: code.data_len] = a.T
     parity = kernels.gf_matmul(rows[: code.data_len].T, code.parity_int_matrix(), code.field)
     rows[code.data_len :] = parity.T
@@ -354,15 +345,14 @@ def encode_blocks(code: NpcCode, data: np.ndarray) -> np.ndarray:
 
 
 def recover_blocks(code: NpcCode, received: np.ndarray, erased: Iterable[int]) -> np.ndarray:
-    """Recover n blocks sharing one erasure pattern: (n, k) -> (n, k-t) uint8.
+    """Recover n blocks sharing one erasure pattern: (n, k) -> (n, k-t) symbols.
 
     Any input layout is accepted, and the column-major one that
     `encode_blocks` returns is the fastest: its codeword positions are
     read as contiguous rows without a transpose.  The data comes back as
     the (n, k-t) transpose of a C-ordered (k-t, n) array.
     """
-    _require_block_field(code)
-    r = _as_symbol_matrix(received, code.k, code.field.order)
+    r = _as_symbol_matrix(received, code.k, code.field)
     use, solve, check = _decode_plan(code, erased)
     rows = np.ascontiguousarray(r.T)
     survivors = rows[use]

@@ -10,11 +10,16 @@ Contexts with m <= 8 precompute log/antilog tables over a multiplicative
 generator, turning products into two table lookups; wider fields fall
 back to shift-and-reduce multiplication.  Tables-backed contexts also
 build the full q x q product table, `mul_table`, on first use, so
-importing the package builds none.  `mul_row` scales an integer array
-by one element: the codec's linear algebra needs no other array
-operation, and it is the only place that chooses between the product
-table and shift-and-reduce.  Contexts are immutable after construction
-and safe to share across threads; every operation is pure.
+importing the package builds none.  Arrays of symbols use one dtype per
+field, `symbol_dtype`: uint8 for m <= 8, uint16 above.  The context owns
+array multiplication: `plane_products` gives, for each coefficient c,
+the products c * (x << 8p) for every byte x of every byte plane p of a
+symbol (a row of `mul_table` when m <= 8, two 256-entry split tables
+above), so c * s is the XOR of one lookup per byte of s.  `mul_row`
+scales a symbol array by one element with those tables, and
+`kernels.gf_matmul` packs them into its word tables.  Contexts are
+immutable after construction and safe to share across threads; every
+operation is pure.
 """
 
 from __future__ import annotations
@@ -124,6 +129,7 @@ class FieldContext:
         self.reduction_poly = reduction_poly
         self.order = 1 << m
         self._mask = self.order - 1
+        self.symbol_dtype = np.dtype(np.uint8 if m <= _TABLE_MAX_M else np.uint16)
         self.exp_table: np.ndarray | None = None
         self.log_table: np.ndarray | None = None
         self._generator_value = self._find_generator()
@@ -144,15 +150,19 @@ class FieldContext:
         return res
 
     def _find_generator(self) -> int:
-        q = self.order
-        if q == 2:
-            return 1
-        for g in range(2, q):
-            x, steps = g, 1
-            while x != 1:
-                x = self._mul_shift_reduce(x, g)
-                steps += 1
-            if steps == q - 1:
+        """The least g of order q-1: g^((q-1)/p) != 1 for each prime p dividing q-1."""
+        q1 = self.order - 1
+        primes, n, p = [], q1, 2
+        while p * p <= n:
+            if n % p == 0:
+                primes.append(p)
+                while n % p == 0:
+                    n //= p
+            p += 1
+        if n > 1:
+            primes.append(n)
+        for g in range(1, self.order):
+            if all(self.pow_int(g, q1 // p) != 1 for p in primes):
                 return g
         raise AssertionError("no generator found; polynomial is not irreducible")
 
@@ -169,14 +179,10 @@ class FieldContext:
         self.exp_table = exp
         self.log_table = log
 
-    @property
-    def has_tables(self) -> bool:
-        return self.exp_table is not None
-
     @cached_property
     def mul_table(self) -> np.ndarray:
         """The q x q uint8 product table, mul_table[a, b] = a*b (m <= 8)."""
-        if not self.has_tables:
+        if self.exp_table is None:
             raise ValueError(f"GF(2^{self.m}) has no product table; tables need m <= {_TABLE_MAX_M}")
         logs = self.log_table
         table = self.exp_table[logs[:, None] + logs[None, :]].astype(np.uint8)
@@ -218,16 +224,36 @@ class FieldContext:
             return int(self.exp_table[(int(self.log_table[a]) + int(self.log_table[b])) % q1])
         return self._mul_shift_reduce(a, b)
 
-    def mul_row(self, c: int, row: np.ndarray) -> np.ndarray:
-        """c times every element of an integer array, as a new array.
+    def plane_products(self, coeffs) -> np.ndarray:
+        """c * (x << 8p) for each coefficient c, byte plane p and byte x.
 
-        Reads row c of the product table when m <= 8 (uint8 result) and
-        multiplies element by element otherwise (result in row's dtype).
+        Shape coeffs.shape + (planes, entries), in the symbol dtype: for a
+        symbol s, c * s is the XOR over p of products[..., p, (s >> 8p) & 0xFF].
+        For m <= 8, one plane: rows of `mul_table`.  Above, two planes of
+        256 entries, each the XOR of the c * 2^i (by shift-and-reduce)
+        that its bits select, filled by doubling.
         """
-        if self.has_tables:
+        if self.exp_table is not None:
+            return self.mul_table[coeffs][..., None, :]
+        c = np.asarray(coeffs, dtype=np.int64)
+        bits = np.empty(c.shape + (2, 8), dtype=self.symbol_dtype)
+        for i in range(16):
+            bits[..., i >> 3, i & 7] = c
+            c = (c << 1) ^ (c >> (self.m - 1)) * self.reduction_poly
+        out = np.zeros(c.shape + (2, 256), dtype=self.symbol_dtype)
+        for j in range(8):
+            out[..., 1 << j : 2 << j] = out[..., : 1 << j] ^ bits[..., j, None]
+        return out
+
+    def mul_row(self, c: int, row: np.ndarray) -> np.ndarray:
+        """c times every symbol of an integer array, as a new symbol_dtype array.
+
+        Reads row c of the product table when m <= 8, else c's split tables.
+        """
+        if self.exp_table is not None:
             return self.mul_table[c].take(row)
-        c = int(c)
-        return np.array([self.mul_int(c, x) for x in row.tolist()], dtype=row.dtype)
+        low, high = self.plane_products(c)
+        return low.take(row & 0xFF) ^ high.take(row >> 8)
 
     def inv_int(self, a: int) -> int:
         if a == 0:

@@ -1,31 +1,37 @@
-"""The GF(2^m) block kernel (m <= 8): packed-word table gathers.
+"""The GF(2^m) block kernel (m <= 16): packed-word table gathers.
 
-`gf_matmul(a, b, field)` multiplies an (n, kk) uint8 symbol matrix by a
-small (kk, mm) coefficient matrix.  It reads `a` column by column, as
-the rows of the C-ordered (kk, n) array `a.T`: that costs nothing when
-`a` is already the transpose of such an array (the column-major layout
-`codec` keeps), and one transpose otherwise.
+`gf_matmul(a, b, field)` multiplies an (n, kk) symbol matrix by a small
+(kk, mm) coefficient matrix, in the field's symbol dtype (uint8 for
+m <= 8, uint16 above).  It reads `a` column by column, as the rows of
+the C-ordered (kk, n) array `a.T`: that costs nothing when `a` is
+already the transpose of such an array (the column-major layout `codec`
+keeps), and one transpose otherwise.  Above m = 8 each column is then
+split into two byte planes, uint8 rows of its low and its high bytes;
+for m <= 8 a column is its only plane.
 
-The output columns are taken in chunks of at most eight.  For each input
-row l of `b` with a nonzero coefficient in a chunk, a q-entry word table
-holds in byte j of entry x the product `MUL[b[l, j0 + j], x]`, in the
-smallest word of 1, 2, 4 or 8 bytes that fits the chunk.  One `take` of
-that table by input column l then yields the products for every output
-column of the chunk at once, and the chunk is the XOR of those gathers
-(the first one is written straight into the accumulator).  One byte
-transpose moves each chunk into the output rows, which come back in the
-input's layout, as the transpose of a C-ordered (mm, n) array.  Long
-batches are walked in slices of n, so that a slice's accumulator and
-gather buffer stay in cache.  `MUL` is the field's full q x q product
-table, `field.mul_table` (the table-driven kernel of Plank, Greenan &
-Miller, "Screaming Fast Galois Field Arithmetic Using SIMD
+The output columns are taken in chunks of as many symbols as an 8-byte
+word holds: eight one-byte or four two-byte lanes.  For each input row l
+of `b` with a nonzero coefficient in a chunk, and each byte plane p, a
+word table holds in lane j of entry x the product of b[l, j0 + j] by
+x << 8p, in the smallest word of 1, 2, 4 or 8 bytes that fits the chunk.
+One `take` of that table by plane p of column l yields those products
+for every output column of the chunk at once, and the chunk is the XOR
+of those gathers (the first one is written straight into the
+accumulator).  One lane transpose moves each chunk into the output rows,
+which come back in the input's layout, as the transpose of a C-ordered
+(mm, n) array.  Long batches are walked in slices of n, so that a
+slice's accumulator and gather buffer stay in cache.  The products are
+`field.plane_products`: rows of the full product table for m <= 8, and
+256-entry split tables above (the table-driven kernels of Plank, Greenan
+& Miller, "Screaming Fast Galois Field Arithmetic Using SIMD
 Instructions", FAST 2013).
 
 The word tables depend only on the field and the values of `b`, so they
 are kept in a memo keyed on the field's (m, polynomial) and on b's
 dtype, shape and bytes, and evicted oldest first to stay within
-`TABLE_MEMO_BYTES`.  A matrix's tables take up to kk * q * ceil(mm/8) * 8
-bytes; a matrix whose tables exceed the whole budget is not kept.
+`TABLE_MEMO_BYTES`.  A matrix's tables take up to kk * planes * entries
+* ceil(mm / lanes) * 8 bytes (q entries for m <= 8, 256 above); a matrix
+whose tables exceed the whole budget is not kept.
 """
 
 from __future__ import annotations
@@ -43,8 +49,8 @@ NUMBA_ACTIVE = False
 # 15 x 15 GF(2^8) decode matrices, the largest in a k <= 16 code.
 TABLE_MEMO_BYTES = 8 << 20
 
-# Output columns one word table packs, one byte each.
-_CHUNK = 8
+# Bytes of the widest word table entry: 8 one-byte or 4 two-byte products.
+_WORD_BYTES = 8
 
 # Accumulator bytes per slice of the n symbols.  A slice's accumulator,
 # gather buffer and the intp copy of its indices that `take` makes then
@@ -68,25 +74,30 @@ def _symbols_in_range(a: np.ndarray, order: int) -> bool:
     return not a.size or (int(a.min()) >= 0 and int(a.max()) < order)
 
 
-def _word_tables(b: np.ndarray, mul: np.ndarray) -> list[tuple[int, int, list[int], np.ndarray]]:
-    """(first column, width, nonzero rows, their word tables) per chunk of b's columns.
+def _word_tables(b: np.ndarray, field: FieldContext) -> list[tuple[int, int, list[int], np.ndarray]]:
+    """(first column, width, plane rows, their word tables) per chunk of b's columns.
 
-    b holds uint8 coefficients below the field order.  The tables of a
-    chunk form one read-only (len(rows), q) array of unsigned words,
-    whose byte j in memory is the product by b[row, first column + j].
+    b holds coefficients below the field order.  Plane row l * planes + p
+    is byte plane p of input column l, for each row l of b with a nonzero
+    coefficient in the chunk.  The tables of a chunk form one read-only
+    (len(plane rows), entries) array of unsigned words, whose lane j in
+    memory is the product of b[l, first column + j] by x << 8p.
     """
-    q = mul.shape[0]
+    lane = field.symbol_dtype
+    per_word = _WORD_BYTES // lane.itemsize
     chunks = []
-    for j0 in range(0, b.shape[1], _CHUNK):
-        sub = b[:, j0 : j0 + _CHUNK]
+    for j0 in range(0, b.shape[1], per_word):
+        sub = b[:, j0 : j0 + per_word]
         w = sub.shape[1]
-        word = 1 << (w - 1).bit_length()
+        word = 1 << (w * lane.itemsize - 1).bit_length()
         rows = np.flatnonzero(sub.any(axis=1))
-        lanes = np.zeros((len(rows), q, word), dtype=np.uint8)
-        lanes[:, :, :w] = mul[sub[rows]].transpose(0, 2, 1)
-        tables = lanes.view(f"u{word}").reshape(len(rows), q)
+        products = field.plane_products(sub[rows])
+        planes, entries = products.shape[2:]
+        lanes = np.zeros((len(rows), planes, entries, word // lane.itemsize), dtype=lane)
+        lanes[..., :w] = products.transpose(0, 2, 3, 1)
+        tables = lanes.view(f"u{word}").reshape(len(rows) * planes, entries)
         tables.setflags(write=False)
-        chunks.append((j0, w, rows.tolist(), tables))
+        chunks.append((j0, w, [l * planes + p for l in rows.tolist() for p in range(planes)], tables))
     return chunks
 
 
@@ -111,7 +122,7 @@ class _TableMemo:
         entry = self._entries.get(key)
         if entry is not None:
             return entry[0]
-        chunks = _word_tables(b.astype(np.uint8), field.mul_table)
+        chunks = _word_tables(b.astype(field.symbol_dtype), field)
         size = sum(tables.nbytes for *_, tables in chunks)
         if size <= self.budget:
             with self._lock:
@@ -127,21 +138,27 @@ _TABLES = _TableMemo(TABLE_MEMO_BYTES)
 
 
 def gf_matmul(a: np.ndarray, b: np.ndarray, field: FieldContext) -> np.ndarray:
-    """Matrix product a @ b over a field with m <= 8, on uint8 symbols.
+    """Matrix product a @ b over a field with m <= 16, on symbols.
 
     Every symbol of `a` must lie below the field order.  `b` must be a
     (kk, mm) matrix of integers in [0, q), else ValueError.  The result
-    is an (n, mm) uint8 array, returned as the transpose of a C-ordered
-    (mm, n) array.
+    is an (n, mm) array in the field's symbol dtype, returned as the
+    transpose of a C-ordered (mm, n) array.
     """
-    cols_t = np.ascontiguousarray(np.asarray(a, dtype=np.uint8).T)
+    lane = field.symbol_dtype
+    cols_t = np.ascontiguousarray(np.asarray(a, dtype=lane).T)
     kk, n = cols_t.shape
     b = np.asarray(b)
     if b.ndim != 2 or b.shape[0] != kk:
         raise ValueError(f"coefficients must have shape ({kk}, mm), got {b.shape}")
     if not _symbols_in_range(b, field.order):
         raise ValueError(f"coefficients must be integers in [0, {field.order})")
-    out = np.empty((b.shape[1], n), dtype=np.uint8)
+    if lane.itemsize == 2:
+        # plane row 2l + p holds byte p of input column l, low byte first
+        planes = np.empty((kk, 2, n), dtype=np.uint8)
+        planes[:, 0], planes[:, 1] = cols_t, cols_t >> 8
+        cols_t = planes.reshape(2 * kk, n)
+    out = np.empty((b.shape[1], n), dtype=lane)
     for j0, w, rows, tables in _TABLES.tables(field, b):
         if not rows:
             out[j0 : j0 + w] = 0
@@ -152,12 +169,12 @@ def gf_matmul(a: np.ndarray, b: np.ndarray, field: FieldContext) -> np.ndarray:
         for s0 in range(0, n, step):
             s1 = min(s0 + step, n)
             cols = cols_t[:, s0:s1]
-            acc = out[j0, s0:s1] if word == 1 else temp[0, : s1 - s0]
+            acc = out[j0, s0:s1] if word == lane.itemsize else temp[0, : s1 - s0]
             buf = temp[1, : s1 - s0]
             tables[0].take(cols[rows[0]], out=acc, mode="clip")
             for l, table in zip(rows[1:], tables[1:]):
                 table.take(cols[l], out=buf, mode="clip")
                 acc ^= buf
-            if word > 1:
-                out[j0 : j0 + w, s0:s1] = acc.view(np.uint8).reshape(s1 - s0, word)[:, :w].T
+            if word > lane.itemsize:
+                out[j0 : j0 + w, s0:s1] = acc.view(out.dtype).reshape(s1 - s0, -1)[:, :w].T
     return out.T

@@ -5,7 +5,9 @@ provisioned path count.  Each payload block maps one field symbol onto
 each working path; failing a path erases its symbol position in every
 block.  With at most t failures and an MDS code every block must come
 back exactly; more than t failures is reported as expected-unrecoverable
-rather than raised.
+rather than raised.  Every field runs the block codec: the payload is
+encoded in one `encode_blocks` call, its failed positions are erased in
+place, and one `recover_blocks` call brings the data back.
 """
 
 from __future__ import annotations
@@ -16,15 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .codec import (
-    DataBlock,
-    NpcCode,
-    _symbols_in_range,
-    encode,
-    encode_blocks,
-    recover,
-    recover_blocks,
-)
+from .codec import DataBlock, NpcCode, _as_symbol_matrix, encode_blocks, recover_blocks
 from .feasibility import (
     FeasibilityReport,
     InfeasibleInstanceError,
@@ -94,21 +88,14 @@ def path_labels(k: int) -> list[str]:
 
 
 def _payload_matrix(payload, code: NpcCode) -> np.ndarray:
-    if isinstance(payload, np.ndarray):
-        mat = np.asarray(payload)
-    else:
-        rows = []
-        for block in payload:
-            rows.append(block.values() if isinstance(block, DataBlock) else list(block))
-        mat = np.asarray(rows, dtype=np.int64)
-    if mat.ndim != 2 or mat.shape[1] != code.data_len:
-        raise ValueError(f"payload must be (blocks, {code.data_len}) symbols")
+    """The payload as (blocks, k-t) symbols; CodecError, a ValueError, if it is not."""
+    if not isinstance(payload, np.ndarray):
+        rows = [block.values() if isinstance(block, DataBlock) else list(block) for block in payload]
+        payload = np.asarray(rows, dtype=np.int64)
+    mat = _as_symbol_matrix(payload, code.data_len, code.field)
     if mat.shape[0] == 0:
         raise ValueError("payload must contain at least one block")
-    order = code.field.order
-    if not _symbols_in_range(mat, order):
-        raise ValueError(f"payload symbols must be integers in [0, {order})")
-    return mat.astype(np.uint8 if order <= 256 else np.uint32, copy=False)
+    return mat
 
 
 def _provision(sc: Scenario) -> tuple[DisjointPathSet, FeasibilityReport]:
@@ -145,24 +132,15 @@ def _execute(sc: Scenario, provisioned: DisjointPathSet, failed: tuple[str, ...]
     data = _payload_matrix(sc.payload, code)
     if len(failed) > code.t:
         return TrialReport(provisioned, failed, False, data.shape[0], capacity_exceeded=True)
-    if code.field.has_tables:
-        # The block codec returns column-major views: erase the sent words in
-        # place, and compare the data as contiguous (k-t, n) rows.
-        received = encode_blocks(code, data)
-        expect = received[:, : code.data_len].T.copy()
-        received[:, positions] = 0
-        got = recover_blocks(code, received, positions).T
-        mismatches = 0
-        if not np.array_equal(got, expect):
-            mismatches = int(np.count_nonzero((got != expect).any(axis=0)))
-    else:
-        mismatches = 0
-        f = code.field
-        for row in data:
-            cw = encode(code, DataBlock.of(f, [int(x) for x in row]))
-            got = recover(code, cw.with_erasures(positions))
-            if got.values() != [int(x) for x in row]:
-                mismatches += 1
+    # The block codec returns column-major views: erase the sent words in
+    # place, and compare the data as contiguous (k-t, n) rows.
+    received = encode_blocks(code, data)
+    expect = received[:, : code.data_len].T.copy()
+    received[:, positions] = 0
+    got = recover_blocks(code, received, positions).T
+    mismatches = 0
+    if not np.array_equal(got, expect):
+        mismatches = int(np.count_nonzero((got != expect).any(axis=0)))
     return TrialReport(provisioned, failed, mismatches == 0, mismatches)
 
 

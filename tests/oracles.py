@@ -34,6 +34,15 @@ def gf_inv_ref(a: int, poly: int, m: int) -> int:
     raise AssertionError(f"no inverse for {a}")
 
 
+def gf_order_ref(a: int, poly: int, m: int) -> int:
+    """Multiplicative order of a nonzero a, by stepping through its powers."""
+    x, order = a, 1
+    while x != 1:
+        x = gf_mul_ref(x, a, poly, m)
+        order += 1
+    return order
+
+
 def gf_dot_ref(xs, ys, poly, m):
     acc = 0
     for x, y in zip(xs, ys):

@@ -4,7 +4,12 @@ import subprocess
 import sys
 from pathlib import Path as FsPath
 
+import numpy as np
 import pytest
+
+import npcode as package
+from npcode import cli, codec, construction, feasibility, graph, simulator
+from npcode.galois import FieldContext, default_polynomial
 
 FIG2 = FsPath(__file__).parent / "data" / "fig2.json"
 
@@ -136,6 +141,62 @@ def test_recover_capacity_exceeded_is_domain_error():
     res = npcode("recover", "--k", "4", "--t", "1", "--symbols", symbols, "--erased", "1,2")
     assert res.returncode == 1
     assert "capacity" in res.stderr
+
+
+@pytest.mark.parametrize("poly", [None, "0x1100B"], ids=["GF8", "GF16"])
+def test_recover_rejects_corrupted_survivor(poly):
+    env = {"NPC_FIELD_POLY": poly} if poly else None
+    width = 2 if poly is None else 4
+    data = "".join(f"{v:0{width}x}" for v in range(1, 9))
+    enc = npcode("encode", "--k", "6", "--t", "2", "--data", data, env_extra=env)
+    symbols = json.loads(enc.stdout)["symbols"]
+    # flip one bit of position 3 in the second block; position 1 is erased,
+    # so one surviving parity symbol is left to catch it
+    at = (6 + 2) * width
+    flipped = symbols[:at] + f"{int(symbols[at], 16) ^ 1:x}" + symbols[at + 1 :]
+    res = npcode("recover", "--k", "6", "--t", "2", "--symbols", flipped, "--erased", "1",
+                 env_extra=env)
+    assert res.returncode == 1
+    assert "no codeword" in res.stderr
+    assert res.stdout == ""
+
+
+@pytest.mark.parametrize("m", [4, 8, 12, 16])
+def test_codec_verbs_take_the_block_path(m, monkeypatch, capsys, tmp_path):
+    # the scalar codec is only the API edge and the tests' reference: no verb
+    # and no simulation calls it, on any field
+    def scalar(*args, **kwargs):
+        raise AssertionError("scalar codec called")
+
+    for module in (package, codec, simulator, cli):
+        for name in ("encode", "recover"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, scalar)
+    monkeypatch.setenv("NPC_FIELD_POLY", f"0x{default_polynomial(m):X}")
+    field = FieldContext(m)
+    width = 2 * ((m + 7) // 8)
+    data = "".join(f"{v:0{width}x}" for v in (1, field.order - 1, 5, 6))
+
+    def run(*argv):
+        code = cli.main(list(argv))
+        return code, capsys.readouterr().out
+
+    code, out = run("encode", "--k", "3", "--t", "1", "--data", data)
+    assert code == 0
+    code, out = run("recover", "--k", "3", "--t", "1", "--symbols",
+                    json.loads(out)["symbols"], "--erased", "2")
+    assert (code, json.loads(out)["data"]) == (0, data)
+    path = tmp_path / "h10_3.json"
+    path.write_text(graph.save(construction.harary(10, 3)))
+    code, out = run("simulate", "--graph", str(path), "--k", "3", "--t", "1",
+                    "--sources", "v0", "--receivers", "v3,v5,v8", "--failures", "L2",
+                    "--blocks", "8")
+    assert (code, json.loads(out)["recovered"]) == (0, True)
+    inst = feasibility.ProtectionInstance(construction.harary(10, 3), ["v0"], ["v3", "v5", "v8"])
+    payload = np.array([[1, field.order - 1], [0, 7]])
+    sc = simulator.Scenario(inst, codec.build_code(3, 1, field), payload,
+                            simulator.ExplicitFailures(("L1",)))
+    assert simulator.run(sc).recovered
 
 
 def test_encode_bad_hex():

@@ -206,14 +206,20 @@ def test_blocks_agree_with_scalar_path():
 
 
 def test_wide_field_scalar_codec():
-    # no tables above m = 8; the scalar path must still round-trip
+    # GF(2^12) runs the block codec on uint16 symbols, and the scalar
+    # codec stays its reference
     ctx = FieldContext(12)
     code = build_code(5, 2, ctx)
-    data = DataBlock.of(ctx, [4000, 17, 2049])
-    cw = encode(code, data)
-    assert recover(code, cw.with_erasures([0, 3])).values() == data.values()
-    with pytest.raises(CodecError):
-        encode_blocks(code, np.zeros((1, 3), dtype=np.uint8))
+    data = np.array([[4000, 17, 2049], [4095, 0, 256]], dtype=np.uint16)
+    sent = encode_blocks(code, data)
+    assert sent.dtype == np.uint16
+    received = sent.copy()
+    received[:, [0, 3]] = 0
+    assert np.array_equal(recover_blocks(code, received, [0, 3]), data)
+    for block, row in zip(data, sent):
+        cw = encode(code, DataBlock.of(ctx, block.tolist()))
+        assert cw.values() == row.tolist()
+        assert recover(code, cw.with_erasures([0, 3])).values() == block.tolist()
 
 
 def test_parity_uses_oracle_arithmetic():
@@ -232,6 +238,8 @@ PROPERTY_FIELDS = {
     "GF(2^8)/0x11B": GF8,
     "GF(2^8)/0x11D": FieldContext(8, 0x11D),
     "GF(2^4)": FieldContext(4),
+    "GF(2^12)": FieldContext(12),
+    "GF(2^16)": FieldContext(16),
 }
 _CODES: dict = {}
 
@@ -255,7 +263,7 @@ def _cases(draw):
     order = code.field.order
     values = draw(st.lists(st.integers(0, order - 1),
                            min_size=n * code.data_len, max_size=n * code.data_len))
-    data = np.array(values, dtype=np.uint8).reshape(n, code.data_len)
+    data = np.array(values, dtype=code.field.symbol_dtype).reshape(n, code.data_len)
     return code, data, sorted(erased)
 
 
@@ -410,7 +418,7 @@ def test_recover_blocks_is_layout_independent():
 
 @pytest.mark.parametrize(
     "m, bad",
-    [(8, 300), (8, -1), (4, 259), (4, 16)],
+    [(8, 300), (8, -1), (4, 259), (4, 16), (12, 4096)],
 )
 def test_block_api_rejects_out_of_range_symbols(m, bad):
     field = FieldContext(m)
@@ -425,7 +433,15 @@ def test_block_api_rejects_out_of_range_symbols(m, bad):
     bad_received[0, 1] = bad
     with pytest.raises(CodecError):
         recover_blocks(code, bad_received, [3])
+    if bad >= 0:
+        # the same value as uint16, the symbol dtype of the wide fields
+        with pytest.raises(CodecError):
+            encode_blocks(code, bad_data.astype(np.uint16))
+        with pytest.raises(CodecError):
+            recover_blocks(code, bad_received.astype(np.uint16), [3])
     with pytest.raises(CodecError):
         encode_blocks(code, data.astype(np.float64))
-    # in-range symbols of any integer dtype encode as their uint8 values
-    assert np.array_equal(encode_blocks(code, data), encode_blocks(code, data.astype(np.uint8)))
+    # in-range symbols of any integer dtype encode as their symbol values
+    assert np.array_equal(
+        encode_blocks(code, data), encode_blocks(code, data.astype(field.symbol_dtype))
+    )

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from npcode.galois import (
@@ -10,7 +11,7 @@ from npcode.galois import (
     default_polynomial,
 )
 
-from oracles import gf_inv_ref, gf_mul_ref
+from oracles import gf_inv_ref, gf_mul_ref, gf_order_ref
 
 GF8 = FieldContext(8)
 
@@ -106,11 +107,16 @@ def test_builtin_polynomials_construct(m):
 @pytest.mark.parametrize("m", [9, 12, 16])
 def test_wide_fields_match_oracle(m):
     ctx = FieldContext(m)
-    assert not ctx.has_tables
     rng = random.Random(m)
     for _ in range(200):
         a, b = rng.randrange(ctx.order), rng.randrange(ctx.order)
         assert ctx.mul_int(a, b) == gf_mul_ref(a, b, ctx.reduction_poly, m)
+    # mul_row reads the split tables: every symbol, high byte set or not
+    row = np.array([0, 1, 255, 256, ctx.order - 1] + [rng.randrange(ctx.order) for _ in range(20)])
+    for c in (0, 1, ctx.order - 1, rng.randrange(ctx.order)):
+        got = ctx.mul_row(c, row)
+        assert got.dtype == ctx.symbol_dtype
+        assert got.tolist() == [gf_mul_ref(c, int(x), ctx.reduction_poly, m) for x in row]
     for _ in range(20):
         a = rng.randrange(1, ctx.order)
         assert ctx.mul_int(a, ctx.inv_int(a)) == 1
@@ -149,6 +155,15 @@ def test_element_validation():
         FieldContext(4).element(16)
     assert repr(GF8.element(0x0A)) == "FieldElement(0x0A)"
     assert bool(GF8.zero) is False and bool(GF8.one) is True
+
+
+@pytest.mark.parametrize("m", range(1, 17))
+def test_generator_is_least_of_full_order(m):
+    ctx = FieldContext(m)
+    g = ctx.generator().value
+    poly, q1 = ctx.reduction_poly, ctx.order - 1
+    assert gf_order_ref(g, poly, m) == q1
+    assert all(gf_order_ref(h, poly, m) < q1 for h in range(1, g))
 
 
 def test_generator_has_full_order():

@@ -12,12 +12,13 @@ from npcode.galois import FieldContext
 from oracles import gf_mul_ref
 
 GF8 = FieldContext(8)
+GF16 = FieldContext(16)
 
 
 def _matmul_oracle(a, b, ctx):
     n, kk = a.shape
     mm = b.shape[1]
-    out = np.zeros((n, mm), dtype=np.uint8)
+    out = np.zeros((n, mm), dtype=ctx.symbol_dtype)
     for i in range(n):
         for j in range(mm):
             acc = 0
@@ -35,7 +36,8 @@ def _layouts(x):
 
 
 # (n, kk, mm).  After the first four, mm falls on each side of the 1, 2, 4
-# and 8-byte word widths and of the 8-column chunk boundary.
+# and 8-byte word widths and of the chunk boundaries: 8 one-byte lanes per
+# word for m <= 8, 4 two-byte lanes above.
 _SHAPES = [(1, 1, 1), (5, 3, 4), (17, 8, 2), (40, 6, 6)] + [
     (9, kk, mm)
     for kk, mm in [(16, 1), (2, 2), (5, 3), (16, 4), (3, 5), (8, 8), (16, 9), (1, 16), (16, 17)]
@@ -45,11 +47,12 @@ _SHAPES = [(1, 1, 1), (5, 3, 4), (17, 8, 2), (40, 6, 6)] + [
 @pytest.mark.parametrize("shape", _SHAPES)
 def test_numpy_path_matches_oracle(shape):
     n, kk, mm = shape
-    for m in (1, 2, 4, 8):
+    for m in (1, 2, 4, 8, 9, 12, 16):
         ctx = FieldContext(m)
         rng = np.random.default_rng([n, kk, mm, m])
-        a = rng.integers(0, ctx.order, size=(n, kk), dtype=np.uint8)
-        b = rng.integers(0, ctx.order, size=(kk, mm), dtype=np.uint8)
+        a = rng.integers(0, ctx.order, size=(n, kk), dtype=ctx.symbol_dtype)
+        a[0] = ctx.order - 1  # every bit set, so the high byte too when m > 8
+        b = rng.integers(0, ctx.order, size=(kk, mm), dtype=ctx.symbol_dtype)
         if kk > 1:
             b[kk // 2] = 0
         if mm > 1:
@@ -58,7 +61,7 @@ def test_numpy_path_matches_oracle(shape):
         expect = _matmul_oracle(a, b, ctx)
         for a_in, b_in in product(_layouts(a), _layouts(b)):
             got = kernels.gf_matmul(a_in, b_in, ctx)
-            assert got.shape == (n, mm) and got.dtype == np.uint8
+            assert got.shape == (n, mm) and got.dtype == ctx.symbol_dtype
             assert got.T.flags.c_contiguous
             assert np.array_equal(got, expect)
 
@@ -70,14 +73,17 @@ def test_long_batches_across_slices(mm):
     # both sides of every possible slice edge
     n = 2 * 131_072 + 5
     rng = np.random.default_rng(mm)
-    a = rng.integers(0, 256, size=(n, 3), dtype=np.uint8)
-    b = rng.integers(1, 256, size=(3, mm), dtype=np.uint8)
-    got = kernels.gf_matmul(a, b, GF8)
     edges = [0, n - 1] + [i + d for i in range(16_384, n, 16_384) for d in (-1, 0)]
-    assert np.array_equal(got[edges], _matmul_oracle(a[edges], b, GF8))
+    for ctx in (GF8, GF16):
+        a = rng.integers(0, ctx.order, size=(n, 3), dtype=ctx.symbol_dtype)
+        b = rng.integers(1, ctx.order, size=(3, mm), dtype=ctx.symbol_dtype)
+        got = kernels.gf_matmul(a, b, ctx)
+        assert np.array_equal(got[edges], _matmul_oracle(a[edges], b, ctx))
 
 
-@pytest.mark.parametrize("m, coeff", [(8, -1), (8, 256), (4, 20), (8, 1.9)])
+@pytest.mark.parametrize(
+    "m, coeff", [(8, -1), (8, 256), (4, 20), (8, 1.9), (12, 4096), (16, 65536), (16, -1)]
+)
 def test_rejects_bad_coefficients(m, coeff):
     # unchecked, -1 would read the last table row and 1.9 is no table index
     a = np.array([[3]], dtype=np.uint8)
@@ -120,8 +126,9 @@ def test_zero_and_one_coefficients():
 
 def test_zero_row_batch():
     b = np.arange(1, 13, dtype=np.uint8).reshape(4, 3)
-    got = kernels.gf_matmul(np.zeros((0, 4), dtype=np.uint8), b, GF8)
-    assert got.shape == (0, 3) and got.dtype == np.uint8
+    for ctx in (GF8, GF16):
+        got = kernels.gf_matmul(np.zeros((0, 4), dtype=ctx.symbol_dtype), b, ctx)
+        assert got.shape == (0, 3) and got.dtype == ctx.symbol_dtype
 
 
 def test_small_field_tables():
@@ -145,6 +152,12 @@ def test_non_default_polynomial():
     # polynomial: equal coefficients give other bytes under 0x11B
     assert not np.array_equal(got, under_11b)
     assert np.array_equal(kernels.gf_matmul(a, b, GF8), under_11b)
+    # and follow the field: equal coefficient bytes give other products,
+    # in two-byte symbols, under GF(2^16)
+    wide = kernels.gf_matmul(a, b, GF16)
+    assert wide.dtype == np.uint16
+    assert np.array_equal(wide, _matmul_oracle(a, b, GF16))
+    assert not np.array_equal(wide, under_11b)
 
 
 def test_memo_follows_coefficients_changed_in_place():
