@@ -9,10 +9,12 @@ Single-pair questions are unit-capacity max-flows in which each
 undirected edge carries one unit in at most one direction; flow
 decomposition with lowest-edge-id tie-breaking turns the flow into
 concrete pairwise edge-disjoint paths, whose count equals the minimum
-cut.  Node connectivity splits each node into in/out halves and runs
-Even's algorithm (Even, 1975; Esfahanian & Hakimi, 1984): flows only
-from the first kappa+1 nodes, so O(kappa*n) flows instead of one per
-non-adjacent pair.
+cut.  Node connectivity splits each node into in/out halves.  Its value
+takes Esfahanian & Hakimi's pairs (1984): from a node v of least degree
+delta to each non-neighbour, and between each non-adjacent pair of v's
+neighbours, so O(n + delta^2) flows instead of one per non-adjacent
+pair.  A lexicographic scan of the non-adjacent pairs then takes the
+witness from the first pair that reaches that value.
 
 The multi-pair variant (distinct source-receiver pairs that must be
 mutually edge-disjoint) is NP-complete in general, so it is solved by
@@ -230,14 +232,19 @@ def node_connectivity(g: Graph) -> CutReport:
 
     Node i splits into in-half 2i and out-half 2i+1 joined by an arc of
     capacity 1; each edge becomes two arcs of capacity n, out-half to
-    in-half.  Even's algorithm: a minimum separator misses one of the
-    first kappa+1 nodes, and every node it cuts off from the first such
-    node v_i comes later, so the pairs (v_i, v_j), j > i, find kappa.
-    Hence once the best value so far is at most the source index, it is
-    kappa and the scan stops; each flow stops once it reaches that value.
-    Pairs run in lexicographic order and only a strictly smaller value
-    replaces the witness, so the witness is the minimal cut of the first
-    minimising non-adjacent pair, as a scan of every pair would find.
+    in-half.  The value comes from Esfahanian & Hakimi's pairs: take v, the
+    first node of least degree (distinct neighbours), and start from
+    kappa = deg(v).  A minimum separator either misses v, and then cuts it
+    off from some non-neighbour, or holds v, and then v has a neighbour in
+    every component it leaves, two of them non-adjacent.  So one flow from
+    v to each non-neighbour and one between each non-adjacent pair of v's
+    neighbours find kappa, each flow stopped once it reaches the value so
+    far: at most n - 1 - delta + delta*(delta-1)/2 flows.  The witness is
+    the minimal cut of the first non-adjacent pair, in lexicographic order,
+    whose flow (stopped at kappa + 1) is kappa, as a scan of every pair
+    would find.  Every minimum separator misses one of the first kappa + 1
+    nodes, and the first it misses is cut off from a later node, so that
+    pair comes within the first kappa + 1 rows (one flow on Harary graphs).
     """
     if g.num_nodes == 0:
         raise GraphError("node connectivity needs at least 1 node")
@@ -258,21 +265,27 @@ def node_connectivity(g: Graph) -> CutReport:
         net.add(2 * iv + 1, 2 * iu, n, 0)
         adjacent[iu].add(iv)
         adjacent[iv].add(iu)
-    # every pair adjacent: removals can only reduce to a one-node graph
-    best_value, best_witness = n - 1, tuple(nodes[1:])
-    i = 0
-    while i < best_value:
+    low = min(range(n), key=lambda x: len(adjacent[x]))
+    kappa = len(adjacent[low])
+    if kappa == n - 1:
+        # every pair adjacent: removals can only reduce to a one-node graph
+        return CutReport(n - 1, tuple(nodes[1:]))
+    near = sorted(adjacent[low])
+    pairs = [(low, y) for y in range(n) if y != low and y not in adjacent[low]]
+    pairs += [(x, y) for a, x in enumerate(near) for y in near[a + 1 :] if y not in adjacent[x]]
+    for x, y in pairs:
+        value, parent = _flow(net, net.cap[:], 2 * x + 1, 2 * y, kappa)
+        if parent is not None:
+            kappa = value
+    for i in range(n):
         for j in range(i + 1, n):
-            if j in adjacent[i]:
-                continue
-            value, parent = _flow(net, net.cap[:], 2 * i + 1, 2 * j, best_value)
-            if parent is not None:
-                best_value = value
-                best_witness = tuple(
-                    v for x, v in enumerate(nodes) if parent[2 * x] != -1 and parent[2 * x + 1] == -1
-                )
-        i += 1
-    return CutReport(best_value, best_witness)
+            if j not in adjacent[i]:
+                value, parent = _flow(net, net.cap[:], 2 * i + 1, 2 * j, kappa + 1)
+                if value == kappa:
+                    return CutReport(kappa, tuple(
+                        v for x, v in enumerate(nodes) if parent[2 * x] != -1 and parent[2 * x + 1] == -1
+                    ))
+    raise AssertionError("no non-adjacent pair reaches the node connectivity")
 
 
 # -- multi-pair edge-disjoint paths --------------------------------------------------

@@ -2,9 +2,9 @@
 
 Elements are integers in [0, 2^m) read as polynomials over GF(2): bit i
 is the coefficient of x^i.  A FieldContext pins down the bit width m and
-the degree-m irreducible reduction polynomial; a FieldElement couples a
-value to its context so that values from different fields can never be
-combined silently.
+the degree-m irreducible reduction polynomial, checked with Rabin's
+test; a FieldElement couples a value to its context so that values from
+different fields can never be combined silently.
 
 Contexts with m <= 8 precompute log/antilog tables over a multiplicative
 generator, turning products into two table lookups; wider fields fall
@@ -86,15 +86,50 @@ def _poly_mod(a: int, p: int) -> int:
     return a
 
 
+def _mul_mod(a: int, b: int, p: int) -> int:
+    """a*b mod p over GF(2), for a of degree below deg(p): shift and reduce."""
+    top = 1 << _degree(p)
+    res = 0
+    while b:
+        if b & 1:
+            res ^= a
+        b >>= 1
+        a <<= 1
+        if a & top:
+            a ^= p
+    return res
+
+
+def _prime_factors(n: int) -> list[int]:
+    primes, p = [], 2
+    while p * p <= n:
+        if n % p == 0:
+            primes.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    if n > 1:
+        primes.append(n)
+    return primes
+
+
 def _is_irreducible(p: int) -> bool:
-    """Trial division by every polynomial of degree 1..deg(p)//2."""
+    """Rabin's test (1980): p of degree m is irreducible over GF(2) iff
+    x^(2^m) = x mod p and gcd(x^(2^(m/q)) - x, p) = 1 for each prime q | m."""
     m = _degree(p)
     if m < 1:
         return False
-    if m == 1:
-        return True
-    for d in range(2, 1 << (m // 2 + 1)):
-        if _poly_mod(p, d) == 0:
+    x = _poly_mod(0b10, p)
+    frobenius = [x]  # x^(2^i) mod p
+    for _ in range(m):
+        frobenius.append(_mul_mod(frobenius[-1], frobenius[-1], p))
+    if frobenius[m] != x:
+        return False
+    for q in _prime_factors(m):
+        a, b = p, frobenius[m // q] ^ x
+        while b:
+            a, b = b, _poly_mod(a, b)
+        if a != 1:
             return False
     return True
 
@@ -138,29 +173,10 @@ class FieldContext:
 
     # -- construction helpers -------------------------------------------------
 
-    def _mul_shift_reduce(self, a: int, b: int) -> int:
-        res = 0
-        while b:
-            if b & 1:
-                res ^= a
-            b >>= 1
-            a <<= 1
-            if a & self.order:
-                a ^= self.reduction_poly
-        return res
-
     def _find_generator(self) -> int:
         """The least g of order q-1: g^((q-1)/p) != 1 for each prime p dividing q-1."""
         q1 = self.order - 1
-        primes, n, p = [], q1, 2
-        while p * p <= n:
-            if n % p == 0:
-                primes.append(p)
-                while n % p == 0:
-                    n //= p
-            p += 1
-        if n > 1:
-            primes.append(n)
+        primes = _prime_factors(q1)
         for g in range(1, self.order):
             if all(self.pow_int(g, q1 // p) != 1 for p in primes):
                 return g
@@ -174,7 +190,7 @@ class FieldContext:
         for i in range(q - 1):
             exp[i] = x
             log[x] = i
-            x = self._mul_shift_reduce(x, self._generator_value)
+            x = _mul_mod(x, self._generator_value, self.reduction_poly)
         exp[q - 1 :] = exp[: len(exp) - (q - 1)]
         self.exp_table = exp
         self.log_table = log
@@ -222,7 +238,7 @@ class FieldContext:
         if self.exp_table is not None:
             q1 = self.order - 1
             return int(self.exp_table[(int(self.log_table[a]) + int(self.log_table[b])) % q1])
-        return self._mul_shift_reduce(a, b)
+        return _mul_mod(a, b, self.reduction_poly)
 
     def plane_products(self, coeffs) -> np.ndarray:
         """c * (x << 8p) for each coefficient c, byte plane p and byte x.

@@ -43,6 +43,20 @@ def gf_order_ref(a: int, poly: int, m: int) -> int:
     return order
 
 
+def is_irreducible_ref(poly: int) -> bool:
+    """Trial division over GF(2) by every polynomial of degree 1..deg(poly)//2."""
+    m = poly.bit_length() - 1
+    if m < 1:
+        return False
+    for d in range(2, 1 << (m // 2 + 1)):
+        rest, dd = poly, d.bit_length() - 1
+        while rest and rest.bit_length() - 1 >= dd:
+            rest ^= d << (rest.bit_length() - 1 - dd)
+        if rest == 0:
+            return False
+    return True
+
+
 def gf_dot_ref(xs, ys, poly, m):
     acc = 0
     for x, y in zip(xs, ys):

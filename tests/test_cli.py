@@ -60,6 +60,33 @@ def test_connectivity_pipeline():
     assert doc["node_connectivity"]["value"] == 3
 
 
+def _cut(value, witness):
+    return {"value": value, "witness": witness}
+
+
+@pytest.mark.parametrize("source,expected", [
+    ("harary", {
+        "nodes": 30,
+        "edges": 90,
+        "edge_connectivity": _cut(6, ["e0", "e1", "e2", "e3", "e4", "e5"]),
+        "node_connectivity": _cut(6, ["v1", "v2", "v3", "v27", "v28", "v29"]),
+    }),
+    ("fig2", {
+        "nodes": 10,
+        "edges": 15,
+        "edge_connectivity": _cut(1, ["e14"]),
+        "node_connectivity": _cut(1, ["a2"]),
+    }),
+])
+def test_connectivity_stdout_pinned(source, expected):
+    if source == "harary":
+        res = npcode("connectivity", stdin=npcode("generate", "--harary", "30", "6").stdout)
+    else:
+        res = npcode("connectivity", "--graph", str(FIG2))
+    assert res.returncode == 0
+    assert json.loads(res.stdout) == expected
+
+
 def test_feasibility_exit_codes_and_verify():
     gen = npcode("generate", "--harary", "10", "3")
     ok = npcode(

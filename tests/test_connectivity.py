@@ -343,7 +343,7 @@ def test_disjoint_paths_pinned():
     ]
 
 
-@pytest.mark.parametrize("n,k", [(60, 4), (40, 3)])
+@pytest.mark.parametrize("n,k", [(60, 4), (40, 3), (60, 6)])
 def test_node_connectivity_runs_few_flows(monkeypatch, n, k):
     from npcode import connectivity
 
@@ -356,8 +356,9 @@ def test_node_connectivity_runs_few_flows(monkeypatch, n, k):
 
     monkeypatch.setattr(connectivity, "_flow", counted)
     assert node_connectivity(harary(n, k)).value == k
-    # v0 of a Harary graph is outside a minimum separator, so sources v0..v(k-1) suffice
-    assert len(calls) <= k * n
+    # one flow from v0 to each non-neighbour, one per non-adjacent pair of its
+    # k neighbours, and one for the witness: the first pair (v0, v_j) reaches k
+    assert len(calls) <= n + k * (k - 1) // 2
 
 
 # -- the integer path walker against the string-keyed oracle -------------------------

@@ -8,10 +8,11 @@ from npcode.galois import (
     FieldContext,
     FieldElement,
     FieldMismatchError,
+    _is_irreducible,
     default_polynomial,
 )
 
-from oracles import gf_inv_ref, gf_mul_ref, gf_order_ref
+from oracles import gf_inv_ref, gf_mul_ref, gf_order_ref, is_irreducible_ref
 
 GF8 = FieldContext(8)
 
@@ -135,6 +136,23 @@ def test_context_validation():
     alt = FieldContext(8, 0x11D)
     assert alt != GF8
     assert alt.mul_int(0x02, 0x80) == 0x1D
+
+
+def test_rabin_irreducibility_matches_trial_division():
+    for poly in range(1 << 13):  # every polynomial of degree <= 12
+        assert _is_irreducible(poly) == is_irreducible_ref(poly), hex(poly)
+    for m in range(1, 17):
+        assert _is_irreducible(default_polynomial(m)) and is_irreducible_ref(default_polynomial(m))
+    # x^16 + x^8 + 1 = (x^8 + x^4 + 1)^2 and x^12 + x^6 + 1 = (x^6 + x^3 + 1)^2 over GF(2)
+    for poly in (0x10101, 0x1041):
+        assert not _is_irreducible(poly) and not is_irreducible_ref(poly)
+
+
+def test_reducible_polynomial_message():
+    with pytest.raises(ValueError, match=r"^reduction polynomial 0x10101 is reducible over GF\(2\)$"):
+        FieldContext(16, 0x10101)
+    with pytest.raises(ValueError, match=r"^reduction polynomial 0x18 is reducible over GF\(2\)$"):
+        FieldContext(4, 0x18)
 
 
 def test_context_mixing_is_an_error():
