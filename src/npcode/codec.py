@@ -8,19 +8,19 @@ choice of k-t generator columns invertible, so any t erased positions
 can be solved back from the survivors.
 
 Erasure positions are assumed known (detected failures).  All arithmetic
-runs on integer arrays.  One Gauss-Jordan elimination, `_gf_inverse`,
-systematizes the Vandermonde matrix, tests generator minors in
-`verify_mds` and inverts the decode matrix of an erasure set.  Each code
-caches a decode plan per erasure set, shared by `recover` and
-`recover_blocks`, so a pattern that repeats is inverted once.  Bulk
-payloads go through `kernels.gf_matmul`, for every m <= 16, which packs
-up to eight output bytes into each table gather; its word tables for a
-coefficient matrix (a parity matrix, a decode plan's inverse) are kept
-in the kernel's own memo, within the byte budget
+runs on integer arrays.  One Gauss-Jordan elimination, `_row_reduce`,
+reduces the Vandermonde matrix to [I | P] and, as `_gf_inverse`, tests
+generator minors in `verify_mds` and inverts the decode matrix of an
+erasure set.  Each code caches a decode plan per erasure set, shared by
+`recover` and `recover_blocks`, so a pattern that repeats is inverted
+once.  Every payload goes through `kernels.gf_matmul` (m <= 16), which
+packs up to eight output bytes into each table gather; its word tables
+for a coefficient matrix (a parity matrix, a decode plan's inverse) are
+kept in the kernel's own memo, within the byte budget
 `kernels.TABLE_MEMO_BYTES`, so a repeating pattern also reuses them.
-The scalar `encode` and `recover` scale rows with
-`FieldContext.mul_row`.  FieldElement stays at the API edge: data
-blocks, codewords and `NpcCode.parity`.
+The scalar `encode` and `recover` are one-row calls of `encode_blocks`
+and `recover_blocks`.  FieldElement stays at the API edge: data blocks,
+codewords and `NpcCode.parity`.
 
 The block path keeps symbols column-major, in the field's symbol dtype
 (uint8 for m <= 8, uint16 above): `encode_blocks` returns its (n, k)
@@ -167,31 +167,41 @@ class NpcCode:
 # -- linear algebra over the field on integer arrays ------------------------------
 
 
-def _gf_inverse(a: np.ndarray, field: FieldContext) -> np.ndarray:
-    """Gauss-Jordan inverse of a square integer matrix; CodecError if singular."""
-    n = a.shape[0]
-    aug = np.hstack([a, np.eye(n, dtype=a.dtype)])
+def _times(tables: np.ndarray, row: np.ndarray) -> np.ndarray:
+    """Each coefficient of `tables` (from `plane_products`) times the symbol row."""
+    if tables.shape[1] == 1:
+        return tables[:, 0].take(row, axis=1)
+    return tables[:, 0].take(row & 0xFF, axis=1) ^ tables[:, 1].take(row >> 8, axis=1)
+
+
+def _row_reduce(aug: np.ndarray, field: FieldContext) -> np.ndarray:
+    """Gauss-Jordan: reduce the leading square block of aug to I, in place.
+
+    Per column, one `plane_products` call gives the tables of the pivot's
+    inverse and of the other rows' nonzero factors: one gather normalises
+    the pivot row, one clears those rows.  CodecError if singular.
+    """
+    n = aug.shape[0]
     for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r, col]), None)
+        column = aug[:, col].tolist()
+        pivot = next((r for r in range(col, n) if column[r]), None)
         if pivot is None:
             raise CodecError("singular matrix")
         if pivot != col:
             aug[[col, pivot]] = aug[[pivot, col]]
-        aug[col] = field.mul_row(field.inv_int(int(aug[col, col])), aug[col])
-        for r in range(n):
-            factor = int(aug[r, col])
-            if r != col and factor:
-                aug[r] ^= field.mul_row(factor, aug[col])
-    return aug[:, n:]
+        rows = [r for r in range(n) if column[r] and r != pivot]
+        inv = field.inv_int(column[pivot])
+        if inv != 1 or rows:
+            tables = field.plane_products([inv] + [column[r] for r in rows])
+            aug[col, col:] = _times(tables[:1], aug[col, col:])[0]
+            aug[rows, col:] ^= _times(tables[1:], aug[col, col:])
+    return aug
 
 
-def _vec_mat(field: FieldContext, x, m: np.ndarray) -> np.ndarray:
-    """The row vector x times the integer matrix m over the field."""
-    acc = np.zeros(m.shape[1], dtype=m.dtype)
-    for xi, row in zip(x, m):
-        if xi:
-            acc ^= field.mul_row(xi, row)
-    return acc
+def _gf_inverse(a: np.ndarray, field: FieldContext) -> np.ndarray:
+    """Gauss-Jordan inverse of a square integer matrix; CodecError if singular."""
+    n = a.shape[0]
+    return _row_reduce(np.hstack([a, np.eye(n, dtype=a.dtype)]), field)[:, n:]
 
 
 # -- code construction ----------------------------------------------------------
@@ -217,13 +227,14 @@ def build_code(k: int, t: int, field: FieldContext | None = None) -> NpcCode:
         )
     d = k - t
     g = field.generator().value
-    points = [0] + [field.pow_int(g, i) for i in range(k - 1)]
-    vander = np.array(
-        [[field.pow_int(x, i) for x in points] for i in range(d)], dtype=field.symbol_dtype
-    )
-    lead_inv = _gf_inverse(vander[:, :d], field)
-    parity = [_vec_mat(field, row, vander[:, d:]) for row in lead_inv]
-    return NpcCode(k, t, field, [field.elements(int(v) for v in row) for row in parity])
+    points = [0, 1]
+    while len(points) < k:
+        points.append(field.mul_int(points[-1], g))
+    rows = [[1] * k]
+    while len(rows) < d:
+        rows.append([field.mul_int(x, y) for x, y in zip(rows[-1], points)])
+    parity = _row_reduce(np.array(rows, dtype=field.symbol_dtype), field)[:, d:]
+    return NpcCode(k, t, field, [field.elements(row) for row in parity.tolist()])
 
 
 def verify_mds(code: NpcCode) -> bool:
@@ -278,36 +289,25 @@ def encode(code: NpcCode, data: DataBlock | Sequence[FieldElement]) -> Codeword:
         raise CodecError(f"expected {code.data_len} data symbols, got {len(symbols)}")
     f = code.field
     f._check(*symbols)
-    parity = _vec_mat(f, [s.value for s in symbols], code.parity_int_matrix())
-    return Codeword(symbols + tuple(FieldElement(int(v), f) for v in parity))
+    word = encode_blocks(code, np.array([[s.value for s in symbols]], dtype=f.symbol_dtype))[0]
+    return Codeword(symbols + tuple(f.elements(word[code.data_len :].tolist())))
 
 
 def recover(code: NpcCode, received: Codeword) -> DataBlock:
     """Solve the data back from any k-t surviving symbols.
 
-    Raises CapacityExceededError past t erasures and
-    InconsistentSymbolsError when the survivors fit no codeword.
+    Erased symbols are ignored.  Raises CapacityExceededError past t
+    erasures and InconsistentSymbolsError when the survivors fit no
+    codeword.
     """
     if len(received.symbols) != code.k:
         raise CodecError(f"expected {code.k} symbols, got {len(received.symbols)}")
-    use, solve, check = _decode_plan(code, received.erased)
+    use, _, check = _decode_plan(code, received.erased)
     f = code.field
     f._check(*(received.symbols[i] for i in use + check))
-    values = [s.value for s in received.symbols]
-    if solve is None:
-        data = DataBlock(received.symbols[: code.data_len])
-        solved = values[: code.data_len]
-    else:
-        solved = _vec_mat(f, [values[i] for i in use], solve)
-        data = DataBlock(tuple(FieldElement(int(v), f) for v in solved))
-    if check:
-        expect = _vec_mat(f, solved, code.generator_int_matrix()[:, check])
-        for pos, v in zip(check, expect):
-            if v != values[pos]:
-                raise InconsistentSymbolsError(
-                    f"surviving symbol at position {pos} fits no codeword"
-                )
-    return data
+    values = [0 if i in received.erased else s.value for i, s in enumerate(received.symbols)]
+    data = recover_blocks(code, np.array([values], dtype=f.symbol_dtype), received.erased)[0]
+    return DataBlock(tuple(f.elements(data.tolist())))
 
 
 # -- block (bulk) encode / recover ------------------------------------------------

@@ -245,6 +245,7 @@ def node_connectivity(g: Graph) -> CutReport:
     would find.  Every minimum separator misses one of the first kappa + 1
     nodes, and the first it misses is cut off from a later node, so that
     pair comes within the first kappa + 1 rows (one flow on Harary graphs).
+    The scan skips each pair whose value-phase flow, either way, passed kappa.
     """
     if g.num_nodes == 0:
         raise GraphError("node connectivity needs at least 1 node")
@@ -273,13 +274,15 @@ def node_connectivity(g: Graph) -> CutReport:
     near = sorted(adjacent[low])
     pairs = [(low, y) for y in range(n) if y != low and y not in adjacent[low]]
     pairs += [(x, y) for a, x in enumerate(near) for y in near[a + 1 :] if y not in adjacent[x]]
+    known = {}  # a lower bound on each flown pair's local connectivity
     for x, y in pairs:
         value, parent = _flow(net, net.cap[:], 2 * x + 1, 2 * y, kappa)
+        known[min(x, y), max(x, y)] = value
         if parent is not None:
             kappa = value
     for i in range(n):
         for j in range(i + 1, n):
-            if j not in adjacent[i]:
+            if j not in adjacent[i] and known.get((i, j), kappa) <= kappa:
                 value, parent = _flow(net, net.cap[:], 2 * i + 1, 2 * j, kappa + 1)
                 if value == kappa:
                     return CutReport(kappa, tuple(

@@ -15,11 +15,12 @@ field, `symbol_dtype`: uint8 for m <= 8, uint16 above.  The context owns
 array multiplication: `plane_products` gives, for each coefficient c,
 the products c * (x << 8p) for every byte x of every byte plane p of a
 symbol (a row of `mul_table` when m <= 8, two 256-entry split tables
-above), so c * s is the XOR of one lookup per byte of s.  `mul_row`
-scales a symbol array by one element with those tables, and
-`kernels.gf_matmul` packs them into its word tables.  Contexts are
-immutable after construction and safe to share across threads; every
-operation is pure.
+above), so c * s is the XOR of one lookup per byte of s.
+`kernels.gf_matmul` packs them into its word tables, and the codec's
+Gauss-Jordan elimination gathers its row updates from them.  Wider
+fields invert by the extended Euclidean algorithm over GF(2)[x].
+Contexts are immutable after construction and safe to share across
+threads; every operation is pure.
 """
 
 from __future__ import annotations
@@ -261,24 +262,19 @@ class FieldContext:
             out[..., 1 << j : 2 << j] = out[..., : 1 << j] ^ bits[..., j, None]
         return out
 
-    def mul_row(self, c: int, row: np.ndarray) -> np.ndarray:
-        """c times every symbol of an integer array, as a new symbol_dtype array.
-
-        Reads row c of the product table when m <= 8, else c's split tables.
-        """
-        if self.exp_table is not None:
-            return self.mul_table[c].take(row)
-        low, high = self.plane_products(c)
-        return low.take(row & 0xFF) ^ high.take(row >> 8)
-
     def inv_int(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("zero has no multiplicative inverse")
         if self.exp_table is not None:
             q1 = self.order - 1
             return int(self.exp_table[(q1 - int(self.log_table[a])) % q1])
-        # a^(q-2) by square and multiply
-        return self.pow_int(a, self.order - 2)
+        u, v, g1, g2 = a, self.reduction_poly, 1, 0  # extended Euclid: g1*a = u, g2*a = v
+        while u != 1:
+            j = _degree(u) - _degree(v)
+            if j < 0:
+                u, v, g1, g2, j = v, u, g2, g1, -j
+            u, g1 = u ^ v << j, g1 ^ g2 << j
+        return g1
 
     def pow_int(self, a: int, e: int) -> int:
         if e < 0:

@@ -65,7 +65,12 @@ def gf_dot_ref(xs, ys, poly, m):
 
 
 def rank_ref(rows, poly, m):
-    """Row rank over GF(2^m) by from-scratch elimination on ints."""
+    """Row rank over GF(2^m) by from-scratch elimination on ints.
+
+    Fraction-free: a row below the pivot row becomes p * row + f * pivot row,
+    p the pivot and f the row's entry, which needs no inverse (so no
+    exhaustive inverse search on wide fields) and keeps the rank.
+    """
     work = [list(r) for r in rows]
     n_cols = len(work[0]) if work else 0
     rank = 0
@@ -74,12 +79,12 @@ def rank_ref(rows, poly, m):
         if pivot is None:
             continue
         work[rank], work[pivot] = work[pivot], work[rank]
-        inv = gf_inv_ref(work[rank][col], poly, m)
-        work[rank] = [gf_mul_ref(x, inv, poly, m) for x in work[rank]]
-        for i in range(len(work)):
-            if i != rank and work[i][col]:
-                f = work[i][col]
-                work[i] = [x ^ gf_mul_ref(f, y, poly, m) for x, y in zip(work[i], work[rank])]
+        p = work[rank][col]
+        for i in range(rank + 1, len(work)):
+            f = work[i][col]
+            if f:
+                work[i] = [gf_mul_ref(p, x, poly, m) ^ gf_mul_ref(f, y, poly, m)
+                           for x, y in zip(work[i], work[rank])]
         rank += 1
     return rank
 

@@ -21,11 +21,23 @@ from npcode.codec import (
     recover_blocks,
     verify_mds,
 )
-from npcode.galois import FieldContext
+from npcode.galois import FieldContext, FieldMismatchError
 
 from oracles import columns_independent_gf2_ref, gf_dot_ref, gf_mul_ref, rank_ref
 
 GF8 = FieldContext(8)
+
+
+def _encode_ref(code, data):
+    """np.hstack([data, data @ P]) over the field, one dot product at a time."""
+    f = code.field
+    p = code.parity_int_matrix()
+    parity = [
+        [gf_dot_ref([int(x) for x in row], [int(c) for c in p[:, j]], f.reduction_poly, f.m)
+         for j in range(code.t)]
+        for row in data
+    ]
+    return np.hstack([np.asarray(data), np.array(parity, dtype=np.int64).reshape(-1, code.t)])
 
 
 def test_smallest_code_has_nonzero_parity():
@@ -188,38 +200,62 @@ def test_round_trip_grid_small():
                 assert np.array_equal(recover_blocks(code, received, pattern), data)
 
 
-def test_blocks_agree_with_scalar_path():
+def test_scalar_and_block_codecs_match_oracle():
     code = build_code(6, 2, GF8)
     rng = np.random.default_rng(23)
     data = rng.integers(0, 256, size=(7, 4), dtype=np.uint8)
+    expect = _encode_ref(code, data)
     sent = encode_blocks(code, data)
-    for row, block in zip(sent, data):
-        scalar = encode(code, DataBlock.of(GF8, [int(x) for x in block]))
-        assert scalar.values() == [int(x) for x in row]
+    assert np.array_equal(sent, expect)
     pattern = [1, 4]
     received = sent.copy()
     received[:, pattern] = 0
-    bulk = recover_blocks(code, received, pattern)
-    for row, got in zip(sent, bulk):
-        cw = Codeword.of(GF8, [int(x) for x in row]).with_erasures(pattern)
-        assert recover(code, cw).values() == [int(x) for x in got]
+    assert np.array_equal(recover_blocks(code, received, pattern), data)
+    for block, row in zip(data, expect):
+        cw = encode(code, DataBlock.of(GF8, block.tolist()))
+        assert cw.values() == row.tolist()
+        assert recover(code, cw.with_erasures(pattern)).values() == block.tolist()
 
 
 def test_wide_field_scalar_codec():
-    # GF(2^12) runs the block codec on uint16 symbols, and the scalar
-    # codec stays its reference
+    # GF(2^12) runs the codec on uint16 symbols: parity from the oracle's
+    # dot products, data back from the survivors
     ctx = FieldContext(12)
     code = build_code(5, 2, ctx)
     data = np.array([[4000, 17, 2049], [4095, 0, 256]], dtype=np.uint16)
+    expect = _encode_ref(code, data)
     sent = encode_blocks(code, data)
     assert sent.dtype == np.uint16
+    assert np.array_equal(sent, expect)
     received = sent.copy()
     received[:, [0, 3]] = 0
     assert np.array_equal(recover_blocks(code, received, [0, 3]), data)
-    for block, row in zip(data, sent):
+    for block, row in zip(data, expect):
         cw = encode(code, DataBlock.of(ctx, block.tolist()))
         assert cw.values() == row.tolist()
         assert recover(code, cw.with_erasures([0, 3])).values() == block.tolist()
+
+
+def test_scalar_api_edge():
+    code = build_code(6, 2, GF8)
+    data = DataBlock.of(GF8, [1, 2, 3, 4])
+    cw = encode(code, data)
+    # an erased slot is ignored, whatever it holds: a foreign element, or one
+    # outside GF(2^8)
+    for junk in (FieldContext(8, 0x11D).element(0xAB), FieldContext(16).element(0xFFFF)):
+        symbols = list(cw.symbols)
+        symbols[2] = symbols[5] = junk
+        assert recover(code, Codeword(tuple(symbols), frozenset({2, 5}))) == data
+    # a survivor or a data symbol from another field is an error
+    other = FieldContext(8, 0x11D)
+    with pytest.raises(FieldMismatchError):
+        recover(code, Codeword(cw.symbols[:3] + (other.element(1),) + cw.symbols[4:]))
+    with pytest.raises(FieldMismatchError):
+        encode(code, DataBlock(data.symbols[:3] + (other.element(4),)))
+    with pytest.raises(CodecError):
+        encode(code, DataBlock(data.symbols[:3]))
+    with pytest.raises(CodecError):
+        recover(code, Codeword(cw.symbols[:5]))
 
 
 def test_parity_uses_oracle_arithmetic():
@@ -278,17 +314,55 @@ def test_property_block_round_trip(case):
 
 @settings(max_examples=100, deadline=None)
 @given(_cases())
-def test_property_scalar_agrees_with_blocks(case):
+def test_property_scalar_and_block_codecs_match_oracle(case):
     code, data, erased = case
     f = code.field
-    sent = encode_blocks(code, data)
-    received = sent.copy()
-    received[:, erased] = 0
-    bulk = recover_blocks(code, received, erased)
-    for block, row, got in zip(data, sent, bulk):
-        cw = encode(code, DataBlock.of(f, [int(x) for x in block]))
-        assert cw.values() == [int(x) for x in row]
-        assert recover(code, cw.with_erasures(erased)).values() == [int(x) for x in got]
+    expect = _encode_ref(code, data)
+    assert np.array_equal(encode_blocks(code, data), expect)
+    for block, row in zip(data, expect):
+        cw = encode(code, DataBlock.of(f, block.tolist()))
+        assert cw.values() == row.tolist()
+        assert recover(code, cw.with_erasures(erased)).values() == block.tolist()
+
+
+def _singular(rng, a, f):
+    """a with its last row replaced by a combination of two others, by the oracle."""
+    n = a.shape[0]
+    i, j = rng.integers(0, n - 1, size=2)
+    c1, c2 = (int(c) for c in rng.integers(0, f.order, size=2))
+    a = a.copy()
+    a[-1] = [gf_mul_ref(c1, int(x), f.reduction_poly, f.m) ^ gf_mul_ref(c2, int(y), f.reduction_poly, f.m)
+             for x, y in zip(a[i], a[j])]
+    return a
+
+
+@pytest.mark.parametrize("name", sorted(PROPERTY_FIELDS))
+def test_gf_inverse_matches_oracle(name):
+    """Dense, near-identity (a decode plan's shape) and singular matrices up to 16 x 16."""
+    f = PROPERTY_FIELDS[name]
+    rng = np.random.default_rng(f.m * f.reduction_poly)
+    seen = {"inverted": 0, "singular": 0}
+    for n in (1, 2, 3, 5, 8, 12, 16):
+        dense = rng.integers(0, f.order, size=(n, n)).astype(f.symbol_dtype)
+        near = np.eye(n, dtype=f.symbol_dtype)
+        swap = rng.choice(n, size=rng.integers(1, n + 1), replace=False)
+        near[:, swap] = rng.integers(0, f.order, size=(n, len(swap)))
+        cases = [dense, near]
+        if n > 1:
+            cases += [_singular(rng, dense, f), _singular(rng, near, f)]
+        cases.append(np.zeros((n, n), dtype=f.symbol_dtype))
+        for a in cases:
+            rows = a.tolist()
+            try:
+                inv = codec_module._gf_inverse(a, f)
+            except CodecError:
+                assert rank_ref(rows, f.reduction_poly, f.m) < n
+                seen["singular"] += 1
+                continue
+            cols = inv.T.tolist()
+            assert [[gf_dot_ref(r, c, f.reduction_poly, f.m) for c in cols] for r in rows] == np.eye(n, dtype=int).tolist()
+            seen["inverted"] += 1
+    assert seen["inverted"] >= 7 and seen["singular"] >= 7
 
 
 @settings(max_examples=150, deadline=None)
@@ -369,18 +443,6 @@ def test_invalid_erasure_sets_are_not_cached():
 
 
 # -- the block layout contract and symbol range checks ------------------------------
-
-
-def _encode_ref(code, data):
-    """np.hstack([data, data @ P]) over the field, one dot product at a time."""
-    f = code.field
-    p = code.parity_int_matrix()
-    parity = [
-        [gf_dot_ref([int(x) for x in row], [int(c) for c in p[:, j]], f.reduction_poly, f.m)
-         for j in range(code.t)]
-        for row in data
-    ]
-    return np.hstack([np.asarray(data, dtype=np.uint8), np.array(parity, dtype=np.uint8)])
 
 
 @pytest.mark.parametrize("blocks", [1, 17, 64])

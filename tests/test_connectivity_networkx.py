@@ -273,3 +273,46 @@ def _multigraphs(draw):
 def test_node_connectivity_matches_node_cut_ref_hypothesis(g):
     rep = node_connectivity(g)
     assert (rep.value, rep.witness) == node_cut_ref(g)
+
+
+def _separated_blocks(kappa, m, seed):
+    """Two K_m blocks joined only through kappa separator nodes that come first.
+
+    Each separator has 3 to 5 neighbours in each block, so the least degree
+    exceeds kappa and the first minimising pair lies past the separators' rows.
+    """
+    rng = random.Random(seed)
+    g = Graph()
+    separators = [g.add_node() for _ in range(kappa)]
+    blocks = [_complete_graph(m) for _ in range(2)]
+    for side, block in zip("AB", blocks):
+        for v in block.nodes:
+            g.add_node("relay", side + v)
+        for u, v in block.edges.values():
+            g.add_edge(side + u, side + v)
+    for s in separators:
+        for side, block in zip("AB", blocks):
+            for v in rng.sample(list(block.nodes), rng.randint(3, 5)):
+                g.add_edge(s, side + v)
+    return g
+
+
+@pytest.mark.parametrize("kappa,m,seed,rerun_flows", [(2, 12, 6, 66), (3, 20, 28, 151)])
+def test_witness_scan_skips_pairs_the_value_phase_passed(monkeypatch, kappa, m, seed, rerun_flows):
+    from npcode import connectivity
+
+    g = _separated_blocks(kappa, m, seed)
+    assert g.num_nodes == kappa + 2 * m
+    calls = []
+    flow = connectivity._flow
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return flow(*args, **kwargs)
+
+    monkeypatch.setattr(connectivity, "_flow", counted)
+    rep = node_connectivity(g)
+    assert (rep.value, rep.witness) == node_cut_ref(g)
+    assert rep.value == kappa
+    # a scan that reflows every pair of the separators' rows takes rerun_flows
+    assert len(calls) < rerun_flows

@@ -112,11 +112,14 @@ def test_wide_fields_match_oracle(m):
     for _ in range(200):
         a, b = rng.randrange(ctx.order), rng.randrange(ctx.order)
         assert ctx.mul_int(a, b) == gf_mul_ref(a, b, ctx.reduction_poly, m)
-    # mul_row reads the split tables: every symbol, high byte set or not
+    # c * s is the XOR of c's split-table entries at s's low and high bytes:
+    # every symbol, high byte set or not
     row = np.array([0, 1, 255, 256, ctx.order - 1] + [rng.randrange(ctx.order) for _ in range(20)])
-    for c in (0, 1, ctx.order - 1, rng.randrange(ctx.order)):
-        got = ctx.mul_row(c, row)
-        assert got.dtype == ctx.symbol_dtype
+    coeffs = [0, 1, ctx.order - 1, rng.randrange(ctx.order)]
+    products = ctx.plane_products(coeffs)
+    assert products.shape == (4, 2, 256) and products.dtype == ctx.symbol_dtype
+    for c, (low, high) in zip(coeffs, products):
+        got = low[row & 0xFF] ^ high[row >> 8]
         assert got.tolist() == [gf_mul_ref(c, int(x), ctx.reduction_poly, m) for x in row]
     for _ in range(20):
         a = rng.randrange(1, ctx.order)
