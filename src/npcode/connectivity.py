@@ -336,32 +336,38 @@ def _reverse_path(p: Path) -> Path:
 
 
 # -- the integer path walker -----------------------------------------------------------
-# Each multi-pair search builds one read-only integer snapshot of the graph:
-# node i is the i-th of g.nodes, edge j the j-th edge in edge-id order and
-# bit 1 << j of an edge mask, and adj[i] lists (bit, j, neighbour) for the
-# edges at node i, lowest j first.  Walks try edges in that order, so paths
-# come out lowest-edge-id first.  A search carries each path as its edge
-# mask and traces it back to a string Path only for the result.
+# Each multi-pair search, and the feasibility search's tree placement, builds
+# one read-only integer snapshot of the graph: node i is the i-th of g.nodes,
+# edge j the j-th of g.edges (the order edges were added in) and bit 1 << j of
+# an edge mask.  edge_ends[j] holds its two nodes, and adj[i] lists (bit, j,
+# neighbour) for the edges at node i, lowest j first.  Walks try edges in that
+# order, so paths come out lowest-edge-id first.  A search carries each path
+# or tree as its edge mask and traces it back to edge ids only for the result.
 
 
 class _Snapshot:
-    __slots__ = ("nodes", "edges", "adj", "inc", "full", "ends", "repeated", "net")
+    __slots__ = ("nodes", "edges", "edge_ends", "adj", "inc", "full", "ends", "repeated", "net")
 
-    def __init__(self, g: Graph, pairs: Sequence[tuple[str, str]]):
+    def __init__(self, g: Graph, pairs: Sequence[tuple[str, str]] = ()):
         self.nodes = list(g.nodes)
         self.edges = list(g.edges)
         index = {v: i for i, v in enumerate(self.nodes)}
-        self.adj: list[list[tuple[int, int, int]]] = [[] for _ in self.nodes]
-        for j, (u, v) in enumerate(g.edges.values()):
-            self.adj[index[u]].append((1 << j, j, index[v]))
-            self.adj[index[v]].append((1 << j, j, index[u]))
-        self.inc = [sum(bit for bit, _, _ in at) for at in self.adj]  # edge mask per node
+        self.edge_ends = [(index[u], index[v]) for u, v in g.edges.values()]
+        adj: list[list[tuple[int, int, int]]] = [[] for _ in self.nodes]
+        inc = [0] * len(self.nodes)  # edge mask per node
+        for j, (u, v) in enumerate(self.edge_ends):
+            bit = 1 << j
+            adj[u].append((bit, j, v))
+            adj[v].append((bit, j, u))
+            inc[u] |= bit
+            inc[v] |= bit
+        self.adj, self.inc = adj, inc
         self.full = (1 << len(self.edges)) - 1
         self.ends = [(index[s], index[r]) for s, r in pairs]
         # repeated[i]: (s, r, count) for each pair that occurs count > 1 times in ends[i:]
         self.repeated = [[(*pair, c) for pair, c in Counter(self.ends[i:]).items() if c > 1]
                          for i in range(len(self.ends))]
-        self.net = _edge_network(g)[0] if self.repeated[0] else None
+        self.net = _edge_network(g)[0] if any(self.repeated) else None
 
     def bounds(self, i: int, avail: int) -> list[list[int]] | None:
         """Hop counts to the receivers of pairs i.. within avail, or None when
@@ -435,7 +441,7 @@ def _distances(adj, root: int, avail: int) -> list[int]:
 
 
 def iter_disjoint_path_sets(
-    g: Graph, pairs: Sequence[tuple[str, str]], allowed: set[str] | None = None
+    g: Graph, pairs: Sequence[tuple[str, str]]
 ) -> Iterator[DisjointPathSet]:
     """Every distinct used-edge set of a pairwise edge-disjoint path assignment, once.
 
@@ -467,10 +473,7 @@ def iter_disjoint_path_sets(
                 walks[i] = mask
                 yield from walk(i + 1, avail ^ mask)
 
-    if allowed is None:
-        yield from walk(0, snap.full)
-    else:
-        yield from walk(0, sum(1 << j for j, e in enumerate(snap.edges) if e in allowed))
+    yield from walk(0, snap.full)
 
 
 def find_disjoint_paths_multi(

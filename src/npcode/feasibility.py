@@ -11,9 +11,13 @@ strictly infeasible).
 The search is exact: path assignments are enumerated exhaustively, one
 per distinct set of used edges (all that a tree placement depends on),
 and, for each, minimal source-connecting trees are enumerated in the
-leftover edges until a receiver tree fits too.  A
-"feasible" answer always carries a full witness; an "infeasible" answer
+leftover edges until a receiver tree fits too.  Paths and trees are
+found on the same integer snapshot of the graph (`connectivity._Snapshot`),
+with edge sets as int masks; trees become edge ids only in the report.
+A "feasible" answer always carries a full witness; an "infeasible" answer
 means the whole space was exhausted, or names a cut certificate.
+The independent checks (`verify_report`, the certificate recount) stay
+on edge ids.
 
 A certificate is a node set X.  Every path of a pair that X separates
 crosses X, and so does each tree whose terminals X splits; in strict
@@ -31,8 +35,10 @@ from typing import Iterator, Sequence
 
 from .connectivity import (
     SearchBudgetExceeded,
+    _distances,
     _edge_network,
     _flow,
+    _Snapshot,
     find_disjoint_paths_multi,
     is_k_edge_connected,
     iter_disjoint_path_sets,
@@ -140,146 +146,125 @@ class FeasibilityReport:
 
 
 # -- tree machinery -----------------------------------------------------------------
+# Trees are placed on the search's integer snapshot (connectivity._Snapshot):
+# terminals are node indices, a pool or a tree is an edge mask, and the lowest
+# bit is the lowest edge id, so growing trees lowest bit first keeps the
+# enumeration order of the edge ids.
 
 
-def _prune_to_terminals(g: Graph, edges: frozenset[str], terminals: set[str]) -> tuple[str, ...]:
-    """Drop leaf branches that end outside the terminal set."""
-    chosen = set(edges)
+def _prune_to_terminals(snap: _Snapshot, chosen: int, terminals: int) -> int:
+    """Drop leaf branches that end outside the terminal set (a node mask)."""
     while True:
-        degree: dict[str, list[str]] = {}
-        for e in chosen:
-            u, v = g.edges[e]
-            degree.setdefault(u, []).append(e)
-            degree.setdefault(v, []).append(e)
-        removable = [
-            elist[0]
-            for node, elist in degree.items()
-            if len(elist) == 1 and node not in terminals
-        ]
-        if not removable:
-            break
-        chosen.difference_update(removable)
-    return tuple(sorted(chosen, key=g.edge_order))
+        leaves = 0
+        for x, at in enumerate(snap.inc):
+            at &= chosen
+            if at and not at & (at - 1) and not terminals >> x & 1:
+                leaves |= at
+        if not leaves:
+            return chosen
+        chosen &= ~leaves
 
 
-def _tree_for_terminals(g: Graph, pool: set[str], terminals: Sequence[str]) -> tuple[str, ...] | None:
-    """First tree connecting the terminals inside the pool, or None."""
-    terms = list(terminals)
-    if len(terms) <= 1:
-        return ()
-    root = terms[0]
-    parent_edge: dict[str, str] = {}
-    seen = {root}
+def _tree_for_terminals(snap: _Snapshot, pool: int, terminals: Sequence[int]) -> int | None:
+    """First tree connecting the terminals inside the pool, or None.
+
+    The tree joins the BFS-tree paths from each terminal back to the first
+    one; every leaf of that union is a terminal, so there is nothing to prune.
+    """
+    if len(terminals) <= 1:
+        return 0
+    root = terminals[0]
+    reached_by = [0] * len(snap.nodes)  # the edge bit that first reached each node
+    seen = 1 << root
     queue = [root]
-    while queue:
-        x = queue.pop(0)
-        for e in g._adj[x]:
-            if e not in pool:
-                continue
-            y = g.other_end(e, x)
-            if y not in seen:
-                seen.add(y)
-                parent_edge[y] = e
+    for x in queue:
+        for bit, _, y in snap.adj[x]:
+            if pool & bit and not seen >> y & 1:
+                seen |= 1 << y
+                reached_by[y] = bit
                 queue.append(y)
-    if not set(terms) <= seen:
+    if any(not seen >> t & 1 for t in terminals):
         return None
-    chosen: set[str] = set()
-    for t in terms[1:]:
-        node = t
-        while node != root:
-            e = parent_edge[node]
-            if e in chosen:
-                break
-            chosen.add(e)
-            node = g.other_end(e, node)
-    return _prune_to_terminals(g, frozenset(chosen), set(terms))
+    chosen = 0
+    for x in terminals[1:]:
+        while x != root and not chosen & reached_by[x]:
+            bit = reached_by[x]
+            chosen |= bit
+            u, v = snap.edge_ends[bit.bit_length() - 1]
+            x = u if v == x else v
+    return chosen
 
 
-def _iter_steiner_trees(g: Graph, pool: set[str], terminals: Sequence[str]) -> Iterator[frozenset[str]]:
-    """All inclusion-minimal trees connecting the terminals, each once."""
-    terms = set(terminals)
-    if len(terms) <= 1:
-        yield frozenset()
+def _iter_steiner_trees(snap: _Snapshot, pool: int, terminals: Sequence[int]) -> Iterator[int]:
+    """All inclusion-minimal trees connecting the terminals, each once.
+
+    A state grows a tree from the first terminal: component is its node
+    mask, touched the edges at those nodes and inner the edges with both
+    ends in it.  The state either takes the lowest boundary edge left in the
+    pool or bans it, the latter only while the terminals stay reachable.
+    """
+    if len(terminals) <= 1:
+        yield 0
         return
-    root = next(iter(terminals))
-    seen_trees: set[frozenset[str]] = set()
+    adj, inc, edge_ends = snap.adj, snap.inc, snap.edge_ends
+    root = terminals[0]
+    terms = sum(1 << t for t in terminals)
+    seen_trees: set[int] = set()
     states = 0
 
-    def reachable_ok(component: set[str], banned: set[str]) -> bool:
-        live = pool - banned
-        seen = set(component)
-        stack = list(component)
-        while stack:
-            x = stack.pop()
-            for e in g._adj[x]:
-                if e not in live:
-                    continue
-                y = g.other_end(e, x)
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        return terms <= seen
-
-    def rec(component: set[str], chosen: tuple[str, ...], banned: set[str]) -> Iterator[frozenset[str]]:
+    def rec(component: int, touched: int, inner: int, chosen: int, banned: int) -> Iterator[int]:
         nonlocal states
         states += 1
         if states > _TREE_ENUM_CAP:
             raise SearchBudgetExceeded("tree enumeration cap exceeded")
-        if terms <= component:
-            tree = frozenset(_prune_to_terminals(g, frozenset(chosen), terms))
+        if not terms & ~component:
+            tree = _prune_to_terminals(snap, chosen, terms)
             if tree not in seen_trees:
                 seen_trees.add(tree)
                 yield tree
             return
-        boundary = None
-        for e in sorted(pool - banned, key=g.edge_order):
-            if e in chosen:
-                continue
-            u, v = g.edges[e]
-            if (u in component) != (v in component):
-                boundary = e
-                break
-        if boundary is None:
+        boundary = touched & ~inner & pool & ~banned
+        if not boundary:
             return
-        u, v = g.edges[boundary]
-        grown = v if u in component else u
-        yield from rec(component | {grown}, chosen + (boundary,), banned)
-        banned2 = banned | {boundary}
-        if reachable_ok(component, banned2):
-            yield from rec(component, chosen, banned2)
+        bit = boundary & -boundary
+        u, v = edge_ends[bit.bit_length() - 1]
+        grown = v if component >> u & 1 else u
+        yield from rec(component | 1 << grown, touched | inc[grown],
+                       inner | (inc[grown] & touched), chosen | bit, banned)
+        banned |= bit
+        dist = _distances(adj, root, pool & ~banned)
+        if all(dist[t] >= 0 for t in terminals):
+            yield from rec(component, touched, inner, chosen, banned)
 
-    yield from rec({root}, (), set())
+    yield from rec(1 << root, inc[root], 0, 0, 0)
 
 
 # -- the feasibility search -----------------------------------------------------------
 
 
 def _witness_for_path_set(
-    g: Graph,
-    paths: DisjointPathSet,
-    sources: Sequence[str],
-    receivers: Sequence[str],
+    snap: _Snapshot,
+    used: int,
+    sources: Sequence[int],
+    receivers: Sequence[int],
     relaxed: bool,
-) -> tuple[tuple[str, ...] | None, tuple[str, ...] | None, bool]:
-    """Try to place both trees around a fixed path set.
+) -> tuple[int | None, int | None, bool]:
+    """Try to place both trees around a path set's used edges (a mask).
 
-    Returns (source_tree, receiver_tree, source_tree_found); the trees
-    are None when no placement exists for this path set.  An empty
-    tuple is a valid tree for a single terminal.
+    Returns (source_tree, receiver_tree, source_tree_found) as edge masks;
+    the trees are None when no placement exists for this path set.  An
+    empty mask is a valid tree for a single terminal.
     """
-    used = paths.edge_ids()
-    spool = set(g.edges) if relaxed else set(g.edges) - used
+    spool = snap.full if relaxed else snap.full & ~used
     if len(sources) <= 1:
-        rtree = _tree_for_terminals(g, spool, receivers)
-        if rtree is not None:
-            return (), rtree, True
-        return None, None, True
+        rtree = _tree_for_terminals(snap, spool, receivers)
+        return (None if rtree is None else 0), rtree, True
     source_tree_found = False
-    for stree in _iter_steiner_trees(g, spool, sources):
+    for stree in _iter_steiner_trees(snap, spool, sources):
         source_tree_found = True
-        rtree = _tree_for_terminals(g, spool - stree, receivers)
+        rtree = _tree_for_terminals(snap, spool & ~stree, receivers)
         if rtree is not None:
-            return tuple(sorted(stree, key=g.edge_order)), rtree, True
+            return stree, rtree, True
     return None, None, source_tree_found
 
 
@@ -338,22 +323,36 @@ def _search(g: Graph, pairs: list[tuple[str, str]], sources, receivers, relaxed:
     fast = find_disjoint_paths_multi(g, pairs)
     if fast is None:
         return FeasibilityReport(False, failure_reason=REASON_PATHS, relaxed=relaxed)
-    stree, rtree, any_source_tree = _witness_for_path_set(g, fast, sources, receivers, relaxed)
+    snap = _Snapshot(g)
+    node = {v: i for i, v in enumerate(snap.nodes)}
+    bit = {e: 1 << j for j, e in enumerate(snap.edges)}
+    terms = [node[v] for v in sources], [node[v] for v in receivers]
+
+    def used_mask(paths: DisjointPathSet) -> int:
+        return sum(bit[e] for e in paths.edge_ids())
+
+    def edge_ids(tree: int) -> tuple[str, ...]:
+        return tuple(e for j, e in enumerate(snap.edges) if tree >> j & 1)
+
+    fast_used = used_mask(fast)
+    stree, rtree, any_source_tree = _witness_for_path_set(snap, fast_used, *terms, relaxed)
     if rtree is not None:
-        return FeasibilityReport(True, fast, stree, rtree, relaxed=relaxed)
+        return FeasibilityReport(True, fast, edge_ids(stree), edge_ids(rtree), relaxed=relaxed)
     if not relaxed:
         cut = _deficient_cut(g, pairs, sources, receivers, any_source_tree)
         if cut is not None:
             certificate, reason = cut
             return FeasibilityReport(False, failure_reason=reason, certificate=certificate)
-        fast_used = fast.edge_ids()
         for candidate in iter_disjoint_path_sets(g, pairs):
-            if candidate.edge_ids() == fast_used:
+            used = used_mask(candidate)
+            if used == fast_used:
                 continue
-            stree, rtree, s_found = _witness_for_path_set(g, candidate, sources, receivers, relaxed)
+            stree, rtree, s_found = _witness_for_path_set(snap, used, *terms, relaxed)
             any_source_tree = any_source_tree or s_found
             if rtree is not None:
-                return FeasibilityReport(True, candidate, stree, rtree, relaxed=relaxed)
+                return FeasibilityReport(
+                    True, candidate, edge_ids(stree), edge_ids(rtree), relaxed=relaxed
+                )
     if len(sources) > 1 and not any_source_tree:
         return FeasibilityReport(False, failure_reason=REASON_SOURCE_TREE, relaxed=relaxed)
     return FeasibilityReport(False, failure_reason=REASON_RECEIVER_TREE, relaxed=relaxed)

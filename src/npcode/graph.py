@@ -41,10 +41,8 @@ class Graph:
         self.nodes: dict[str, str] = {}
         self.edges: dict[str, tuple[str, str]] = {}
         self._adj: dict[str, list[str]] = {}
-        self._edge_index: dict[str, int] = {}
         self._next_node = 0
         self._next_edge = 0
-        self._next_index = 0
 
     # -- mutation --------------------------------------------------------------
 
@@ -81,8 +79,6 @@ class Graph:
         elif edge_id in self.edges:
             raise GraphError(f"duplicate edge id {edge_id!r}")
         self.edges[edge_id] = (u, v)
-        self._edge_index[edge_id] = self._next_index
-        self._next_index += 1
         self._adj[u].append(edge_id)
         self._adj[v].append(edge_id)
         return edge_id
@@ -93,7 +89,6 @@ class Graph:
         u, v = self.edges.pop(edge_id)
         self._adj[u].remove(edge_id)
         self._adj[v].remove(edge_id)
-        del self._edge_index[edge_id]
 
     # -- queries ---------------------------------------------------------------
 
@@ -126,9 +121,6 @@ class Graph:
     def degree(self, node_id: str) -> int:
         self._require_node(node_id)
         return len(self._adj[node_id])
-
-    def edge_order(self, edge_id: str) -> int:
-        return self._edge_index[edge_id]
 
     def nodes_with_role(self, role: str) -> list[str]:
         return [n for n, r in self.nodes.items() if r == role]

@@ -3,8 +3,8 @@ from dataclasses import replace
 
 import pytest
 
-from npcode import connectivity, feasibility
-from npcode.connectivity import max_edge_disjoint_paths
+from npcode import cli, connectivity, feasibility
+from npcode.connectivity import SearchBudgetExceeded, max_edge_disjoint_paths
 from npcode.construction import harary
 from npcode.feasibility import (
     ProtectionInstance,
@@ -13,7 +13,7 @@ from npcode.feasibility import (
     check_single_source,
     verify_report,
 )
-from npcode.graph import Graph
+from npcode.graph import Graph, save
 
 from oracles import brute_min_st_cut, edge_list, feasible_ref, hamiltonian_ref
 
@@ -381,16 +381,32 @@ def test_witness_attempt_once_per_used_edge_set(monkeypatch):
     tried = []
     attempt = feasibility._witness_for_path_set
 
-    def counted(g, paths, *args):
-        tried.append(frozenset(paths.edge_ids()))
-        return attempt(g, paths, *args)
+    def counted(snap, used, *args):
+        tried.append(used)  # the path set's used edges, as an edge mask
+        return attempt(snap, used, *args)
 
     monkeypatch.setattr(feasibility, "_witness_for_path_set", counted)
     report = check_feasibility(inst)
     assert report.failure_reason == "receiver-tree" and report.certificate == ()
     path_sets = connectivity.iter_disjoint_path_sets(g, inst.pairs())
     every = {frozenset(ps.edge_ids()) for ps in path_sets}
-    assert len(tried) == len(set(tried)) == len(every)
+    assert len(tried) == len(set(tried)) == len(every) == 157
+
+
+def test_tree_enumeration_cap_stops_the_search(monkeypatch, tmp_path, capsys):
+    # a tree joining three sources grows through at least three states
+    monkeypatch.setattr(feasibility, "_TREE_ENUM_CAP", 2)
+    g = harary(12, 3)
+    sources, receivers = ["v0", "v1", "v2"], ["v6", "v7", "v8"]
+    with pytest.raises(SearchBudgetExceeded, match="tree enumeration cap"):
+        check_feasibility(ProtectionInstance(g, sources, receivers))
+    path = tmp_path / "h12.json"
+    path.write_text(save(g))
+    argv = ["feasibility", "--graph", str(path), "--sources", ",".join(sources),
+            "--receivers", ",".join(receivers)]
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: tree enumeration cap")
 
 
 def test_verify_report_rechecks_certificates():
