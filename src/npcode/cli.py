@@ -277,12 +277,26 @@ def _cmd_recover(args) -> int:
     return 0
 
 
+def _is_id_list(value) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
 def _simulate_input(args):
     doc = json.loads(_read_text(args.graph))
     if isinstance(doc, dict) and "feasible" in doc and "instance" in doc:
         if not doc["feasible"]:
             raise _DomainNegative("input feasibility report is infeasible")
         inst_doc = doc["instance"]
+        if not (
+            isinstance(inst_doc, dict)
+            and "graph" in inst_doc
+            and all(_is_id_list(inst_doc.get(key)) for key in ("sources", "receivers"))
+            and (inst_doc.get("num_paths") is None or type(inst_doc["num_paths"]) is int)
+        ):
+            raise _UsageError(
+                "report 'instance' needs a graph, lists of node ids for sources and "
+                "receivers, and an integer or null num_paths"
+            )
         g = load(json.dumps(inst_doc["graph"]))
         inst = feasibility.ProtectionInstance(
             g, inst_doc["sources"], inst_doc["receivers"], inst_doc.get("num_paths")

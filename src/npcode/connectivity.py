@@ -1,9 +1,10 @@
 """Edge/node connectivity, min cuts, and edge-disjoint path search.
 
-Every max-flow here runs on one integer residual graph (`_Network`):
-node ids map to ints once per call, arcs and their reverses sit in flat
-lists, and each flow starts from a copy of the capacity list.  Flows
-push unit shortest augmenting paths found by BFS.
+Each call builds one integer snapshot of the graph (`_Snapshot`): it
+alone maps node ids to ints, edge ids to mask bits and flow arcs, and
+int results back to ids.  Every max-flow runs on an integer residual
+graph (`_Network`) with arcs and their reverses in flat lists, each flow
+from a copy of the capacity list, by unit shortest augmenting paths.
 
 Single-pair questions are unit-capacity max-flows in which each
 undirected edge carries one unit in at most one direction; flow
@@ -20,12 +21,11 @@ The multi-pair variant (distinct source-receiver pairs that must be
 mutually edge-disjoint) is NP-complete in general, so it is solved by
 exact backtracking with admissible pruning and an explicit size guard,
 except when all sources (or all receivers) coincide, which collapses to
-a single max-flow.  Both multi-pair searches walk an integer snapshot of
-the graph, built per call: int nodes, and edge sets as Python-int masks.
-The exhaustive enumeration lists each distinct set of used edges once,
-with the first path set (pair by pair, lowest-edge-id first) that uses
-it; everything after a (pair index, edges left) state depends on those
-two alone, so each such state is walked once.
+a single max-flow.  The searches carry each path as an edge mask.  The
+exhaustive enumeration lists each distinct set of used edges once, with
+the first path set (pair by pair, lowest-edge-id first) that uses it;
+everything after a (pair index, edges left) state depends on those two
+alone, so each such state is walked once.
 """
 
 from __future__ import annotations
@@ -93,20 +93,6 @@ class _Network:
         self.cap += (forward, backward)
 
 
-def _edge_network(g: Graph) -> tuple[_Network, dict[str, int]]:
-    """g as a residual graph, with its node index.
-
-    Edge i becomes arcs 2i (u to v) and 2i+1 (v to u), of capacity 1 each.
-    Adding the edges in id order lists each node's arcs in g._adj order,
-    which fixes the BFS order and so the paths found.
-    """
-    index = {v: i for i, v in enumerate(g.nodes)}
-    net = _Network(len(index))
-    for u, v in g.edges.values():
-        net.add(index[u], index[v], 1, 1)
-    return net, index
-
-
 def _flow(net: _Network, cap: list[int], s: int, t: int, limit: int | None = None):
     """Shortest augmenting paths from s to t until none is left or `limit` are found.
 
@@ -143,10 +129,11 @@ def _flow(net: _Network, cap: list[int], s: int, t: int, limit: int | None = Non
     return value, None
 
 
-def _walk_path(net: _Network, cap: list[int], s: int, t: int) -> tuple[list[int], list[int]]:
+def _walk_path(net: _Network, cap: list[int], s: int, t: int) -> int:
     """Follow one unit of undirected flow from s to t, splicing out flow cycles.
 
-    Returns the node and arc sequences; the flow along them is cleared.
+    Returns the walked arcs as an edge mask (arc a is bit a >> 1); the flow
+    along them is cleared.
     """
     out, head = net.out, net.head
     nodes = [s]
@@ -175,183 +162,28 @@ def _walk_path(net: _Network, cap: list[int], s: int, t: int) -> tuple[list[int]
         x = y
     for a in arcs:
         cap[a] = cap[a ^ 1] = 1
-    return nodes, arcs
+    return sum(1 << (a >> 1) for a in arcs)
 
 
-def _named_path(g: Graph, nodes: list[int], arcs: list[int]) -> Path:
-    names, eids = list(g.nodes), list(g.edges)
-    return Path(tuple(names[x] for x in nodes), tuple(eids[a >> 1] for a in arcs))
-
-
-def max_edge_disjoint_paths(g: Graph, s: str, r: str) -> DisjointPathSet:
-    """A maximum set of pairwise edge-disjoint s-r paths (max-flow value)."""
-    g._require_node(s)
-    g._require_node(r)
-    if s == r:
-        raise ValueError("source and receiver must differ")
-    net, index = _edge_network(g)
-    cap = net.cap[:]
-    value, _ = _flow(net, cap, index[s], index[r])
-    paths = tuple(_named_path(g, *_walk_path(net, cap, index[s], index[r])) for _ in range(value))
-    return DisjointPathSet(paths)
-
-
-def edge_connectivity(g: Graph) -> CutReport:
-    """Size and witness of a smallest edge cut (0 if already disconnected)."""
-    if g.num_nodes < 2:
-        raise GraphError("edge connectivity needs at least 2 nodes")
-    if not g.is_connected():
-        return CutReport(0, ())
-    net, index = _edge_network(g)
-    best_value = None
-    best_witness: tuple[str, ...] = ()
-    for t in range(1, len(index)):
-        value, parent = _flow(net, net.cap[:], 0, t, best_value)
-        if parent is not None:
-            best_value = value
-            best_witness = tuple(
-                e
-                for e, (u, v) in g.edges.items()
-                if (parent[index[u]] == -1) != (parent[index[v]] == -1)
-            )
-    return CutReport(best_value, best_witness)
-
-
-def is_k_edge_connected(g: Graph, k: int) -> bool:
-    if k <= 0:
-        return True
-    if g.num_nodes < 2:
-        return False
-    if not g.is_connected():
-        return False
-    return edge_connectivity(g).value >= k
-
-
-def node_connectivity(g: Graph) -> CutReport:
-    """Fewest node removals that disconnect g (or reduce it to one node).
-
-    Node i splits into in-half 2i and out-half 2i+1 joined by an arc of
-    capacity 1; each edge becomes two arcs of capacity n, out-half to
-    in-half.  The value comes from Esfahanian & Hakimi's pairs: take v, the
-    first node of least degree (distinct neighbours), and start from
-    kappa = deg(v).  A minimum separator either misses v, and then cuts it
-    off from some non-neighbour, or holds v, and then v has a neighbour in
-    every component it leaves, two of them non-adjacent.  So one flow from
-    v to each non-neighbour and one between each non-adjacent pair of v's
-    neighbours find kappa, each flow stopped once it reaches the value so
-    far: at most n - 1 - delta + delta*(delta-1)/2 flows.  The witness is
-    the minimal cut of the first non-adjacent pair, in lexicographic order,
-    whose flow (stopped at kappa + 1) is kappa, as a scan of every pair
-    would find.  Every minimum separator misses one of the first kappa + 1
-    nodes, and the first it misses is cut off from a later node, so that
-    pair comes within the first kappa + 1 rows (one flow on Harary graphs).
-    The scan skips each pair whose value-phase flow, either way, passed kappa.
-    """
-    if g.num_nodes == 0:
-        raise GraphError("node connectivity needs at least 1 node")
-    if g.num_nodes == 1:
-        return CutReport(0, ())
-    if not g.is_connected():
-        return CutReport(0, ())
-    nodes = list(g.nodes)
-    n = len(nodes)
-    index = {v: i for i, v in enumerate(nodes)}
-    net = _Network(2 * n)
-    for i in range(n):
-        net.add(2 * i, 2 * i + 1, 1, 0)
-    adjacent: list[set[int]] = [set() for _ in range(n)]
-    for u, v in g.edges.values():
-        iu, iv = index[u], index[v]
-        net.add(2 * iu + 1, 2 * iv, n, 0)
-        net.add(2 * iv + 1, 2 * iu, n, 0)
-        adjacent[iu].add(iv)
-        adjacent[iv].add(iu)
-    low = min(range(n), key=lambda x: len(adjacent[x]))
-    kappa = len(adjacent[low])
-    if kappa == n - 1:
-        # every pair adjacent: removals can only reduce to a one-node graph
-        return CutReport(n - 1, tuple(nodes[1:]))
-    near = sorted(adjacent[low])
-    pairs = [(low, y) for y in range(n) if y != low and y not in adjacent[low]]
-    pairs += [(x, y) for a, x in enumerate(near) for y in near[a + 1 :] if y not in adjacent[x]]
-    known = {}  # a lower bound on each flown pair's local connectivity
-    for x, y in pairs:
-        value, parent = _flow(net, net.cap[:], 2 * x + 1, 2 * y, kappa)
-        known[min(x, y), max(x, y)] = value
-        if parent is not None:
-            kappa = value
-    for i in range(n):
-        for j in range(i + 1, n):
-            if j not in adjacent[i] and known.get((i, j), kappa) <= kappa:
-                value, parent = _flow(net, net.cap[:], 2 * i + 1, 2 * j, kappa + 1)
-                if value == kappa:
-                    return CutReport(kappa, tuple(
-                        v for x, v in enumerate(nodes) if parent[2 * x] != -1 and parent[2 * x + 1] == -1
-                    ))
-    raise AssertionError("no non-adjacent pair reaches the node connectivity")
-
-
-# -- multi-pair edge-disjoint paths --------------------------------------------------
-
-
-def _check_guard(g: Graph, pairs: Sequence[tuple[str, str]]) -> None:
-    if len(pairs) > MAX_PAIRS or g.num_edges > MAX_EDGES:
-        raise SearchBudgetExceeded(
-            f"instance too large for exact search "
-            f"({len(pairs)} pairs > {MAX_PAIRS} or {g.num_edges} edges > {MAX_EDGES})"
-        )
-
-
-def _validate_pairs(g: Graph, pairs: Sequence[tuple[str, str]]) -> None:
-    if not pairs:
-        raise ValueError("need at least one source-receiver pair")
-    for s, r in pairs:
-        g._require_node(s)
-        g._require_node(r)
-        if s == r:
-            raise ValueError(f"pair has identical endpoints {s!r}")
-
-
-def _shared_source_flow(g: Graph, pairs: Sequence[tuple[str, str]]) -> DisjointPathSet | None:
-    """All pairs share a source: a super-sink max-flow settles it exactly."""
-    net, index = _edge_network(g)
-    sink = len(index)
-    net.out.append([])
-    for _, r in pairs:
-        net.add(index[r], sink, 1, 1)
-    source = index[pairs[0][0]]
-    cap = net.cap[:]
-    value, _ = _flow(net, cap, source, sink)
-    if value < len(pairs):
-        return None
-    result: list[Path | None] = [None] * len(pairs)
-    for _ in range(value):
-        nodes, arcs = _walk_path(net, cap, source, sink)
-        result[(arcs[-1] >> 1) - g.num_edges] = _named_path(g, nodes[:-1], arcs[:-1])
-    return DisjointPathSet(tuple(result))
-
-
-def _reverse_path(p: Path) -> Path:
-    return Path(tuple(reversed(p.nodes)), tuple(reversed(p.edges)))
-
-
-# -- the integer path walker -----------------------------------------------------------
-# Each multi-pair search, and the feasibility search's tree placement, builds
-# one read-only integer snapshot of the graph: node i is the i-th of g.nodes,
-# edge j the j-th of g.edges (the order edges were added in) and bit 1 << j of
-# an edge mask.  edge_ends[j] holds its two nodes, and adj[i] lists (bit, j,
-# neighbour) for the edges at node i, lowest j first.  Walks try edges in that
-# order, so paths come out lowest-edge-id first.  A search carries each path
-# or tree as its edge mask and traces it back to edge ids only for the result.
+# -- the integer snapshot ----------------------------------------------------------------
+# Every call builds one read-only integer snapshot of the graph: node i is
+# the i-th of g.nodes (index maps ids to ints), edge j the j-th of g.edges
+# (the order edges were added in), bit 1 << j of an edge mask, and arcs 2j
+# (u to v) and 2j+1 (v to u) of a flow network.  edge_ends[j] holds its two
+# nodes, and adj[i] lists (bit, j, neighbour) for the edges at node i,
+# lowest j first.  Walks try edges in that order, so paths come out
+# lowest-edge-id first.  A search carries each path or tree as its edge mask
+# and traces it back to ids (path_set, edge_ids) only for the result.
 
 
 class _Snapshot:
-    __slots__ = ("nodes", "edges", "edge_ends", "adj", "inc", "full", "ends", "repeated", "net")
+    __slots__ = ("index", "nodes", "edges", "edge_ends", "adj", "inc", "full", "ends",
+                 "repeated", "net")
 
     def __init__(self, g: Graph, pairs: Sequence[tuple[str, str]] = ()):
         self.nodes = list(g.nodes)
         self.edges = list(g.edges)
-        index = {v: i for i, v in enumerate(self.nodes)}
+        self.index = index = {v: i for i, v in enumerate(self.nodes)}
         self.edge_ends = [(index[u], index[v]) for u, v in g.edges.values()]
         adj: list[list[tuple[int, int, int]]] = [[] for _ in self.nodes]
         inc = [0] * len(self.nodes)  # edge mask per node
@@ -367,7 +199,18 @@ class _Snapshot:
         # repeated[i]: (s, r, count) for each pair that occurs count > 1 times in ends[i:]
         self.repeated = [[(*pair, c) for pair, c in Counter(self.ends[i:]).items() if c > 1]
                          for i in range(len(self.ends))]
-        self.net = _edge_network(g)[0] if any(self.repeated) else None
+        self.net = self.network() if any(self.repeated) else None
+
+    def network(self, sinks: Sequence[int] = ()) -> _Network:
+        """The unit-capacity residual graph; its arcs at each node follow adj, which
+        fixes the BFS order and so the paths found.  With sinks, edge len(edges) + i
+        joins sinks[i] to one more node, numbered len(nodes)."""
+        net = _Network(len(self.nodes) + bool(sinks))
+        for u, v in self.edge_ends:
+            net.add(u, v, 1, 1)
+        for x in sinks:
+            net.add(x, len(self.nodes), 1, 1)
+        return net
 
     def bounds(self, i: int, avail: int) -> list[list[int]] | None:
         """Hop counts to the receivers of pairs i.. within avail, or None when
@@ -412,10 +255,10 @@ class _Snapshot:
                     return
                 it, x, usable, mask = stack.pop()
 
-    def path_set(self, masks: list[int]) -> DisjointPathSet:
-        """The paths, one per pair, that the edge masks trace."""
+    def path_set(self, masks: Sequence[int], ends=None) -> DisjointPathSet:
+        """The paths the edge masks trace, one per pair of ends (default: the pairs')."""
         paths = []
-        for (x, r), mask in zip(self.ends, masks):
+        for (x, r), mask in zip(self.ends if ends is None else ends, masks):
             nodes, edges = [self.nodes[x]], []
             while x != r:
                 bit, j, x = next(step for step in self.adj[x] if mask & step[0])
@@ -424,6 +267,9 @@ class _Snapshot:
                 edges.append(self.edges[j])
             paths.append(Path(tuple(nodes), tuple(edges)))
         return DisjointPathSet(tuple(paths))
+
+    def edge_ids(self, mask: int) -> tuple[str, ...]:
+        return tuple(e for j, e in enumerate(self.edges) if mask >> j & 1)
 
 
 def _distances(adj, root: int, avail: int) -> list[int]:
@@ -440,69 +286,166 @@ def _distances(adj, root: int, avail: int) -> list[int]:
     return dist
 
 
-def iter_disjoint_path_sets(
-    g: Graph, pairs: Sequence[tuple[str, str]]
-) -> Iterator[DisjointPathSet]:
-    """Every distinct used-edge set of a pairwise edge-disjoint path assignment, once.
+def max_edge_disjoint_paths(g: Graph, s: str, r: str) -> DisjointPathSet:
+    """A maximum set of pairwise edge-disjoint s-r paths (max-flow value)."""
+    g._require_node(s)
+    g._require_node(r)
+    if s == r:
+        raise ValueError("source and receiver must differ")
+    snap = _Snapshot(g)
+    net = snap.network()
+    cap = net.cap[:]
+    x, y = snap.index[s], snap.index[r]
+    value, _ = _flow(net, cap, x, y)
+    return snap.path_set([_walk_path(net, cap, x, y) for _ in range(value)], [(x, y)] * value)
 
-    Assignments are walked pair by pair, each pair's simple paths
-    lowest-edge-id first in the edges the earlier pairs left; a branch ends
-    once a later pair has no path left, or a repeated pair too few
-    edge-disjoint ones.  Each distinct set of used edges is yielded with
-    the first path set, in that order, that uses it.  The rest of a walk
-    depends only on the pair index and the edges left, so a state walked
-    before is skipped: all it could yield repeats a used-edge set already
-    seen.
+
+def edge_connectivity(g: Graph) -> CutReport:
+    """Size and witness of a smallest edge cut (0 if already disconnected)."""
+    if g.num_nodes < 2:
+        raise GraphError("edge connectivity needs at least 2 nodes")
+    if not g.is_connected():
+        return CutReport(0, ())
+    snap = _Snapshot(g)
+    net = snap.network()
+    best_value = None
+    best_witness: tuple[str, ...] = ()
+    for t in range(1, len(snap.nodes)):
+        value, parent = _flow(net, net.cap[:], 0, t, best_value)
+        if parent is not None:
+            best_value = value
+            best_witness = tuple(
+                e for e, (u, v) in zip(snap.edges, snap.edge_ends)
+                if (parent[u] == -1) != (parent[v] == -1)
+            )
+    return CutReport(best_value, best_witness)
+
+
+def is_k_edge_connected(g: Graph, k: int) -> bool:
+    if k <= 0:
+        return True
+    if g.num_nodes < 2:
+        return False
+    if not g.is_connected():
+        return False
+    return edge_connectivity(g).value >= k
+
+
+def node_connectivity(g: Graph) -> CutReport:
+    """Fewest node removals that disconnect g (or reduce it to one node).
+
+    Node i splits into in-half 2i and out-half 2i+1 joined by an arc of
+    capacity 1; each edge becomes two arcs of capacity n, out-half to
+    in-half.  The value comes from Esfahanian & Hakimi's pairs: take v, the
+    first node of least degree (distinct neighbours), and start from
+    kappa = deg(v).  A minimum separator either misses v, and then cuts it
+    off from some non-neighbour, or holds v, and then v has a neighbour in
+    every component it leaves, two of them non-adjacent.  So one flow from
+    v to each non-neighbour and one between each non-adjacent pair of v's
+    neighbours find kappa, each flow stopped once it reaches the value so
+    far: at most n - 1 - delta + delta*(delta-1)/2 flows.  The witness is
+    the minimal cut of the first non-adjacent pair, in lexicographic order,
+    whose flow (stopped at kappa + 1) is kappa, as a scan of every pair
+    would find.  Every minimum separator misses one of the first kappa + 1
+    nodes, and the first it misses is cut off from a later node, so that
+    pair comes within the first kappa + 1 rows (one flow on Harary graphs).
+    The scan skips each pair whose value-phase flow, either way, passed kappa.
     """
-    _validate_pairs(g, pairs)
-    _check_guard(g, pairs)
-    snap = _Snapshot(g, pairs)
-    k = len(pairs)
-    walks = [0] * k  # edge mask of each pair's path
-    walked: list[set[int]] = [set() for _ in range(k + 1)]  # edges left, per pair index
+    if g.num_nodes == 0:
+        raise GraphError("node connectivity needs at least 1 node")
+    if g.num_nodes == 1:
+        return CutReport(0, ())
+    if not g.is_connected():
+        return CutReport(0, ())
+    snap = _Snapshot(g)
+    nodes = snap.nodes
+    n = len(nodes)
+    net = _Network(2 * n)
+    for i in range(n):
+        net.add(2 * i, 2 * i + 1, 1, 0)
+    for u, v in snap.edge_ends:
+        net.add(2 * u + 1, 2 * v, n, 0)
+        net.add(2 * v + 1, 2 * u, n, 0)
+    adjacent = [{y for _, _, y in at} for at in snap.adj]
+    low = min(range(n), key=lambda x: len(adjacent[x]))
+    kappa = len(adjacent[low])
+    if kappa == n - 1:
+        # every pair adjacent: removals can only reduce to a one-node graph
+        return CutReport(n - 1, tuple(nodes[1:]))
+    near = sorted(adjacent[low])
+    pairs = [(low, y) for y in range(n) if y != low and y not in adjacent[low]]
+    pairs += [(x, y) for a, x in enumerate(near) for y in near[a + 1 :] if y not in adjacent[x]]
+    known = {}  # a lower bound on each flown pair's local connectivity
+    for x, y in pairs:
+        value, parent = _flow(net, net.cap[:], 2 * x + 1, 2 * y, kappa)
+        known[min(x, y), max(x, y)] = value
+        if parent is not None:
+            kappa = value
+    for i in range(n):
+        for j in range(i + 1, n):
+            if j not in adjacent[i] and known.get((i, j), kappa) <= kappa:
+                value, parent = _flow(net, net.cap[:], 2 * i + 1, 2 * j, kappa + 1)
+                if value == kappa:
+                    return CutReport(kappa, tuple(
+                        v for x, v in enumerate(nodes) if parent[2 * x] != -1 and parent[2 * x + 1] == -1
+                    ))
+    raise AssertionError("no non-adjacent pair reaches the node connectivity")
 
-    def walk(i: int, avail: int) -> Iterator[DisjointPathSet]:
-        walked[i].add(avail)
-        if i == k:
-            yield snap.path_set(walks)
-            return
-        if snap.bounds(i, avail) is None:
-            return
-        for mask in snap.paths(i, avail):
-            if avail ^ mask not in walked[i + 1]:
-                walks[i] = mask
-                yield from walk(i + 1, avail ^ mask)
 
-    yield from walk(0, snap.full)
+# -- multi-pair edge-disjoint paths --------------------------------------------------
 
 
-def find_disjoint_paths_multi(
-    g: Graph, pairs: Sequence[tuple[str, str]]
-) -> DisjointPathSet | None:
-    """Exact search for mutually edge-disjoint paths, one per pair.
+def _pair_snapshot(g: Graph, pairs: Sequence[tuple[str, str]]) -> _Snapshot:
+    """The snapshot of a multi-pair search, once the pairs are valid and within the guard."""
+    if not pairs:
+        raise ValueError("need at least one source-receiver pair")
+    for s, r in pairs:
+        g._require_node(s)
+        g._require_node(r)
+        if s == r:
+            raise ValueError(f"pair has identical endpoints {s!r}")
+    if len(pairs) > MAX_PAIRS or g.num_edges > MAX_EDGES:
+        raise SearchBudgetExceeded(
+            f"instance too large for exact search "
+            f"({len(pairs)} pairs > {MAX_PAIRS} or {g.num_edges} edges > {MAX_EDGES})"
+        )
+    return _Snapshot(g, pairs)
 
-    Returns a witness set or None once the search space is exhausted.
+
+def _shared_source_flow(snap: _Snapshot, source: int, targets: Sequence[int]) -> list[int] | None:
+    """One super-sink max-flow from source to all targets: the edge mask of a
+    path to each target, or None when they do not all fit."""
+    net = snap.network(targets)
+    cap = net.cap[:]
+    value, _ = _flow(net, cap, source, len(snap.nodes))
+    if value < len(targets):
+        return None
+    masks = [0] * value
+    for _ in range(value):
+        mask = _walk_path(net, cap, source, len(snap.nodes))
+        # the top bit is the sink edge, numbered after the graph's edges by target
+        masks[mask.bit_length() - 1 - len(snap.edges)] = mask & snap.full
+    return masks
+
+
+def _multi_paths(snap: _Snapshot) -> list[int] | None:
+    """Edge masks of mutually edge-disjoint paths, one per pair, or None once
+    the search space is exhausted.
+
     Coinciding sources (or receivers) short-circuit to a polynomial
     max-flow; otherwise iterative deepening on the total edge count with
     per-pair residual distance/flow pruning keeps the backtracking
     honest without losing completeness.  The witness is the first path set,
     pair by pair and lowest-edge-id first, whose total length is the least.
     """
-    _validate_pairs(g, pairs)
-    _check_guard(g, pairs)
-    sources = {s for s, _ in pairs}
-    receivers = {r for _, r in pairs}
-    if len(sources) == 1:
-        return _shared_source_flow(g, pairs)
-    if len(receivers) == 1:
-        flipped = [(r, s) for s, r in pairs]
-        found = _shared_source_flow(g, flipped)
-        if found is None:
-            return None
-        return DisjointPathSet(tuple(_reverse_path(p) for p in found.paths))
-
-    snap = _Snapshot(g, pairs)
-    k = len(pairs)
+    sources = [s for s, _ in snap.ends]
+    receivers = [r for _, r in snap.ends]
+    if len(set(sources)) == 1:
+        return _shared_source_flow(snap, sources[0], receivers)
+    if len(set(receivers)) == 1:
+        # a path traced from its own source is the flow's path reversed
+        return _shared_source_flow(snap, receivers[0], sources)
+    k = len(snap.ends)
     walks = [0] * k  # edge mask of each pair's path
 
     def dfs(i: int, budget: int, avail: int) -> bool:
@@ -523,7 +466,61 @@ def find_disjoint_paths_multi(
     to_r = snap.bounds(0, snap.full)
     if to_r is None:
         return None
-    for budget in range(sum(d[s] for d, (s, _) in zip(to_r, snap.ends)), g.num_edges + 1):
+    for budget in range(sum(d[s] for d, (s, _) in zip(to_r, snap.ends)), len(snap.edges) + 1):
         if dfs(0, budget, snap.full):
-            return snap.path_set(walks)
+            return walks
     return None
+
+
+def _used_edge_sets(snap: _Snapshot) -> Iterator[list[int]]:
+    """The pairs' edge masks for every distinct used-edge set, once.
+
+    Assignments are walked pair by pair, each pair's simple paths
+    lowest-edge-id first in the edges the earlier pairs left; a branch ends
+    once a later pair has no path left, or a repeated pair too few
+    edge-disjoint ones.  Each distinct set of used edges comes with the
+    first path set, in that order, that uses it.  The rest of a walk
+    depends only on the pair index and the edges left, so a state walked
+    before is skipped: all it could yield repeats a used-edge set already
+    seen.
+    """
+    k = len(snap.ends)
+    walks = [0] * k  # edge mask of each pair's path
+    walked: list[set[int]] = [set() for _ in range(k + 1)]  # edges left, per pair index
+
+    def walk(i: int, avail: int) -> Iterator[list[int]]:
+        walked[i].add(avail)
+        if i == k:
+            yield walks[:]
+            return
+        if snap.bounds(i, avail) is None:
+            return
+        for mask in snap.paths(i, avail):
+            if avail ^ mask not in walked[i + 1]:
+                walks[i] = mask
+                yield from walk(i + 1, avail ^ mask)
+
+    yield from walk(0, snap.full)
+
+
+def iter_disjoint_path_sets(
+    g: Graph, pairs: Sequence[tuple[str, str]]
+) -> Iterator[DisjointPathSet]:
+    """Every distinct used-edge set of a pairwise edge-disjoint path assignment,
+    once, as the first path set that uses it (see `_used_edge_sets`)."""
+    snap = _pair_snapshot(g, pairs)
+    for walks in _used_edge_sets(snap):
+        yield snap.path_set(walks)
+
+
+def find_disjoint_paths_multi(
+    g: Graph, pairs: Sequence[tuple[str, str]]
+) -> DisjointPathSet | None:
+    """Exact search for mutually edge-disjoint paths, one per pair.
+
+    Returns a witness set or None once the search space is exhausted; see
+    `_multi_paths` for the search and which witness it finds.
+    """
+    snap = _pair_snapshot(g, pairs)
+    walks = _multi_paths(snap)
+    return None if walks is None else snap.path_set(walks)

@@ -11,9 +11,11 @@ strictly infeasible).
 The search is exact: path assignments are enumerated exhaustively, one
 per distinct set of used edges (all that a tree placement depends on),
 and, for each, minimal source-connecting trees are enumerated in the
-leftover edges until a receiver tree fits too.  Paths and trees are
-found on the same integer snapshot of the graph (`connectivity._Snapshot`),
-with edge sets as int masks; trees become edge ids only in the report.
+leftover edges until a receiver tree fits too.  Each search builds one
+integer snapshot of the graph (`connectivity._Snapshot`), which owns the
+node index, the edge bits, the flow arcs and the tracing back to ids:
+paths, cuts and trees are all found on it, with edge sets as int masks,
+and only the reported witness becomes ids.
 A "feasible" answer always carries a full witness; an "infeasible" answer
 means the whole space was exhausted, or names a cut certificate.
 The independent checks (`verify_report`, the certificate recount) stay
@@ -36,12 +38,12 @@ from typing import Iterator, Sequence
 from .connectivity import (
     SearchBudgetExceeded,
     _distances,
-    _edge_network,
     _flow,
+    _multi_paths,
+    _pair_snapshot,
     _Snapshot,
-    find_disjoint_paths_multi,
+    _used_edge_sets,
     is_k_edge_connected,
-    iter_disjoint_path_sets,
 )
 from .graph import DisjointPathSet, Graph, GraphError, connected_within
 
@@ -281,7 +283,7 @@ def _cut_demand(g: Graph, pairs, sources, receivers, side: set[str]) -> tuple[in
     return crossing, separated, split(sources), split(receivers)
 
 
-def _deficient_cut(g: Graph, pairs, sources, receivers, any_source_tree: bool):
+def _deficient_cut(g: Graph, snap: _Snapshot, pairs, sources, receivers, any_source_tree: bool):
     """(certificate, failure reason) for a strict infeasible instance, or None.
 
     Candidate sides are the minimal minimum cuts between terminals, one
@@ -292,15 +294,15 @@ def _deficient_cut(g: Graph, pairs, sources, receivers, any_source_tree: bool):
     for a source tree, and source-tree when the side splits the sources and
     every crossing edge carries a path (c == p), so no path set leaves room.
     """
-    terminals = list(dict.fromkeys((*sources, *receivers)))
-    net, index = _edge_network(g)
+    terminals = list(dict.fromkeys(snap.index[v] for v in (*sources, *receivers)))
+    net = snap.network()
     limit = len(pairs) + 2
     for i, a in enumerate(terminals):
         for b in terminals[i + 1 :]:
-            _, parent = _flow(net, net.cap[:], index[a], index[b], limit)
+            _, parent = _flow(net, net.cap[:], a, b, limit)
             if parent is None:
                 continue
-            certificate = tuple(v for v in g.nodes if parent[index[v]] != -1)
+            certificate = tuple(v for v, p in zip(snap.nodes, parent) if p != -1)
             c, p, s, r = _cut_demand(g, pairs, sources, receivers, set(certificate))
             if c >= p + s + r:
                 continue
@@ -318,41 +320,36 @@ def _search(g: Graph, pairs: list[tuple[str, str]], sources, receivers, relaxed:
     answer is every path set's.  In strict mode a deficient cut settles an
     infeasible verdict; otherwise every other set of used edges is tried,
     which is all a tree placement depends on, with the first path set that
-    uses it.
+    uses it.  One snapshot carries the whole search: paths are one edge
+    mask per pair, and only the reported witness is traced back to ids.
     """
-    fast = find_disjoint_paths_multi(g, pairs)
+    snap = _pair_snapshot(g, pairs)
+    terms = [snap.index[v] for v in sources], [snap.index[v] for v in receivers]
+
+    def witness(walks: list[int], stree: int, rtree: int) -> FeasibilityReport:
+        return FeasibilityReport(True, snap.path_set(walks), snap.edge_ids(stree),
+                                 snap.edge_ids(rtree), relaxed=relaxed)
+
+    fast = _multi_paths(snap)
     if fast is None:
         return FeasibilityReport(False, failure_reason=REASON_PATHS, relaxed=relaxed)
-    snap = _Snapshot(g)
-    node = {v: i for i, v in enumerate(snap.nodes)}
-    bit = {e: 1 << j for j, e in enumerate(snap.edges)}
-    terms = [node[v] for v in sources], [node[v] for v in receivers]
-
-    def used_mask(paths: DisjointPathSet) -> int:
-        return sum(bit[e] for e in paths.edge_ids())
-
-    def edge_ids(tree: int) -> tuple[str, ...]:
-        return tuple(e for j, e in enumerate(snap.edges) if tree >> j & 1)
-
-    fast_used = used_mask(fast)
+    fast_used = sum(fast)  # the masks are disjoint
     stree, rtree, any_source_tree = _witness_for_path_set(snap, fast_used, *terms, relaxed)
     if rtree is not None:
-        return FeasibilityReport(True, fast, edge_ids(stree), edge_ids(rtree), relaxed=relaxed)
+        return witness(fast, stree, rtree)
     if not relaxed:
-        cut = _deficient_cut(g, pairs, sources, receivers, any_source_tree)
+        cut = _deficient_cut(g, snap, pairs, sources, receivers, any_source_tree)
         if cut is not None:
             certificate, reason = cut
             return FeasibilityReport(False, failure_reason=reason, certificate=certificate)
-        for candidate in iter_disjoint_path_sets(g, pairs):
-            used = used_mask(candidate)
+        for walks in _used_edge_sets(snap):
+            used = sum(walks)
             if used == fast_used:
                 continue
             stree, rtree, s_found = _witness_for_path_set(snap, used, *terms, relaxed)
             any_source_tree = any_source_tree or s_found
             if rtree is not None:
-                return FeasibilityReport(
-                    True, candidate, edge_ids(stree), edge_ids(rtree), relaxed=relaxed
-                )
+                return witness(walks, stree, rtree)
     if len(sources) > 1 and not any_source_tree:
         return FeasibilityReport(False, failure_reason=REASON_SOURCE_TREE, relaxed=relaxed)
     return FeasibilityReport(False, failure_reason=REASON_RECEIVER_TREE, relaxed=relaxed)
@@ -428,10 +425,8 @@ def _hamiltonian_cycle_exists(g: Graph) -> bool:
         return False
     if any(g.degree(v) < 2 for v in g.nodes):
         return False
-    nodes = list(g.nodes)
-    bit = {v: 1 << i for i, v in enumerate(nodes[1:])}
-    first_nbrs = sum(bit[y] for y in g.neighbors(nodes[0]))
-    nbrs = [sum(bit.get(y, 0) for y in g.neighbors(v)) for v in nodes[1:]]
+    # node i is bit i - 1, so the first node's own bit shifts out
+    first_nbrs, *nbrs = (sum({1 << y for _, _, y in at}) >> 1 for at in _Snapshot(g).adj)
     full = (1 << (n - 1)) - 1
     failed: dict[int, int] = {}
 

@@ -331,3 +331,22 @@ def test_schema_error_exit_2():
     assert res.returncode == 2
     res = npcode("feasibility", "--graph", "/no/such/file")
     assert res.returncode == 2
+
+
+_H10 = json.loads(graph.save(construction.harary(10, 3)))
+
+
+@pytest.mark.parametrize("instance", [
+    5,
+    {},
+    {"graph": _H10, "sources": 5, "receivers": ["v3", "v5", "v8"]},
+    {"graph": _H10, "sources": ["v0"], "receivers": ["v5"], "num_paths": "x"},
+], ids=["number", "empty", "number-sources", "string-num-paths"])
+def test_simulate_rejects_malformed_report_instance(tmp_path, capsys, instance):
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps({"feasible": True, "instance": instance}))
+    assert cli.main(["simulate", "--graph", str(path), "--k", "3", "--t", "1",
+                     "--failures", "L1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1

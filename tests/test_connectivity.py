@@ -14,6 +14,7 @@ from npcode.connectivity import (
     node_connectivity,
 )
 from npcode.construction import harary
+from npcode.feasibility import ProtectionInstance, check_feasibility
 from npcode.graph import Graph
 
 from oracles import (
@@ -273,6 +274,9 @@ def test_size_guard():
     pairs = [(ids[0], ids[1])] * 13
     with pytest.raises(SearchBudgetExceeded):
         find_disjoint_paths_multi(g, pairs)
+    # the feasibility search runs the same guard
+    with pytest.raises(SearchBudgetExceeded):
+        check_feasibility(ProtectionInstance(g, [ids[0]], [ids[1]], num_paths=13))
 
 
 def test_duplicated_pair_demands():

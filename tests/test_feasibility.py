@@ -365,7 +365,7 @@ def test_certified_verdicts_skip_enumeration(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("path sets enumerated")
 
-    monkeypatch.setattr(feasibility, "iter_disjoint_path_sets", refuse)
+    monkeypatch.setattr(feasibility, "_used_edge_sets", refuse)
     for inst, side in ((build_fig2_fixture(), "1"), (_bridged_blocks(14), "a")):
         report = check_feasibility(inst)
         assert not report.feasible
@@ -373,6 +373,28 @@ def test_certified_verdicts_skip_enumeration(monkeypatch):
         # the bridge splits off the source's block
         assert report.certificate == tuple(v for v in inst.graph.nodes if side in v)
         assert verify_report(inst, report) == []
+
+
+@pytest.mark.parametrize("make", [
+    lambda: ProtectionInstance(harary(10, 4), ["v0", "v1", "v2", "v3"], ["v5", "v6", "v7", "v8"]),
+    lambda: _bridged_blocks(14),
+    build_fig2_fixture,
+    lambda: ProtectionInstance(harary(10, 3), ["v0"], ["v2", "v5", "v7"]),
+], ids=["multi H(4,10)", "bridged 14", "fig2 strict", "single H(3,10)"])
+def test_one_snapshot_per_search(monkeypatch, make):
+    # the paths, the cut certificate and the trees are all found on one snapshot
+    inst = make()
+    built = []
+    init = connectivity._Snapshot.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(connectivity._Snapshot, "__init__", counted)
+    check_feasibility(inst)
+    assert len(built) == 1
+    assert not hasattr(connectivity, "_edge_network")
 
 
 def test_witness_attempt_once_per_used_edge_set(monkeypatch):
