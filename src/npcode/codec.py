@@ -13,10 +13,11 @@ reduces the Vandermonde matrix to [I | P] and, as `_gf_inverse`, tests
 generator minors in `verify_mds` and inverts the decode matrix of an
 erasure set.  Each code caches a decode plan per erasure set, shared by
 `recover` and `recover_blocks`, so a pattern that repeats is inverted
-once.  Every payload goes through `kernels.gf_matmul` (m <= 16), which
-packs up to eight output bytes into each table gather; its word tables
-for a coefficient matrix (a parity matrix, a decode plan's inverse) are
-kept in the kernel's own memo, within the byte budget
+once.  A plan holds one coefficient matrix that yields both the data
+and the surviving parity symbols the data must reproduce, so
+`recover_blocks` makes at most one `kernels.gf_matmul` call (m <= 16).
+The kernel keeps its tables for a coefficient matrix (a parity matrix,
+a decode plan's matrix) in its own memo, within the byte budget
 `kernels.TABLE_MEMO_BYTES`, so a repeating pattern also reuses them.
 The scalar `encode` and `recover` are one-row calls of `encode_blocks`
 and `recover_blocks`.  FieldElement stays at the API edge: data blocks,
@@ -142,7 +143,7 @@ class NpcCode:
         g.setflags(write=False)
         self._parity_ints = p
         self._generator_ints = g
-        # frozenset(erased) -> (use, solve, check); see _decode_plan.  Threads
+        # frozenset(erased) -> (use, coef, check); see _decode_plan.  Threads
         # that miss together compute equal plans, so the last store is harmless.
         self._decode: dict[frozenset[int], tuple] = {}
 
@@ -249,14 +250,19 @@ def verify_mds(code: NpcCode) -> bool:
 
 
 def _decode_plan(code: NpcCode, erased: Iterable[int]) -> tuple[list[int], np.ndarray | None, list[int]]:
-    """(use, solve, check) for an erasure set, from the code's cache.
+    """(use, coef, check) for an erasure set, from the code's cache.
 
-    use is the first k-t surviving positions and solve the inverse of
-    their generator columns (None when use is the data positions, whose
-    columns are the identity): data = received[use] @ solve.  check is
-    the surviving parity positions outside use.  Every surviving data
-    position is in use, and data @ G[:, use] equals received[use] by
-    construction, so the consistency check compares check alone.
+    use is the first k-t surviving positions and check the surviving
+    parity positions outside use.  With solve the inverse of use's
+    generator columns, data = received[use] @ solve and the check
+    positions must read data @ G[:, check]; by associativity that is
+    received[use] @ (solve @ G[:, check]).  So coef holds both in one
+    matrix, [solve | solve @ G[:, check]], and one product gives the data
+    and the check symbols.  When use is the data positions, solve is the
+    identity and coef is G[:, check]; with no check position it is solve;
+    with neither it is None.  Every surviving data position is in use,
+    and data @ G[:, use] equals received[use] by construction, so the
+    consistency check compares check alone.
     """
     key = frozenset(erased)
     plan = code._decode.get(key)
@@ -270,12 +276,15 @@ def _decode_plan(code: NpcCode, erased: Iterable[int]) -> tuple[list[int], np.nd
         )
     survivors = [i for i in range(code.k) if i not in key]
     d = code.data_len
-    use = survivors[:d]
-    solve = None
+    use, check = survivors[:d], survivors[d:]
+    g = code.generator_int_matrix()
+    coef = g[:, check] if check else None
     if use != list(range(d)):
-        solve = _gf_inverse(code.generator_int_matrix()[:, use], code.field)
-        solve.setflags(write=False)
-    plan = code._decode[key] = (use, solve, survivors[d:])
+        solve = _gf_inverse(g[:, use], code.field)
+        coef = solve if coef is None else np.hstack([solve, kernels.gf_matmul(solve, coef, code.field)])
+    if coef is not None:
+        coef.setflags(write=False)
+    plan = code._decode[key] = (use, coef, check)
     return plan
 
 
@@ -353,12 +362,13 @@ def recover_blocks(code: NpcCode, received: np.ndarray, erased: Iterable[int]) -
     the (n, k-t) transpose of a C-ordered (k-t, n) array.
     """
     r = _as_symbol_matrix(received, code.k, code.field)
-    use, solve, check = _decode_plan(code, erased)
+    use, coef, check = _decode_plan(code, erased)
     rows = np.ascontiguousarray(r.T)
-    survivors = rows[use]
-    data = survivors.T if solve is None else kernels.gf_matmul(survivors.T, solve, code.field)
-    if check:
-        expect = kernels.gf_matmul(data, code.generator_int_matrix()[:, check], code.field)
-        if not np.array_equal(expect.T, rows[check]):
+    data = rows[use].T
+    if coef is not None:
+        out = kernels.gf_matmul(data, coef, code.field)
+        if coef.shape[1] > len(check):  # coef solves for the data first
+            data = out[:, : code.data_len]
+        if check and not np.array_equal(out[:, coef.shape[1] - len(check) :].T, rows[check]):
             raise InconsistentSymbolsError("surviving symbols fit no codeword")
     return data

@@ -247,16 +247,27 @@ class FieldContext:
         Shape coeffs.shape + (planes, entries), in the symbol dtype: for a
         symbol s, c * s is the XOR over p of products[..., p, (s >> 8p) & 0xFF].
         For m <= 8, one plane: rows of `mul_table`.  Above, two planes of
-        256 entries, each the XOR of the c * 2^i (by shift-and-reduce)
-        that its bits select, filled by doubling.
+        256 entries, each the XOR of the c * 2^i that its bits select,
+        filled by doubling.  The c * 2^i come from shift-and-reduce on one
+        Python int that holds every coefficient in a 16-bit lane, so their
+        cost hardly grows with the number of coefficients.
         """
         if self.exp_table is not None:
             return self.mul_table[coeffs][..., None, :]
         c = np.asarray(coeffs, dtype=np.int64)
-        bits = np.empty(c.shape + (2, 8), dtype=self.symbol_dtype)
-        for i in range(16):
-            bits[..., i >> 3, i & 7] = c
-            c = (c << 1) ^ (c >> (self.m - 1)) * self.reduction_poly
+        m, size = self.m, c.size
+        # lane i of v holds c_i * 2^j: a step shifts the lane's bits below
+        # m - 1 up and, if bit m - 1 was set, XORs in x^m reduced (`tail`)
+        low = int.from_bytes(np.full(size, (1 << m - 1) - 1, dtype="<u2").tobytes(), "little")
+        ones = int.from_bytes(b"\x01\x00" * size, "little")
+        tail = self.reduction_poly ^ 1 << m
+        v = int.from_bytes(c.astype("<u2").tobytes(), "little")
+        steps = []
+        for _ in range(16):
+            steps.append(v.to_bytes(2 * size, "little"))
+            v = (v & low) << 1 ^ (v >> m - 1 & ones) * tail
+        basis = np.frombuffer(b"".join(steps), dtype="<u2").reshape((2, 8) + c.shape)
+        bits = np.moveaxis(basis, (0, 1), (-2, -1))
         out = np.zeros(c.shape + (2, 256), dtype=self.symbol_dtype)
         for j in range(8):
             out[..., 1 << j : 2 << j] = out[..., : 1 << j] ^ bits[..., j, None]

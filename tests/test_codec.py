@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from npcode import codec as codec_module
+from npcode import kernels
 from npcode.codec import (
     CapacityExceededError,
     CodecError,
@@ -430,6 +431,54 @@ def test_decode_cache_is_per_code(monkeypatch):
         assert np.array_equal(recover_blocks(code, received, [0, 3]), data)
     assert [f.reduction_poly for f in calls] == [0x11B, 0x11D]
     assert not np.array_equal(a._decode[frozenset({0, 3})][1], b._decode[frozenset({0, 3})][1])
+
+
+def test_one_kernel_call_per_warm_recovery(monkeypatch):
+    # erasing data position 1 of a [8, 5] code leaves use = [0, 2, 3, 4, 5]
+    # and check = [6, 7]: the data and the check symbols come from one
+    # product; parity-only erasures need one product for the check, and
+    # t of them none at all
+    code = build_code(8, 3, GF8)
+    data = np.random.default_rng(37).integers(0, 256, size=(64, 5), dtype=np.uint8)
+    sent = encode_blocks(code, data)
+    calls = []
+    real = kernels.gf_matmul
+
+    def counting(a, b, field):
+        calls.append(b.shape)
+        return real(a, b, field)
+
+    for erased, products in (([1], 1), ([0, 6], 1), ([5], 1), ([5, 6, 7], 0)):
+        received = sent.copy()
+        received[:, erased] = 0
+        assert np.array_equal(recover_blocks(code, received, erased), data)  # plan now cached
+        monkeypatch.setattr(kernels, "gf_matmul", counting)
+        calls.clear()
+        assert np.array_equal(recover_blocks(code, received, erased), data)
+        assert len(calls) == products, (erased, calls)
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("m", [8, 16])
+def test_corruption_detected_past_the_row_gather_cut_off(m):
+    # the hypothesis corruption test only reaches short batches: here the
+    # kernel takes its word gather, on a plan that solves for the data
+    field = FieldContext(m)
+    code = build_code(8, 3, field)
+    n = kernels._ROW_GATHER_BYTES // field.symbol_dtype.itemsize + 1
+    rng = np.random.default_rng(m)
+    data = rng.integers(0, field.order, size=(n, 5), dtype=field.symbol_dtype)
+    sent = encode_blocks(code, data)
+    erased = [1]
+    sent[:, erased] = 0
+    assert np.array_equal(recover_blocks(code, sent, erased), data)
+    use, _, check = codec_module._decode_plan(code, erased)
+    assert check
+    for pos in (check[0], use[-1]):
+        received = sent.copy()
+        received[n - 1, pos] ^= 1
+        with pytest.raises(InconsistentSymbolsError):
+            recover_blocks(code, received, erased)
 
 
 def test_invalid_erasure_sets_are_not_cached():

@@ -44,10 +44,29 @@ _SHAPES = [(1, 1, 1), (5, 3, 4), (17, 8, 2), (40, 6, 6)] + [
 ]
 
 
-@pytest.mark.parametrize("shape", _SHAPES)
-def test_numpy_path_matches_oracle(shape):
+def _spy_gathers(monkeypatch):
+    """The names of the gathers gf_matmul runs, in call order."""
+    ran = []
+    for name in ("_row_gather", "_word_gather"):
+        def spy(*args, _name=name, _real=getattr(kernels, name)):
+            ran.append(_name)
+            return _real(*args)
+        monkeypatch.setattr(kernels, name, spy)
+    return ran
+
+
+def _check_shape(shape, fields, batch, monkeypatch):
+    """gf_matmul against the oracle on one shape, in every layout of a and b.
+
+    batch is None for the shape's own n, else the number of symbol bytes
+    per input column past the row gather's cut-off (0 or 1): those long
+    batches draw their rows from the shape's n rows, so the oracle runs on
+    those alone, and must take the row gather at the cut-off and the word
+    gather past it.
+    """
     n, kk, mm = shape
-    for m in (1, 2, 4, 8, 9, 12, 16):
+    ran = _spy_gathers(monkeypatch)
+    for m in fields:
         ctx = FieldContext(m)
         rng = np.random.default_rng([n, kk, mm, m])
         a = rng.integers(0, ctx.order, size=(n, kk), dtype=ctx.symbol_dtype)
@@ -59,11 +78,30 @@ def test_numpy_path_matches_oracle(shape):
             # with mm = 9 or 17 this zero column is a chunk of its own
             b[:, -1] = 0
         expect = _matmul_oracle(a, b, ctx)
+        gather = "_row_gather"
+        if batch is not None:
+            pick = rng.integers(0, n, size=kernels._ROW_GATHER_BYTES // ctx.symbol_dtype.itemsize + batch)
+            pick[0] = 0
+            a, expect = a[pick], expect[pick]
+            gather = "_word_gather" if batch else gather
         for a_in, b_in in product(_layouts(a), _layouts(b)):
+            ran.clear()
             got = kernels.gf_matmul(a_in, b_in, ctx)
-            assert got.shape == (n, mm) and got.dtype == ctx.symbol_dtype
+            assert ran == [gather]
+            assert got.shape == (a.shape[0], mm) and got.dtype == ctx.symbol_dtype
             assert got.T.flags.c_contiguous
             assert np.array_equal(got, expect)
+
+
+@pytest.mark.parametrize("shape", _SHAPES)
+def test_numpy_path_matches_oracle(shape, monkeypatch):
+    _check_shape(shape, (1, 2, 4, 8, 9, 12, 16), None, monkeypatch)
+
+
+@pytest.mark.parametrize("past", [0, 1])
+@pytest.mark.parametrize("shape", _SHAPES)
+def test_both_gathers_match_oracle_at_the_cut_off(shape, past, monkeypatch):
+    _check_shape(shape, (8, 16), past, monkeypatch)
 
 
 @pytest.mark.parametrize("mm", [1, 3, 8, 9])
@@ -170,6 +208,23 @@ def test_memo_follows_coefficients_changed_in_place():
     second = kernels.gf_matmul(a, b, GF8)
     assert np.array_equal(second, _matmul_oracle(a, b, GF8))
     assert not np.array_equal(first, second)
+
+
+def test_memo_keeps_each_kind_of_table(monkeypatch):
+    # one coefficient matrix, a short and a long batch: a row table and word
+    # tables, under keys that differ by kind only, each giving the product
+    memo = kernels._TableMemo(kernels.TABLE_MEMO_BYTES)
+    monkeypatch.setattr(kernels, "_TABLES", memo)
+    rng = np.random.default_rng(19)
+    rows = rng.integers(0, 256, size=(6, 4), dtype=np.uint8)
+    b = rng.integers(0, 256, size=(4, 9), dtype=np.uint8)
+    expect = _matmul_oracle(rows, b, GF8)
+    for n in (6, kernels._ROW_GATHER_BYTES + 1):
+        pick = np.arange(n) % 6
+        assert np.array_equal(kernels.gf_matmul(rows[pick], b, GF8), expect[pick])
+    kinds = [key[0] for key in memo._entries]
+    assert kinds == [kernels._row_table, kernels._word_tables]
+    assert len({key[1:] for key in memo._entries}) == 1
 
 
 def _memo_size(memo):
