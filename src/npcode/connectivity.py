@@ -19,13 +19,14 @@ witness from the first pair that reaches that value.
 
 The multi-pair variant (distinct source-receiver pairs that must be
 mutually edge-disjoint) is NP-complete in general, so it is solved by
-exact backtracking with admissible pruning and an explicit size guard,
-except when all sources (or all receivers) coincide, which collapses to
-a single max-flow.  The searches carry each path as an edge mask.  The
-exhaustive enumeration lists each distinct set of used edges once, with
-the first path set (pair by pair, lowest-edge-id first) that uses it;
-everything after a (pair index, edges left) state depends on those two
-alone, so each such state is walked once.
+exact backtracking with admissible pruning, except when all sources (or
+all receivers) coincide, which collapses to a single max-flow.  Each
+step, like each Steiner-tree state, spends one of the call's
+`_MAX_STATES` states.  The searches carry each path as an edge mask.
+The exhaustive enumeration lists each distinct set of used edges once,
+with the first path set (pair by pair, lowest-edge-id first) that uses
+it; everything after a (pair index, edges left) state depends on those
+two alone, so each such state is walked once.
 """
 
 from __future__ import annotations
@@ -38,8 +39,6 @@ from .graph import DisjointPathSet, Graph, GraphError, Path
 
 __all__ = [
     "CutReport",
-    "MAX_EDGES",
-    "MAX_PAIRS",
     "SearchBudgetExceeded",
     "edge_connectivity",
     "find_disjoint_paths_multi",
@@ -49,12 +48,11 @@ __all__ = [
     "node_connectivity",
 ]
 
-MAX_PAIRS = 12
-MAX_EDGES = 200
+_MAX_STATES = 2_000_000  # search states one call may spend; see _Snapshot.count
 
 
 class SearchBudgetExceeded(RuntimeError):
-    """Instance too large for exact search."""
+    """The exact search spent its whole state budget before it could answer."""
 
 
 @dataclass(frozen=True)
@@ -178,9 +176,10 @@ def _walk_path(net: _Network, cap: list[int], s: int, t: int) -> int:
 
 class _Snapshot:
     __slots__ = ("index", "nodes", "edges", "edge_ends", "adj", "inc", "full", "ends",
-                 "repeated", "net")
+                 "repeated", "net", "spent")
 
-    def __init__(self, g: Graph, pairs: Sequence[tuple[str, str]] = ()):
+    def __init__(self, g: Graph, pairs: Sequence[tuple[str, str]] = (), spent: int = 0):
+        self.spent = spent
         self.nodes = list(g.nodes)
         self.edges = list(g.edges)
         self.index = index = {v: i for i, v in enumerate(self.nodes)}
@@ -200,6 +199,12 @@ class _Snapshot:
         self.repeated = [[(*pair, c) for pair, c in Counter(self.ends[i:]).items() if c > 1]
                          for i in range(len(self.ends))]
         self.net = self.network() if any(self.repeated) else None
+
+    def count(self, spent: int) -> None:
+        """Record the states the call has spent; past _MAX_STATES the search stops."""
+        if spent > _MAX_STATES:
+            raise SearchBudgetExceeded(f"exact search stopped at its budget of {_MAX_STATES:,} states")
+        self.spent = spent
 
     def network(self, sinks: Sequence[int] = ()) -> _Network:
         """The unit-capacity residual graph; its arcs at each node follow adj, which
@@ -234,24 +239,31 @@ class _Snapshot:
         at most max_len edges are walked: a step is dropped when even the
         shortest way on from its end would be too long.  The edges a walk
         may still take are avail less those at every path node but the
-        last, so no node repeats.
+        last, so no node repeats.  Each step taken spends one state.
         """
         adj, inc = self.adj, self.inc
         x, r = self.ends[i]
         it, usable, mask = iter(adj[x]), avail, 0
         stack = []
+        spent, limit = self.spent, _MAX_STATES  # self.spent is current at each yield
         while True:
             for bit, _, y in it:
                 if not usable & bit:
                     continue
                 if y == r:
+                    self.count(spent + 1)
                     yield mask | bit
+                    spent = self.spent
                 elif to_r is None or 0 <= to_r[y] < max_len - len(stack):
+                    spent += 1
+                    if spent > limit:
+                        self.count(spent)  # raises
                     stack.append((it, x, usable, mask))
                     it, x, usable, mask = iter(adj[y]), y, usable & ~inc[x], mask | bit
                     break
             else:
                 if not stack:
+                    self.spent = spent
                     return
                 it, x, usable, mask = stack.pop()
 
@@ -395,8 +407,8 @@ def node_connectivity(g: Graph) -> CutReport:
 # -- multi-pair edge-disjoint paths --------------------------------------------------
 
 
-def _pair_snapshot(g: Graph, pairs: Sequence[tuple[str, str]]) -> _Snapshot:
-    """The snapshot of a multi-pair search, once the pairs are valid and within the guard."""
+def _pair_snapshot(g: Graph, pairs: Sequence[tuple[str, str]], spent: int = 0) -> _Snapshot:
+    """The snapshot of a multi-pair search, once the pairs are valid, from spent states on."""
     if not pairs:
         raise ValueError("need at least one source-receiver pair")
     for s, r in pairs:
@@ -404,12 +416,7 @@ def _pair_snapshot(g: Graph, pairs: Sequence[tuple[str, str]]) -> _Snapshot:
         g._require_node(r)
         if s == r:
             raise ValueError(f"pair has identical endpoints {s!r}")
-    if len(pairs) > MAX_PAIRS or g.num_edges > MAX_EDGES:
-        raise SearchBudgetExceeded(
-            f"instance too large for exact search "
-            f"({len(pairs)} pairs > {MAX_PAIRS} or {g.num_edges} edges > {MAX_EDGES})"
-        )
-    return _Snapshot(g, pairs)
+    return _Snapshot(g, pairs, spent)
 
 
 def _shared_source_flow(snap: _Snapshot, source: int, targets: Sequence[int]) -> list[int] | None:
@@ -506,8 +513,8 @@ def _used_edge_sets(snap: _Snapshot) -> Iterator[list[int]]:
 def iter_disjoint_path_sets(
     g: Graph, pairs: Sequence[tuple[str, str]]
 ) -> Iterator[DisjointPathSet]:
-    """Every distinct used-edge set of a pairwise edge-disjoint path assignment,
-    once, as the first path set that uses it (see `_used_edge_sets`)."""
+    """Each distinct used-edge set of pairwise edge-disjoint paths, once and
+    within the state budget, as the first path set that uses it (see `_used_edge_sets`)."""
     snap = _pair_snapshot(g, pairs)
     for walks in _used_edge_sets(snap):
         yield snap.path_set(walks)
@@ -516,10 +523,9 @@ def iter_disjoint_path_sets(
 def find_disjoint_paths_multi(
     g: Graph, pairs: Sequence[tuple[str, str]]
 ) -> DisjointPathSet | None:
-    """Exact search for mutually edge-disjoint paths, one per pair.
-
-    Returns a witness set or None once the search space is exhausted; see
-    `_multi_paths` for the search and which witness it finds.
+    """Exact search for mutually edge-disjoint paths, one per pair, within
+    the state budget: a witness set, or None once the search space is
+    exhausted; see `_multi_paths` for the search and which witness it finds.
     """
     snap = _pair_snapshot(g, pairs)
     walks = _multi_paths(snap)

@@ -76,6 +76,8 @@ def harary(n: int, k: int) -> Graph:
 
 def harary_lower_bound(n: int, k: int) -> int:
     """ceil(k*n/2): no k-connected graph on n nodes can have fewer edges."""
+    if not 1 <= k < n:
+        raise ValueError(f"need 1 <= k < n, got k={k}, n={n}")
     return (k * n + 1) // 2
 
 
@@ -98,8 +100,8 @@ def min_edges_predetermined(n: int, k: int) -> int:
 
 def min_edges_arbitrary(n: int, k: int) -> int:
     """Fewest edges when any k sources and k receivers may be demanded."""
-    if k > n:
-        raise ValueError(f"need k <= n, got k={k}, n={n}")
+    if not 1 <= k <= n:
+        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     return (n * (n - k + 1) + 1) // 2
 
 

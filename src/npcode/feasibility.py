@@ -57,7 +57,6 @@ __all__ = [
     "verify_report",
 ]
 
-_TREE_ENUM_CAP = 1_000_000
 _PAIRING_MAX = 6
 _HAMILTON_MAX = 16
 
@@ -173,8 +172,6 @@ def _tree_for_terminals(snap: _Snapshot, pool: int, terminals: Sequence[int]) ->
     The tree joins the BFS-tree paths from each terminal back to the first
     one; every leaf of that union is a terminal, so there is nothing to prune.
     """
-    if len(terminals) <= 1:
-        return 0
     root = terminals[0]
     reached_by = [0] * len(snap.nodes)  # the edge bit that first reached each node
     seen = 1 << root
@@ -212,13 +209,9 @@ def _iter_steiner_trees(snap: _Snapshot, pool: int, terminals: Sequence[int]) ->
     root = terminals[0]
     terms = sum(1 << t for t in terminals)
     seen_trees: set[int] = set()
-    states = 0
 
     def rec(component: int, touched: int, inner: int, chosen: int, banned: int) -> Iterator[int]:
-        nonlocal states
-        states += 1
-        if states > _TREE_ENUM_CAP:
-            raise SearchBudgetExceeded("tree enumeration cap exceeded")
+        snap.count(snap.spent + 1)
         if not terms & ~component:
             tree = _prune_to_terminals(snap, chosen, terms)
             if tree not in seen_trees:
@@ -258,9 +251,6 @@ def _witness_for_path_set(
     empty mask is a valid tree for a single terminal.
     """
     spool = snap.full if relaxed else snap.full & ~used
-    if len(sources) <= 1:
-        rtree = _tree_for_terminals(snap, spool, receivers)
-        return (None if rtree is None else 0), rtree, True
     source_tree_found = False
     for stree in _iter_steiner_trees(snap, spool, sources):
         source_tree_found = True
@@ -283,19 +273,20 @@ def _cut_demand(g: Graph, pairs, sources, receivers, side: set[str]) -> tuple[in
     return crossing, separated, split(sources), split(receivers)
 
 
-def _deficient_cut(g: Graph, snap: _Snapshot, pairs, sources, receivers, any_source_tree: bool):
+def _deficient_cut(g: Graph, snap: _Snapshot, sources, receivers, any_source_tree: bool):
     """(certificate, failure reason) for a strict infeasible instance, or None.
 
     Candidate sides are the minimal minimum cuts between terminals, one
     flow per unordered pair stopped at k+2 units: no side crossed by that
     many edges can be deficient.  A deficient side proves infeasibility,
     but it gives the reason the exhaustive search names only in two cases:
-    receiver-tree when there is one source or the first path set left room
-    for a source tree, and source-tree when the side splits the sources and
-    every crossing edge carries a path (c == p), so no path set leaves room.
+    receiver-tree when the first path set left room for a source tree
+    (empty for one source), and source-tree when the side splits the
+    sources and every crossing edge carries a path (c == p), leaving none.
     """
     terminals = list(dict.fromkeys(snap.index[v] for v in (*sources, *receivers)))
     net = snap.network()
+    pairs = [(snap.nodes[s], snap.nodes[r]) for s, r in snap.ends]
     limit = len(pairs) + 2
     for i, a in enumerate(terminals):
         for b in terminals[i + 1 :]:
@@ -306,15 +297,15 @@ def _deficient_cut(g: Graph, snap: _Snapshot, pairs, sources, receivers, any_sou
             c, p, s, r = _cut_demand(g, pairs, sources, receivers, set(certificate))
             if c >= p + s + r:
                 continue
-            if len(sources) == 1 or any_source_tree:
+            if any_source_tree:
                 return certificate, REASON_RECEIVER_TREE
             if s and c == p:
                 return certificate, REASON_SOURCE_TREE
     return None
 
 
-def _search(g: Graph, pairs: list[tuple[str, str]], sources, receivers, relaxed: bool):
-    """Exact witness search; returns a report without pairing metadata.
+def _search(g: Graph, snap: _Snapshot, sources, receivers, relaxed: bool):
+    """Exact witness search on the pairs' snapshot; returns a report without pairing metadata.
 
     Relaxed trees are placed in the whole graph, so the first path set's
     answer is every path set's.  In strict mode a deficient cut settles an
@@ -323,7 +314,6 @@ def _search(g: Graph, pairs: list[tuple[str, str]], sources, receivers, relaxed:
     uses it.  One snapshot carries the whole search: paths are one edge
     mask per pair, and only the reported witness is traced back to ids.
     """
-    snap = _pair_snapshot(g, pairs)
     terms = [snap.index[v] for v in sources], [snap.index[v] for v in receivers]
 
     def witness(walks: list[int], stree: int, rtree: int) -> FeasibilityReport:
@@ -338,7 +328,7 @@ def _search(g: Graph, pairs: list[tuple[str, str]], sources, receivers, relaxed:
     if rtree is not None:
         return witness(fast, stree, rtree)
     if not relaxed:
-        cut = _deficient_cut(g, snap, pairs, sources, receivers, any_source_tree)
+        cut = _deficient_cut(g, snap, sources, receivers, any_source_tree)
         if cut is not None:
             certificate, reason = cut
             return FeasibilityReport(False, failure_reason=reason, certificate=certificate)
@@ -350,7 +340,7 @@ def _search(g: Graph, pairs: list[tuple[str, str]], sources, receivers, relaxed:
             any_source_tree = any_source_tree or s_found
             if rtree is not None:
                 return witness(walks, stree, rtree)
-    if len(sources) > 1 and not any_source_tree:
+    if not any_source_tree:
         return FeasibilityReport(False, failure_reason=REASON_SOURCE_TREE, relaxed=relaxed)
     return FeasibilityReport(False, failure_reason=REASON_RECEIVER_TREE, relaxed=relaxed)
 
@@ -363,7 +353,7 @@ def check_feasibility(
     """Decide deployability and produce a witness or a certified refusal.
 
     pairing="fixed" keeps the given source/receiver index pairing;
-    "auto" tries every receiver permutation (pair count <= 6 only).
+    "auto" tries every receiver permutation (pair count <= 6 only) on one budget.
     """
     g = inst.graph
     if pairing not in ("fixed", "auto"):
@@ -373,10 +363,11 @@ def check_feasibility(
             raise SearchBudgetExceeded(
                 f"auto pairing supports at most {_PAIRING_MAX} pairs"
             )
-        fixed_report = None
+        fixed_report, spent = None, 0
         for perm in permutations(inst.receivers):
-            pairs = list(zip(inst.sources, perm))
-            report = _search(g, pairs, inst.sources, perm, relaxed)
+            snap = _pair_snapshot(g, list(zip(inst.sources, perm)), spent)
+            report = _search(g, snap, inst.sources, perm, relaxed)
+            spent = snap.spent
             if report.feasible:
                 return FeasibilityReport(
                     True, report.paths, report.source_tree, report.receiver_tree,
@@ -387,7 +378,7 @@ def check_feasibility(
         return FeasibilityReport(
             False, failure_reason=fixed_report.failure_reason, relaxed=relaxed
         )
-    return _search(g, inst.pairs(), inst.sources, inst.receivers, relaxed)
+    return _search(g, _pair_snapshot(g, inst.pairs()), inst.sources, inst.receivers, relaxed)
 
 
 def check_single_source(inst: ProtectionInstance, relaxed: bool = False) -> FeasibilityReport:

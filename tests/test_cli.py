@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import npcode as package
-from npcode import cli, codec, construction, feasibility, graph, simulator
+from npcode import cli, codec, connectivity, construction, feasibility, graph, simulator
 from npcode.galois import FieldContext, default_polynomial
 
 FIG2 = FsPath(__file__).parent / "data" / "fig2.json"
@@ -128,6 +128,18 @@ def test_feasibility_unknown_ids():
     assert res.returncode == 2
 
 
+def test_feasibility_budget_stop_exits_2(monkeypatch, tmp_path, capsys):
+    # multi-pair H(4,12) spends about 108k states to answer; 1,000 stop it
+    monkeypatch.setattr(connectivity, "_MAX_STATES", 1000)
+    path = tmp_path / "h12_4.json"
+    path.write_text(graph.save(construction.harary(12, 4)))
+    argv = ["feasibility", "--graph", str(path), "--sources", "v0,v1,v2,v3",
+            "--receivers", "v6,v7,v8,v9"]
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: exact search stopped at its budget of 1,000 states\n"
+
+
 def test_feasibility_needs_terminals():
     gen = npcode("generate", "--harary", "6", "2")
     res = npcode("feasibility", stdin=gen.stdout)
@@ -146,6 +158,27 @@ def test_bounds():
     assert res.returncode == 2
     res = npcode("bounds", "--n", "5", "--k", "3")
     assert json.loads(res.stdout)["predetermined"] is None
+
+
+@pytest.mark.parametrize("n, k", [(-5, -3), (3, 0), (3, -1)])
+def test_bounds_refuse_invalid_n_and_k(n, k, capsys):
+    assert cli.main(["bounds", "--n", str(n), "--k", str(k)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc == {"n": n, "k": k, "single_source": None, "predetermined": None,
+                   "arbitrary": None, "harary": None}
+    for mode in ("arbitrary", "harary"):
+        assert cli.main(["bounds", "--n", str(n), "--k", str(k), "--mode", mode]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: need 1 <= k <")
+
+
+def test_bounds_limits_of_k():
+    # k = n is the widest demand the arbitrary formula states; harary needs k < n
+    assert construction.min_edges_arbitrary(5, 5) == 3
+    with pytest.raises(ValueError):
+        construction.harary_lower_bound(5, 5)
+    assert construction.harary_lower_bound(5, 1) == 3
+    assert construction.min_edges_arbitrary(5, 1) == 13
 
 
 def test_encode_recover_round_trip():

@@ -1,9 +1,11 @@
 import json
 import random
+import time
 from pathlib import Path
 
 import pytest
 
+from npcode import connectivity
 from npcode.connectivity import (
     SearchBudgetExceeded,
     edge_connectivity,
@@ -270,13 +272,14 @@ def test_iter_path_sets_exhaustive_count():
 
 
 def test_size_guard():
+    # many pairs are no reason to refuse: 13 copies of one pair in K4 need 13
+    # edge-disjoint paths where a cut of 3 edges allows 3, and both searches say so
     g, ids = _complete_graph(4)
     pairs = [(ids[0], ids[1])] * 13
-    with pytest.raises(SearchBudgetExceeded):
-        find_disjoint_paths_multi(g, pairs)
-    # the feasibility search runs the same guard
-    with pytest.raises(SearchBudgetExceeded):
-        check_feasibility(ProtectionInstance(g, [ids[0]], [ids[1]], num_paths=13))
+    assert find_disjoint_paths_multi(g, pairs) is None
+    assert list(iter_disjoint_path_sets(g, pairs)) == []
+    report = check_feasibility(ProtectionInstance(g, [ids[0]], [ids[1]], num_paths=13))
+    assert not report.feasible and report.failure_reason == "paths"
 
 
 def test_duplicated_pair_demands():
@@ -408,6 +411,32 @@ def test_repeated_pair_path_sets_counted_once_per_used_edge_set():
     # (counted once with disjoint_path_sets_ref and first_per_used_edge_set)
     pairs = [("v1", "v3"), ("v1", "v3"), ("v2", "v4")]
     assert sum(1 for _ in iter_disjoint_path_sets(harary(7, 6), pairs)) == 23_283
+
+
+def test_repeated_pair_walk_stops_at_the_budget():
+    # K8 with the same pairs: 1,291,965 used-edge sets, which took 56 s to list
+    # with no budget; the walk now stops at the default budget (4-6 s on a
+    # 2-core Xeon)
+    pairs = [("v1", "v3"), ("v1", "v3"), ("v2", "v4")]
+    start = time.perf_counter()
+    with pytest.raises(SearchBudgetExceeded, match=f"budget of {connectivity._MAX_STATES:,} states"):
+        for _ in iter_disjoint_path_sets(harary(8, 7), pairs):
+            pass
+    assert time.perf_counter() - start < 30
+
+
+def test_walk_path_splices_out_a_flow_cycle():
+    # one unit of flow s-a-t, plus a circulation a-b-c-a that the walk meets
+    # first at a: the returned path is s-a-t, and every arc is cleared
+    s, a, t, b, c = range(5)
+    net = connectivity._Network(5)
+    for x, y in ((s, a), (a, b), (b, c), (c, a), (a, t)):  # edges 0..4
+        net.add(x, y, 1, 1)
+    cap = net.cap[:]
+    for arc in (0, 2, 4, 6, 8):  # each edge carries its unit forward
+        cap[arc], cap[arc ^ 1] = 0, 2
+    assert connectivity._walk_path(net, cap, s, t) == 1 << 0 | 1 << 4
+    assert cap == [1] * 10
 
 
 def _pinned_multi_cases():

@@ -13,7 +13,7 @@ from npcode.feasibility import (
     check_single_source,
     verify_report,
 )
-from npcode.graph import Graph, save
+from npcode.graph import DisjointPathSet, Graph, Path, save
 
 from oracles import brute_min_st_cut, edge_list, feasible_ref, hamiltonian_ref
 
@@ -242,6 +242,57 @@ def test_verify_report_catches_tampering():
     assert verify_report(inst, bad)
 
 
+def _h12_witness():
+    # paths e12 v0-v6, e13 v1-v7, e14 v2-v8; source tree e0 e2, receiver tree e7 e8
+    inst = ProtectionInstance(harary(12, 3), ["v0", "v1", "v2"], ["v6", "v7", "v8"])
+    return inst, check_feasibility(inst)
+
+
+def _k5_witness():
+    # one source n0: paths e0 n0-n1, e1 n0-n2, e2 n0-n3; receiver tree e4 n1-n2, e5 n1-n3
+    g, ids = _complete_graph(5)
+    inst = ProtectionInstance(g, [ids[0]], ids[1:4])
+    return inst, check_feasibility(inst)
+
+
+def _path(nodes, edges):
+    return Path(tuple(nodes), tuple(edges))
+
+
+@pytest.mark.parametrize("witness, tamper, problems", [
+    (_h12_witness, lambda r: replace(r, paths=DisjointPathSet(r.paths.paths[:2])),
+     ["witness path count does not match the instance"]),
+    (_h12_witness,
+     lambda r: replace(r, paths=DisjointPathSet((_path(["v0", "v6"], ["e13"]),) + r.paths.paths[1:])),
+     ["paths invalid: edge 'e13' does not join 'v0'-'v6'"]),
+    (_h12_witness,
+     lambda r: replace(r, paths=DisjointPathSet((r.paths.paths[1], r.paths.paths[0], r.paths.paths[2]))),
+     ["path endpoints v1-v7 differ from pair v0-v6", "path endpoints v0-v6 differ from pair v1-v7"]),
+    (_k5_witness, lambda r: replace(r, source_tree=("e9",)),
+     ["source tree should be empty for a single terminal"]),
+    (_h12_witness, lambda r: replace(r, source_tree=()), ["source tree missing"]),
+    (_h12_witness, lambda r: replace(r, receiver_tree=("e7", "nope")),
+     ["receiver tree uses unknown edge 'nope'"]),
+    (_k5_witness, lambda r: replace(r, receiver_tree=("e4", "e5", "e7")), ["receiver tree is not a tree"]),
+    (_h12_witness, lambda r: replace(r, receiver_tree=("e7",)),
+     ["receiver tree does not span its terminals"]),
+    # the ring from v0 to v8 is one tree that spans both terminal sets
+    (_h12_witness,
+     lambda r: replace(r, source_tree=("e0", *(f"e{i}" for i in range(2, 9))),
+                       receiver_tree=("e0", *(f"e{i}" for i in range(2, 9)))),
+     ["source and receiver trees share edges"]),
+    (_h12_witness, lambda r: replace(r, source_tree=("e0", "e2", "e12")),
+     ["source tree reuses path edges in strict mode"]),
+    (_h12_witness, lambda r: replace(r, source_tree=("e0", "e2", "e12"), relaxed=True), []),
+], ids=["path count", "invalid path", "endpoints", "single terminal", "missing tree",
+        "unknown edge", "cycle", "misses a terminal", "shared tree edges", "strict reuse",
+        "relaxed reuse"])
+def test_verify_report_names_each_rejection(witness, tamper, problems):
+    inst, report = witness()
+    assert verify_report(inst, report) == []
+    assert verify_report(inst, tamper(report)) == problems
+
+
 def test_check_single_source_requires_one_source():
     g, ids = _complete_graph(4)
     with pytest.raises(ValueError):
@@ -415,20 +466,97 @@ def test_witness_attempt_once_per_used_edge_set(monkeypatch):
     assert len(tried) == len(set(tried)) == len(every) == 157
 
 
+def _witness_spans(monkeypatch) -> list[list]:
+    """Record the snapshot's spent states on entry to and exit from each witness
+    attempt; an attempt that raised keeps None as its exit."""
+    spans = []
+    attempt = feasibility._witness_for_path_set
+
+    def counted(snap, *args):
+        spans.append([snap.spent, None])
+        result = attempt(snap, *args)
+        spans[-1][1] = snap.spent
+        return result
+
+    monkeypatch.setattr(feasibility, "_witness_for_path_set", counted)
+    return spans
+
+
 def test_tree_enumeration_cap_stops_the_search(monkeypatch, tmp_path, capsys):
-    # a tree joining three sources grows through at least three states
-    monkeypatch.setattr(feasibility, "_TREE_ENUM_CAP", 2)
     g = harary(12, 3)
     sources, receivers = ["v0", "v1", "v2"], ["v6", "v7", "v8"]
-    with pytest.raises(SearchBudgetExceeded, match="tree enumeration cap"):
-        check_feasibility(ProtectionInstance(g, sources, receivers))
+    inst = ProtectionInstance(g, sources, receivers)
+    spans = _witness_spans(monkeypatch)
+    assert check_feasibility(inst).feasible
+    # a tree joining three sources grows through at least three states, so two
+    # past the walk to the first path set stop the search in its tree
+    limit = spans[0][0] + 2
+    monkeypatch.setattr(connectivity, "_MAX_STATES", limit)
+    spans.clear()
+    with pytest.raises(SearchBudgetExceeded, match=f"^exact search stopped at its budget of {limit} states$"):
+        check_feasibility(inst)
+    assert spans == [[limit - 2, None]]
     path = tmp_path / "h12.json"
     path.write_text(save(g))
     argv = ["feasibility", "--graph", str(path), "--sources", ",".join(sources),
             "--receivers", ",".join(receivers)]
     assert cli.main(argv) == 2
     out, err = capsys.readouterr()
-    assert out == "" and err.startswith("error: tree enumeration cap")
+    assert out == "" and err == f"error: exact search stopped at its budget of {limit} states\n"
+
+
+def test_tree_states_across_path_sets_share_one_budget(monkeypatch):
+    # multi H(4,10) tries trees around 157 path sets; the budget counts every
+    # tree state of every attempt, and the walks between them, on one total
+    inst = ProtectionInstance(harary(10, 4), ["v0", "v1", "v2", "v3"], ["v5", "v6", "v7", "v8"])
+    spans = _witness_spans(monkeypatch)
+    check_feasibility(inst)
+    states = [leave - enter for enter, leave in spans]
+    assert len(spans) == 157 and min(states) > 0
+    assert all(leave <= enter for (_, leave), (enter, _) in zip(spans, spans[1:]))
+    # stop half way through the attempt that grows the most tree states: no
+    # attempt alone comes near the limit, the total does
+    i = states.index(max(states))
+    limit = spans[i][0] + states[i] // 2
+    assert max(states) < limit < spans[-1][1]
+    monkeypatch.setattr(connectivity, "_MAX_STATES", limit)
+    spans.clear()
+    with pytest.raises(SearchBudgetExceeded, match=f"budget of {limit:,} states"):
+        check_feasibility(inst)
+    assert len(spans) == i + 1 and spans[-1][1] is None
+
+
+def test_auto_pairing_spends_one_budget(monkeypatch):
+    # the first two receiver orders are infeasible and the third feasible; the
+    # budget that lets the loop answer is the sum of the searches, not the largest
+    sources, receivers = ["v0", "v1", "v2", "v3"], ["v5", "v6", "v7", "v8"]
+    inst = ProtectionInstance(harary(10, 4), sources, receivers)
+    spent = []
+    search = feasibility._search
+
+    def counted(g, snap, *args):
+        report = search(g, snap, *args)
+        spent.append(snap.spent)
+        return report
+
+    monkeypatch.setattr(feasibility, "_search", counted)
+    report = check_feasibility(inst, pairing="auto")
+    assert report.pairing == ("v5", "v7", "v6", "v8") and len(spent) == 3
+    assert max(b - a for a, b in zip([0] + spent, spent)) < spent[-1] - 1
+    monkeypatch.setattr(connectivity, "_MAX_STATES", spent[-1])
+    assert check_feasibility(inst, pairing="auto") == report
+    monkeypatch.setattr(connectivity, "_MAX_STATES", spent[-1] - 1)
+    with pytest.raises(SearchBudgetExceeded):
+        check_feasibility(inst, pairing="auto")
+
+
+def test_single_source_on_a_large_graph_is_one_flow():
+    # 101 nodes and 202 edges: a single source needs no enumeration at all
+    g = harary(101, 4)
+    inst = ProtectionInstance(g, ["v0"], ["v20", "v40", "v60", "v80"])
+    report = check_feasibility(inst)
+    assert report.feasible and len(report.paths) == 4
+    assert verify_report(inst, report) == []
 
 
 def test_verify_report_rechecks_certificates():
