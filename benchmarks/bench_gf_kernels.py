@@ -1,18 +1,21 @@
 #!/usr/bin/env python3
 """Time the GF(2^m) block kernel, `kernels.gf_matmul`, and the block codec, in MB/s.
 
-Times the kernel on the two shapes a [k, k-t] code uses: the (k-t) x t
-parity matrix of an encode and the (k-t) x (k-t) matrix of a decode that
-lost data positions, each on --blocks blocks and on a 64-block batch,
-over GF(2^8) (one-byte symbols) and GF(2^16) (two-byte symbols, one
-gather per byte plane).  The parity product is checked against the
-scalar encoder.  A sweep over GF(2^8) output widths then shows the
-packed words at work: up to 8 output columns share one table gather per
-input column.  Last comes one GF(2^8) round trip through the codec layer
-at --blocks blocks: `encode_blocks`, erase the first data column,
-`recover_blocks`, with the recovered bytes checked against the data.  Each time is the best of --repeat; a 64-block
-time is per call, over a loop of calls.  MB/s counts the data symbols
-read.
+Times the kernel on the shapes a [k, k-t] code uses: the (k-t) x t
+parity matrix of an encode, a random square (k-t) x (k-t) decode matrix,
+and the codec's own recovery shape, the (k-t) x (k-t + t-1) decode plan
+[solve | solve G[:, check]] for a lost data position 0, whose unit
+columns (one per surviving data position) the kernel copies.  Each runs
+on --blocks blocks and on a 64-block batch, over GF(2^8) (one-byte
+symbols) and GF(2^16) (two-byte symbols, one gather per byte plane).
+The parity product is checked against the scalar encoder.  A sweep over
+GF(2^8) output widths then shows the packed words at work: up to 8
+output columns share one table gather per input column.  Last comes one
+GF(2^8) round trip through the codec layer at --blocks blocks:
+`encode_blocks`, erase the first data column, `recover_blocks`, with the
+recovered bytes checked against the data.  Each time is the best of
+--repeat; a 64-block time is per call, over a loop of calls.  MB/s
+counts the data symbols read.
 
 Usage:
     PYTHONPATH=src python benchmarks/bench_gf_kernels.py [--blocks N] [--k K] [--t T] [--repeat R]
@@ -24,7 +27,7 @@ import time
 import numpy as np
 
 from npcode import kernels
-from npcode.codec import DataBlock, build_code, encode, encode_blocks, recover_blocks
+from npcode.codec import DataBlock, _decode_plan, build_code, encode, encode_blocks, recover_blocks
 from npcode.galois import FieldContext
 
 BATCH = 64
@@ -71,10 +74,11 @@ def _time_shapes(field, args, rng):
     batch = data[:BATCH]
     parity = code.parity_int_matrix()
     decode = rng.integers(1, field.order, size=(d, d), dtype=field.symbol_dtype)
+    _, recovery, _ = _decode_plan(code, [0])
 
     print(f"gf_matmul over GF(2^{field.m}), k={args.k} t={args.t}, best of {args.repeat}")
     print(f"  {'shape':16} {'blocks':>8} {'ms':>10} {'MB/s':>10}")
-    for name, coeffs in (("parity", parity), ("decode", decode)):
+    for name, coeffs in (("parity", parity), ("decode", decode), ("recovery", recovery)):
         for blocks in (data, batch):
             calls = 1 if blocks is data else BATCH_CALLS
             best, out = _best_of(args.repeat, lambda: kernels.gf_matmul(blocks, coeffs, field), calls)

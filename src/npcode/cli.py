@@ -3,8 +3,9 @@
 Verbs: generate, connectivity, feasibility, bounds, encode, recover,
 simulate.  Results go to stdout as JSON, diagnostics to stderr.  Exit
 codes: 0 success/feasible/recovered, 1 domain-negative (infeasible,
-unrecoverable), 2 usage or input errors.  NPC_FIELD_POLY overrides the
-GF(2^m) reduction polynomial (hex, bit width inferred from the degree).
+unrecoverable), 2 usage or input errors, or stdout closed before the
+output was written.  NPC_FIELD_POLY overrides the GF(2^m) reduction
+polynomial (hex, bit width inferred from the degree).
 """
 
 from __future__ import annotations
@@ -419,7 +420,15 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # the reader closed stdout early; with stdout on devnull, the
+        # flush at interpreter exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: stdout was closed before the output was written", file=sys.stderr)
+        return 2
     except _DomainNegative as exc:
         print(str(exc), file=sys.stderr)
         return 1

@@ -16,6 +16,9 @@ erasure set.  Each code caches a decode plan per erasure set, shared by
 once.  A plan holds one coefficient matrix that yields both the data
 and the surviving parity symbols the data must reproduce, so
 `recover_blocks` makes at most one `kernels.gf_matmul` call (m <= 16).
+Each surviving data position is a unit column of that matrix, which the
+kernel's long-batch gather copies, so there only the lost data and the
+check symbols cost table gathers.
 The kernel keeps its tables for a coefficient matrix (a parity matrix,
 a decode plan's matrix) in its own memo, within the byte budget
 `kernels.TABLE_MEMO_BYTES`, so a repeating pattern also reuses them.

@@ -26,16 +26,23 @@ one `take` along axis 0 gathers the products of every plane row, one
 XOR reduce over the plane rows sums them, and one copy puts the sum in
 the output layout: three numpy calls, whatever kk and mm.
 
-The word gather takes the output columns in chunks of as many symbols as
-an 8-byte word holds: eight one-byte or four two-byte lanes.  For each
-input row l of `b` with a nonzero coefficient in a chunk, and each byte
-plane p, a word table holds in lane j of entry x the product of
-b[l, j0 + j] by x << 8p, in the smallest word of 1, 2, 4 or 8 bytes
-that fits the chunk.  One `take` of that table by plane p of column l
-yields those products for every output column of the chunk at once,
-and the chunk is the XOR of those gathers (the first one is written
-straight into the accumulator).  One lane transpose moves each chunk
-into the output rows.  Long batches are walked in slices of n, so that
+The word gather copies before it gathers.  A unit column j of `b`, whose
+only nonzero coefficient b[l, j] is 1, makes output column j a plain copy
+of input column l, read from the symbol rows before any byte-plane split:
+in a systematic code each surviving data symbol is one of the received
+symbols (Plank, "A Tutorial on Reed-Solomon Coding for Fault-Tolerance
+in RAID-like Systems", 1997), so a decode plan [solve | solve G[:, check]]
+has a unit column per surviving data position.  The other output columns
+go, in order, in chunks of as many symbols as an 8-byte word holds: eight
+one-byte or four two-byte lanes, from columns that need not be adjacent.
+For each input row l of `b` with a nonzero coefficient in a chunk, and
+each byte plane p, a word table holds in lane i of entry x the product
+of b[l, j] by x << 8p, for the chunk's i-th output column j, in the
+smallest word of 1, 2, 4 or 8 bytes that fits the chunk.  One `take` of
+that table by plane p of column l yields those products for every
+output column of the chunk at once, and the chunk is the XOR of those
+gathers (the first one is written straight into the accumulator).  One
+lane transpose moves each chunk into its output rows.  Long batches are walked in slices of n, so that
 a slice's accumulator and gather buffer stay in cache.
 
 Both kinds of table depend only on the field and the values of `b`, so
@@ -43,8 +50,9 @@ they are kept in one memo keyed on the kind, the field's (m, polynomial)
 and b's dtype, shape and bytes, and evicted oldest first to stay within
 `TABLE_MEMO_BYTES`.  A matrix's row table takes kk * planes * entries *
 mm symbols, and its word tables up to kk * planes * entries *
-ceil(mm / lanes) * 8 bytes (q entries for m <= 8, 256 above); tables
-that exceed the whole budget are not kept.
+ceil(c / lanes) * 8 bytes for its c columns that are not unit columns
+(q entries for m <= 8, 256 above); tables that exceed the whole budget
+are not kept.
 """
 
 from __future__ import annotations
@@ -114,31 +122,38 @@ def _row_table(b: np.ndarray, field: FieldContext) -> tuple[tuple[np.ndarray, np
     return (table, offsets), table.nbytes + offsets.nbytes
 
 
-def _word_tables(b: np.ndarray, field: FieldContext) -> tuple[list[tuple[int, int, list[int], np.ndarray]], int]:
-    """(first column, width, plane rows, their word tables) per chunk of b's columns, with their bytes.
+def _word_tables(b: np.ndarray, field: FieldContext) -> tuple[tuple[list, list], int]:
+    """(chunks, copies) of b's columns, with the chunks' bytes.
 
-    Plane row l * planes + p is byte plane p of input column l, for each
-    row l of b with a nonzero coefficient in the chunk.  The tables of a
-    chunk form one read-only (len(plane rows), entries) array of unsigned
-    words, whose lane j in memory is the product of b[l, first column + j]
+    copies lists (output column j, input row l) for each unit column of
+    b, one whose only nonzero entry is b[l, j] = 1.  The chunks take the
+    other columns in order, as many per chunk as a word holds, as
+    (output columns, plane rows, their word tables).  Plane row
+    l * planes + p is byte plane p of input column l, for each row l of
+    b with a nonzero coefficient in the chunk.  The tables of a chunk
+    form one read-only (len(plane rows), entries) array of unsigned
+    words, whose lane i in memory is the product of b[l, output column i]
     by x << 8p.
     """
     lane = field.symbol_dtype
     per_word = _WORD_BYTES // lane.itemsize
+    unit = (np.count_nonzero(b, axis=0) == 1) & (b == 1).any(axis=0)
+    copies = [(j, int(b[:, j].argmax())) for j in np.flatnonzero(unit).tolist()]
+    rest = np.flatnonzero(~unit)
     chunks = []
-    for j0 in range(0, b.shape[1], per_word):
-        sub = b[:, j0 : j0 + per_word]
-        w = sub.shape[1]
-        word = 1 << (w * lane.itemsize - 1).bit_length()
+    for c0 in range(0, len(rest), per_word):
+        cols = rest[c0 : c0 + per_word]
+        sub = b[:, cols]
+        word = 1 << (len(cols) * lane.itemsize - 1).bit_length()
         rows = np.flatnonzero(sub.any(axis=1))
         products = field.plane_products(sub[rows])
         planes, entries = products.shape[2:]
         lanes = np.zeros((len(rows), planes, entries, word // lane.itemsize), dtype=lane)
-        lanes[..., :w] = products.transpose(0, 2, 3, 1)
+        lanes[..., : len(cols)] = products.transpose(0, 2, 3, 1)
         tables = lanes.view(f"u{word}").reshape(len(rows) * planes, entries)
         tables.setflags(write=False)
-        chunks.append((j0, w, [l * planes + p for l in rows.tolist() for p in range(planes)], tables))
-    return chunks, sum(tables.nbytes for *_, tables in chunks)
+        chunks.append((cols.tolist(), [l * planes + p for l in rows.tolist() for p in range(planes)], tables))
+    return (chunks, copies), sum(tables.nbytes for *_, tables in chunks)
 
 
 class _TableMemo:
@@ -177,36 +192,52 @@ class _TableMemo:
 _TABLES = _TableMemo(TABLE_MEMO_BYTES)
 
 
-def _row_gather(cols_t: np.ndarray, b: np.ndarray, field: FieldContext) -> np.ndarray:
-    """The (mm, n) product from plane rows cols_t: one take, one XOR reduce."""
+def _planes(symbols: np.ndarray) -> np.ndarray:
+    """The byte-plane rows of the (kk, n) symbol rows: the rows themselves
+    for one-byte symbols, else row 2l + p holding byte p of row l, low
+    byte first."""
+    if symbols.itemsize == 1:
+        return symbols
+    kk, n = symbols.shape
+    planes = np.empty((kk, 2, n), dtype=np.uint8)
+    planes[:, 0], planes[:, 1] = symbols, symbols >> 8
+    return planes.reshape(2 * kk, n)
+
+
+def _row_gather(symbols: np.ndarray, b: np.ndarray, field: FieldContext) -> np.ndarray:
+    """The (mm, n) product of the symbol rows: one take, one XOR reduce."""
     table, offsets = _TABLES.tables(_row_table, field, b)
-    products = table.take(cols_t + offsets, axis=0)
+    products = table.take(_planes(symbols) + offsets, axis=0)
     return np.ascontiguousarray(np.bitwise_xor.reduce(products, axis=0).T)
 
 
-def _word_gather(cols_t: np.ndarray, b: np.ndarray, field: FieldContext) -> np.ndarray:
-    """The (mm, n) product from plane rows cols_t: word-table gathers per chunk."""
+def _word_gather(symbols: np.ndarray, b: np.ndarray, field: FieldContext) -> np.ndarray:
+    """The (mm, n) product of the symbol rows: row copies, and word-table gathers per chunk."""
     lane = field.symbol_dtype
-    n = cols_t.shape[1]
+    n = symbols.shape[1]
     out = np.empty((b.shape[1], n), dtype=lane)
-    for j0, w, rows, tables in _TABLES.tables(_word_tables, field, b):
+    chunks, copies = _TABLES.tables(_word_tables, field, b)
+    for j, l in copies:
+        out[j] = symbols[l]
+    planes = _planes(symbols)
+    for cols, rows, tables in chunks:
         if not rows:
-            out[j0 : j0 + w] = 0
+            out[cols] = 0
             continue
         word = tables.itemsize
         step = _SLICE_BYTES // word
         temp = np.empty((2, min(step, n)), dtype=tables.dtype)
         for s0 in range(0, n, step):
             s1 = min(s0 + step, n)
-            cols = cols_t[:, s0:s1]
-            acc = out[j0, s0:s1] if word == lane.itemsize else temp[0, : s1 - s0]
+            part = planes[:, s0:s1]
+            acc = out[cols[0], s0:s1] if word == lane.itemsize else temp[0, : s1 - s0]
             buf = temp[1, : s1 - s0]
-            tables[0].take(cols[rows[0]], out=acc, mode="clip")
+            tables[0].take(part[rows[0]], out=acc, mode="clip")
             for l, table in zip(rows[1:], tables[1:]):
-                table.take(cols[l], out=buf, mode="clip")
+                table.take(part[l], out=buf, mode="clip")
                 acc ^= buf
             if word > lane.itemsize:
-                out[j0 : j0 + w, s0:s1] = acc.view(out.dtype).reshape(s1 - s0, -1)[:, :w].T
+                out[cols, s0:s1] = acc.view(out.dtype).reshape(s1 - s0, -1)[:, : len(cols)].T
     return out
 
 
@@ -219,17 +250,12 @@ def gf_matmul(a: np.ndarray, b: np.ndarray, field: FieldContext) -> np.ndarray:
     transpose of a C-ordered (mm, n) array.
     """
     lane = field.symbol_dtype
-    cols_t = np.ascontiguousarray(np.asarray(a, dtype=lane).T)
-    kk, n = cols_t.shape
+    symbols = np.ascontiguousarray(np.asarray(a, dtype=lane).T)
+    kk, n = symbols.shape
     b = np.asarray(b)
     if b.ndim != 2 or b.shape[0] != kk:
         raise ValueError(f"coefficients must have shape ({kk}, mm), got {b.shape}")
     if not _symbols_in_range(b, field.order):
         raise ValueError(f"coefficients must be integers in [0, {field.order})")
-    if lane.itemsize == 2:
-        # plane row 2l + p holds byte p of input column l, low byte first
-        planes = np.empty((kk, 2, n), dtype=np.uint8)
-        planes[:, 0], planes[:, 1] = cols_t, cols_t >> 8
-        cols_t = planes.reshape(2 * kk, n)
     gather = _row_gather if n * lane.itemsize <= _ROW_GATHER_BYTES else _word_gather
-    return gather(cols_t, b, field).T
+    return gather(symbols, b, field).T

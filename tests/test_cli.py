@@ -42,6 +42,39 @@ def test_generate_invalid_counts():
     assert res.stderr
 
 
+def _read_then_close(args, nbytes):
+    """Run a verb, read nbytes of its stdout and close the pipe; (exit code, stderr)."""
+    env = dict(os.environ)
+    env.pop("NPC_FIELD_POLY", None)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "npcode", *args],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+    )
+    assert len(proc.stdout.read(nbytes)) == nbytes
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    return proc.wait(timeout=120), err
+
+
+def test_closed_stdout_exits_2_with_one_error_line(tmp_path):
+    # H(2000, 4) is about 400 KB of JSON, far more than a pipe buffer holds,
+    # so each verb is still writing when the reader goes away
+    graph = tmp_path / "h2000.json"
+    graph.write_text(npcode("generate", "--harary", "2000", "4").stdout)
+    for args in (
+        ["generate", "--harary", "2000", "4"],
+        ["feasibility", "--graph", str(graph), "--sources", "v0,v1",
+         "--receivers", "v1000,v1001", "--verify"],
+    ):
+        status, err = _read_then_close(args, 10)
+        assert status == 2, err
+        assert "Traceback" not in err
+        assert [line for line in err.splitlines() if line] == [
+            "error: stdout was closed before the output was written"
+        ]
+
+
 def test_generate_minimal_witness():
     res = npcode("generate", "--minimal-witness", "8", "3", "predetermined")
     assert res.returncode == 0

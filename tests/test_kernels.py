@@ -162,6 +162,76 @@ def test_zero_and_one_coefficients():
     assert np.array_equal(got[:, 1], np.bitwise_xor.reduce(a, axis=1))
 
 
+def _word_entry(memo, shape):
+    """The (chunks, copies) that memo keeps for the one coefficient matrix of this shape."""
+    [tables] = [
+        tables for key, (tables, _) in memo._entries.items()
+        if key[0] is kernels._word_tables and key[4] == shape
+    ]
+    return tables
+
+
+@pytest.mark.parametrize("ctx", [GF8, GF16], ids=["GF8", "GF16"])
+def test_long_batches_copy_unit_columns(ctx, monkeypatch):
+    # past the cut-off a unit column (one nonzero entry, and that entry 1) is
+    # a copy of its input column, and every other column is gathered: here
+    # units with their 1 in the first and in the last row, a lone nonzero
+    # that is not 1, zero columns and dense ones, and then an identity b
+    memo = kernels._TableMemo(kernels.TABLE_MEMO_BYTES)
+    monkeypatch.setattr(kernels, "_TABLES", memo)
+    ran = _spy_gathers(monkeypatch)
+    kk = 5
+    rng = np.random.default_rng(ctx.m)
+    rows = rng.integers(0, ctx.order, size=(17, kk), dtype=ctx.symbol_dtype)
+    rows[0] = ctx.order - 1  # every bit set, so the high byte too on GF(2^16)
+    pick = rng.integers(0, len(rows), size=kernels._ROW_GATHER_BYTES // ctx.symbol_dtype.itemsize + 1)
+    pick[0] = 0
+    b = np.zeros((kk, 8), dtype=ctx.symbol_dtype)
+    b[0, 0] = 1
+    b[:, 1] = rng.integers(1, ctx.order, size=kk)
+    b[kk - 1, 2] = 1
+    b[2, 3] = 7
+    b[:, 5] = rng.integers(1, ctx.order, size=kk)
+    b[1, 6] = 1
+    cases = [
+        (b, [(0, 0), (2, kk - 1), (6, 1)], [1, 3, 4, 5, 7]),
+        (np.eye(kk, dtype=ctx.symbol_dtype), [(j, j) for j in range(kk)], []),
+    ]
+    for coef, copies, gathered in cases:
+        expect = _matmul_oracle(rows, coef, ctx)[pick]
+        for a in _layouts(rows[pick]):
+            ran.clear()
+            got = kernels.gf_matmul(a, coef, ctx)
+            assert ran == ["_word_gather"]
+            assert got.shape == expect.shape and got.dtype == ctx.symbol_dtype
+            assert got.T.flags.c_contiguous
+            assert np.array_equal(got, expect)
+        chunks, kept = _word_entry(memo, coef.shape)
+        assert kept == copies
+        assert sorted(j for cols, _, _ in chunks for j in cols) == gathered
+
+
+def test_decode_plan_gathers_only_what_it_lost(monkeypatch):
+    # a (12, 4) recovery that lost data position 0 uses positions 1..8 and
+    # checks 9..11: its plan's 8 x 11 matrix [solve | solve G[:, check]] has
+    # a unit column for each of the 7 surviving data positions, so a long
+    # batch gathers one 4-byte chunk (position 0 and the 3 checks) and
+    # copies 7 rows
+    memo = kernels._TableMemo(kernels.TABLE_MEMO_BYTES)
+    monkeypatch.setattr(kernels, "_TABLES", memo)
+    code = build_code(12, 4, GF8)
+    rng = np.random.default_rng(23)
+    data = rng.integers(0, 256, size=(kernels._ROW_GATHER_BYTES + 1, code.data_len), dtype=np.uint8)
+    received = encode_blocks(code, data)
+    received[:, 0] = 0
+    assert np.array_equal(recover_blocks(code, received, [0]), data)
+    chunks, copies = _word_entry(memo, (8, 11))
+    assert copies == [(j, j - 1) for j in range(1, 8)]
+    [(cols, plane_rows, tables)] = chunks
+    assert cols == [0, 8, 9, 10]
+    assert tables.dtype == np.uint32 and len(plane_rows) == 8
+
+
 def test_zero_row_batch():
     b = np.arange(1, 13, dtype=np.uint8).reshape(4, 3)
     for ctx in (GF8, GF16):
