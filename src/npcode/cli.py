@@ -30,7 +30,7 @@ from .codec import (
 )
 from .connectivity import SearchBudgetExceeded, edge_connectivity, node_connectivity
 from .galois import DEFAULT_M, FieldContext
-from .graph import Graph, GraphError, load, save
+from .graph import Graph, load, save
 
 __all__ = ["main"]
 
@@ -285,6 +285,9 @@ def _is_id_list(value) -> bool:
 def _simulate_input(args):
     doc = json.loads(_read_text(args.graph))
     if isinstance(doc, dict) and "feasible" in doc and "instance" in doc:
+        relaxed = doc.get("relaxed", False)
+        if not isinstance(doc["feasible"], bool) or not isinstance(relaxed, bool):
+            raise _UsageError("report 'feasible' and 'relaxed' must be JSON booleans")
         if not doc["feasible"]:
             raise _DomainNegative("input feasibility report is infeasible")
         inst_doc = doc["instance"]
@@ -302,29 +305,29 @@ def _simulate_input(args):
         inst = feasibility.ProtectionInstance(
             g, inst_doc["sources"], inst_doc["receivers"], inst_doc.get("num_paths")
         )
-        return inst, bool(doc.get("relaxed", False))
+        return inst, relaxed
     g = load(json.dumps(doc))
     return _instance_from_args(g, args), False
 
 
 def _cmd_simulate(args) -> int:
+    if args.blocks < 1:
+        raise _UsageError(f"--blocks must be at least 1, got {args.blocks}")
     inst, relaxed = _simulate_input(args)
     if inst.k != args.k:
         raise _UsageError(f"instance provisions k={inst.k} paths but --k is {args.k}")
     field = _field_from_env()
     code = build_code(args.k, args.t, field)
-    rng = random.Random(args.seed)
-    payload = [
-        [rng.randrange(field.order) for _ in range(code.data_len)]
-        for _ in range(args.blocks)
-    ]
+    dtype = field.symbol_dtype
+    draw = random.Random(args.seed).randbytes(args.blocks * code.data_len * dtype.itemsize)
+    payload = (np.frombuffer(draw, dtype=dtype) & field.order - 1).reshape(args.blocks, code.data_len)
     labels = simulator.path_labels(args.k)
     if args.failures is not None:
         positions = _parse_positions(args.failures, args.k)
         model = simulator.ExplicitFailures(tuple(labels[p] for p in positions))
     else:
         model = simulator.RandomFailures(args.random, args.seed)
-    sc = simulator.Scenario(inst, code, np.array(payload), model, relaxed=relaxed)
+    sc = simulator.Scenario(inst, code, payload, model, relaxed=relaxed)
     report = simulator.run(sc)
     _emit(
         {
@@ -429,19 +432,17 @@ def main(argv=None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print("error: stdout was closed before the output was written", file=sys.stderr)
         return 2
-    except _DomainNegative as exc:
+    except (
+        _DomainNegative,
+        feasibility.InfeasibleInstanceError,
+        CapacityExceededError,
+        InconsistentSymbolsError,
+    ) as exc:
         print(str(exc), file=sys.stderr)
         return 1
-    except feasibility.InfeasibleInstanceError as exc:
-        print(str(exc), file=sys.stderr)
-        return 1
-    except (CapacityExceededError, InconsistentSymbolsError) as exc:
-        print(str(exc), file=sys.stderr)
-        return 1
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (GraphError, SearchBudgetExceeded, ValueError, json.JSONDecodeError) as exc:
+    # below the exit-1 group, whose library errors are ValueErrors too, as
+    # are GraphError and json.JSONDecodeError
+    except (_UsageError, SearchBudgetExceeded, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

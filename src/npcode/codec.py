@@ -9,10 +9,10 @@ can be solved back from the survivors.
 
 Erasure positions are assumed known (detected failures).  All arithmetic
 runs on integer arrays.  One Gauss-Jordan elimination, `_row_reduce`,
-reduces the Vandermonde matrix to [I | P] and, as `_gf_inverse`, tests
-generator minors in `verify_mds` and inverts the decode matrix of an
-erasure set.  Each code caches a decode plan per erasure set, shared by
-`recover` and `recover_blocks`, so a pattern that repeats is inverted
+reduces the Vandermonde matrix to [I | P], tests generator minors in
+`verify_mds`, and builds each decode plan in one reduction, with no
+kernel call.  Each code caches a decode plan per erasure set, shared by
+`recover` and `recover_blocks`, so a pattern that repeats is reduced
 once.  A plan holds one coefficient matrix that yields both the data
 and the surviving parity symbols the data must reproduce, so
 `recover_blocks` makes at most one `kernels.gf_matmul` call (m <= 16).
@@ -202,12 +202,6 @@ def _row_reduce(aug: np.ndarray, field: FieldContext) -> np.ndarray:
     return aug
 
 
-def _gf_inverse(a: np.ndarray, field: FieldContext) -> np.ndarray:
-    """Gauss-Jordan inverse of a square integer matrix; CodecError if singular."""
-    n = a.shape[0]
-    return _row_reduce(np.hstack([a, np.eye(n, dtype=a.dtype)]), field)[:, n:]
-
-
 # -- code construction ----------------------------------------------------------
 
 
@@ -246,7 +240,7 @@ def verify_mds(code: NpcCode) -> bool:
     g = code.generator_int_matrix()
     for cols in combinations(range(code.k), code.data_len):
         try:
-            _gf_inverse(g[:, list(cols)], code.field)
+            _row_reduce(g[:, list(cols)], code.field)
         except CodecError:
             return False
     return True
@@ -261,11 +255,13 @@ def _decode_plan(code: NpcCode, erased: Iterable[int]) -> tuple[list[int], np.nd
     positions must read data @ G[:, check]; by associativity that is
     received[use] @ (solve @ G[:, check]).  So coef holds both in one
     matrix, [solve | solve @ G[:, check]], and one product gives the data
-    and the check symbols.  When use is the data positions, solve is the
-    identity and coef is G[:, check]; with no check position it is solve;
-    with neither it is None.  Every surviving data position is in use,
-    and data @ G[:, use] equals received[use] by construction, so the
-    consistency check compares check alone.
+    and the check symbols.  One Gauss-Jordan reduction of
+    [G[:, use] | I | G[:, check]] leaves exactly that matrix right of
+    its identity block.  When use is the data positions, solve is the
+    identity and coef is G[:, check], or None with no check position.
+    Every surviving data position is in use, and data @ G[:, use] equals
+    received[use] by construction, so the consistency check compares
+    check alone.
     """
     key = frozenset(erased)
     plan = code._decode.get(key)
@@ -283,8 +279,8 @@ def _decode_plan(code: NpcCode, erased: Iterable[int]) -> tuple[list[int], np.nd
     g = code.generator_int_matrix()
     coef = g[:, check] if check else None
     if use != list(range(d)):
-        solve = _gf_inverse(g[:, use], code.field)
-        coef = solve if coef is None else np.hstack([solve, kernels.gf_matmul(solve, coef, code.field)])
+        aug = np.hstack([g[:, use], np.eye(d, dtype=g.dtype), g[:, check]])
+        coef = _row_reduce(aug, code.field)[:, d:]
     if coef is not None:
         coef.setflags(write=False)
     plan = code._decode[key] = (use, coef, check)

@@ -6,19 +6,18 @@ the degree-m irreducible reduction polynomial, checked with Rabin's
 test; a FieldElement couples a value to its context so that values from
 different fields can never be combined silently.
 
-Contexts with m <= 8 precompute log/antilog tables over a multiplicative
-generator, turning products into two table lookups; wider fields fall
-back to shift-and-reduce multiplication.  Tables-backed contexts also
-build the full q x q product table, `mul_table`, on first use, so
-importing the package builds none.  Arrays of symbols use one dtype per
-field, `symbol_dtype`: uint8 for m <= 8, uint16 above.  The context owns
-array multiplication: `plane_products` gives, for each coefficient c,
-the products c * (x << 8p) for every byte x of every byte plane p of a
-symbol (a row of `mul_table` when m <= 8, two 256-entry split tables
-above), so c * s is the XOR of one lookup per byte of s.
-`kernels.gf_matmul` packs them into its word tables, and the codec's
-Gauss-Jordan elimination gathers its row updates from them.  Wider
-fields invert by the extended Euclidean algorithm over GF(2)[x].
+Arrays of symbols use one dtype per field, `symbol_dtype`: uint8 for
+m <= 8, uint16 above.  The context owns array multiplication:
+`plane_products` gives, for each coefficient c, the products
+c * (x << 8p) for every byte x of every byte plane p of a symbol, so
+c * s is the XOR of one lookup per byte of s.  One doubling construction
+builds every such table: for m <= 8 the full q x q product table,
+`mul_table`, which `mul_int` and `plane_products` read, and above that
+two 256-entry split tables per coefficient.  `kernels.gf_matmul` packs
+them into its word tables, and the codec's Gauss-Jordan elimination
+gathers its row updates from them.  Wider fields multiply scalars by
+shift-and-reduce, and every field inverts by the extended Euclidean
+algorithm over GF(2)[x].
 Contexts are immutable after construction and safe to share across
 threads; every operation is pure.
 """
@@ -164,13 +163,8 @@ class FieldContext:
         self.m = m
         self.reduction_poly = reduction_poly
         self.order = 1 << m
-        self._mask = self.order - 1
         self.symbol_dtype = np.dtype(np.uint8 if m <= _TABLE_MAX_M else np.uint16)
-        self.exp_table: np.ndarray | None = None
-        self.log_table: np.ndarray | None = None
         self._generator_value = self._find_generator()
-        if m <= _TABLE_MAX_M:
-            self._build_tables()
 
     # -- construction helpers -------------------------------------------------
 
@@ -183,28 +177,42 @@ class FieldContext:
                 return g
         raise AssertionError("no generator found; polynomial is not irreducible")
 
-    def _build_tables(self) -> None:
-        q = self.order
-        exp = np.zeros(2 * (q - 1) if q > 2 else 2, dtype=np.int32)
-        log = np.zeros(q, dtype=np.int32)
-        x = 1
-        for i in range(q - 1):
-            exp[i] = x
-            log[x] = i
-            x = _mul_mod(x, self._generator_value, self.reduction_poly)
-        exp[q - 1 :] = exp[: len(exp) - (q - 1)]
-        self.exp_table = exp
-        self.log_table = log
+    def _doubled(self, coeffs) -> np.ndarray:
+        """c * (x << 8p) for each coefficient c, byte plane p and byte x.
+
+        Shape coeffs.shape + (planes, 256), one plane per byte of the
+        symbol dtype.  Entry x of a plane is the XOR of the c * 2^(8p+j)
+        that the bits j of x select, filled by doubling.  The c * 2^i come
+        from shift-and-reduce on one Python int that holds every
+        coefficient in a 16-bit lane, so their cost hardly grows with the
+        number of coefficients.
+        """
+        c = np.asarray(coeffs, dtype=np.int64)
+        m, size, planes = self.m, c.size, self.symbol_dtype.itemsize
+        # lane i of v holds c_i * 2^j: a step shifts the lane's bits below
+        # m - 1 up and, if bit m - 1 was set, XORs in x^m reduced (`tail`)
+        low = int.from_bytes(np.full(size, (1 << m - 1) - 1, dtype="<u2").tobytes(), "little")
+        ones = int.from_bytes(b"\x01\x00" * size, "little")
+        tail = self.reduction_poly ^ 1 << m
+        v = int.from_bytes(c.astype("<u2").tobytes(), "little")
+        steps = []
+        for _ in range(8 * planes):
+            steps.append(v.to_bytes(2 * size, "little"))
+            v = (v & low) << 1 ^ (v >> m - 1 & ones) * tail
+        basis = np.frombuffer(b"".join(steps), dtype="<u2").reshape((planes, 8) + c.shape)
+        bits = np.moveaxis(basis.astype(self.symbol_dtype), (0, 1), (-2, -1))
+        out = np.zeros(c.shape + (planes, 256), dtype=self.symbol_dtype)
+        for j in range(8):
+            out[..., 1 << j : 2 << j] = out[..., : 1 << j] ^ bits[..., j, None]
+        return out
 
     @cached_property
     def mul_table(self) -> np.ndarray:
         """The q x q uint8 product table, mul_table[a, b] = a*b (m <= 8)."""
-        if self.exp_table is None:
+        if self.m > _TABLE_MAX_M:
             raise ValueError(f"GF(2^{self.m}) has no product table; tables need m <= {_TABLE_MAX_M}")
-        logs = self.log_table
-        table = self.exp_table[logs[:, None] + logs[None, :]].astype(np.uint8)
-        table[0, :] = 0
-        table[:, 0] = 0
+        q = self.order
+        table = np.ascontiguousarray(self._doubled(np.arange(q))[:, 0, :q])
         table.setflags(write=False)
         return table
 
@@ -234,11 +242,8 @@ class FieldContext:
         return a ^ b
 
     def mul_int(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
-        if self.exp_table is not None:
-            q1 = self.order - 1
-            return int(self.exp_table[(int(self.log_table[a]) + int(self.log_table[b])) % q1])
+        if self.m <= _TABLE_MAX_M:
+            return int(self.mul_table[a, b])
         return _mul_mod(a, b, self.reduction_poly)
 
     def plane_products(self, coeffs) -> np.ndarray:
@@ -246,39 +251,16 @@ class FieldContext:
 
         Shape coeffs.shape + (planes, entries), in the symbol dtype: for a
         symbol s, c * s is the XOR over p of products[..., p, (s >> 8p) & 0xFF].
-        For m <= 8, one plane: rows of `mul_table`.  Above, two planes of
-        256 entries, each the XOR of the c * 2^i that its bits select,
-        filled by doubling.  The c * 2^i come from shift-and-reduce on one
-        Python int that holds every coefficient in a 16-bit lane, so their
-        cost hardly grows with the number of coefficients.
+        For m <= 8, one plane: rows of `mul_table`.  Above, the two planes
+        of 256 entries that `_doubled` builds.
         """
-        if self.exp_table is not None:
+        if self.m <= _TABLE_MAX_M:
             return self.mul_table[coeffs][..., None, :]
-        c = np.asarray(coeffs, dtype=np.int64)
-        m, size = self.m, c.size
-        # lane i of v holds c_i * 2^j: a step shifts the lane's bits below
-        # m - 1 up and, if bit m - 1 was set, XORs in x^m reduced (`tail`)
-        low = int.from_bytes(np.full(size, (1 << m - 1) - 1, dtype="<u2").tobytes(), "little")
-        ones = int.from_bytes(b"\x01\x00" * size, "little")
-        tail = self.reduction_poly ^ 1 << m
-        v = int.from_bytes(c.astype("<u2").tobytes(), "little")
-        steps = []
-        for _ in range(16):
-            steps.append(v.to_bytes(2 * size, "little"))
-            v = (v & low) << 1 ^ (v >> m - 1 & ones) * tail
-        basis = np.frombuffer(b"".join(steps), dtype="<u2").reshape((2, 8) + c.shape)
-        bits = np.moveaxis(basis, (0, 1), (-2, -1))
-        out = np.zeros(c.shape + (2, 256), dtype=self.symbol_dtype)
-        for j in range(8):
-            out[..., 1 << j : 2 << j] = out[..., : 1 << j] ^ bits[..., j, None]
-        return out
+        return self._doubled(coeffs)
 
     def inv_int(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("zero has no multiplicative inverse")
-        if self.exp_table is not None:
-            q1 = self.order - 1
-            return int(self.exp_table[(q1 - int(self.log_table[a])) % q1])
         u, v, g1, g2 = a, self.reduction_poly, 1, 0  # extended Euclid: g1*a = u, g2*a = v
         while u != 1:
             j = _degree(u) - _degree(v)

@@ -19,12 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .codec import DataBlock, NpcCode, _as_symbol_matrix, encode_blocks, recover_blocks
-from .feasibility import (
-    FeasibilityReport,
-    InfeasibleInstanceError,
-    ProtectionInstance,
-    check_feasibility,
-)
+from .feasibility import InfeasibleInstanceError, ProtectionInstance, check_feasibility
 from .graph import DisjointPathSet
 
 __all__ = [
@@ -98,7 +93,7 @@ def _payload_matrix(payload, code: NpcCode) -> np.ndarray:
     return mat
 
 
-def _provision(sc: Scenario) -> tuple[DisjointPathSet, FeasibilityReport]:
+def _provision(sc: Scenario) -> DisjointPathSet:
     report = check_feasibility(sc.instance, relaxed=sc.relaxed)
     if not report.feasible:
         raise InfeasibleInstanceError(report)
@@ -107,7 +102,8 @@ def _provision(sc: Scenario) -> tuple[DisjointPathSet, FeasibilityReport]:
         raise ValueError(
             f"code protects k={sc.code.k} paths but instance provisions {len(paths)}"
         )
-    return paths, report
+    return paths
+
 
 def _failed_labels(sc: Scenario, labels: list[str]) -> tuple[str, ...]:
     model = sc.failure_model
@@ -146,7 +142,7 @@ def _execute(sc: Scenario, provisioned: DisjointPathSet, failed: tuple[str, ...]
 
 def run(sc: Scenario) -> TrialReport:
     """Provision, inject path failures, recover every payload block."""
-    provisioned, _ = _provision(sc)
+    provisioned = _provision(sc)
     failed = _failed_labels(sc, path_labels(sc.code.k))
     return _execute(sc, provisioned, failed)
 
@@ -157,7 +153,7 @@ def run_node_failure(sc: Scenario, node: str) -> TrialReport:
     inst.graph._require_node(node)
     if node in inst.sources or node in inst.receivers:
         raise ValueError(f"{node!r} is a terminal; node failures model relays only")
-    provisioned, _ = _provision(sc)
+    provisioned = _provision(sc)
     labels = path_labels(sc.code.k)
     failed = tuple(
         label for label, p in zip(labels, provisioned) if node in p.nodes

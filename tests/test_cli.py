@@ -392,6 +392,35 @@ def test_simulate_k_mismatch():
     assert res.returncode == 2
 
 
+@pytest.mark.parametrize("blocks", ["0", "-3"])
+def test_simulate_rejects_blocks_below_1(capsys, blocks):
+    assert cli.main(["simulate", "--graph", str(FIG2), "--k", "3", "--t", "1",
+                     "--failures", "L1", "--blocks", blocks]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and "--blocks" in err and err.count("\n") == 1
+
+
+def test_simulate_report_flags_must_be_booleans(tmp_path, capsys):
+    # Fig. 2 is feasible only when its trees may reuse path edges
+    assert cli.main(["feasibility", "--graph", str(FIG2), "--relaxed"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    path = tmp_path / "report.json"
+
+    def simulate(**fields):
+        path.write_text(json.dumps({**report, **fields}))
+        status = cli.main(["simulate", "--graph", str(path), "--k", "3", "--t", "1",
+                           "--failures", "L1"])
+        return status, capsys.readouterr()
+
+    assert simulate()[0] == 0
+    assert simulate(relaxed=False)[0] == 1
+    for fields in ({"relaxed": "false"}, {"relaxed": None}, {"feasible": "false"}, {"feasible": 1}):
+        status, (out, err) = simulate(**fields)
+        assert (status, out) == (2, ""), fields
+        assert err.startswith("error: ") and err.count("\n") == 1, fields
+
+
 def test_schema_error_exit_2():
     res = npcode("connectivity", stdin="{\"nodes\": 5}")
     assert res.returncode == 2

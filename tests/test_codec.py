@@ -339,7 +339,8 @@ def _singular(rng, a, f):
 
 @pytest.mark.parametrize("name", sorted(PROPERTY_FIELDS))
 def test_gf_inverse_matches_oracle(name):
-    """Dense, near-identity (a decode plan's shape) and singular matrices up to 16 x 16."""
+    """_row_reduce of [a | I] inverts a: dense, near-identity (a decode plan's
+    shape) and singular matrices up to 16 x 16."""
     f = PROPERTY_FIELDS[name]
     rng = np.random.default_rng(f.m * f.reduction_poly)
     seen = {"inverted": 0, "singular": 0}
@@ -355,7 +356,7 @@ def test_gf_inverse_matches_oracle(name):
         for a in cases:
             rows = a.tolist()
             try:
-                inv = codec_module._gf_inverse(a, f)
+                inv = codec_module._row_reduce(np.hstack([a, np.eye(n, dtype=a.dtype)]), f)[:, n:]
             except CodecError:
                 assert rank_ref(rows, f.reduction_poly, f.m) < n
                 seen["singular"] += 1
@@ -388,14 +389,55 @@ def test_property_single_corruption_detected(case, extra):
 
 def _count_inversions(monkeypatch):
     calls = []
-    real = codec_module._gf_inverse
+    real = codec_module._row_reduce
 
-    def counting(a, field):
+    def counting(aug, field):
         calls.append(field)
-        return real(a, field)
+        return real(aug, field)
 
-    monkeypatch.setattr(codec_module, "_gf_inverse", counting)
+    monkeypatch.setattr(codec_module, "_row_reduce", counting)
     return calls
+
+
+@pytest.mark.parametrize("name", sorted(PROPERTY_FIELDS))
+def test_decode_plan_matches_oracle(name):
+    """coef[:, :d] inverts G[:, use] and coef[:, d:] is coef[:, :d] G[:, check]."""
+    f = PROPERTY_FIELDS[name]
+    rng = random.Random(f.m * f.reduction_poly)
+    planned = 0
+    for k, t in ((3, 1), (6, 2), (9, 4), (min(f.order, 16), 6)):
+        code = build_code(k, t, f)
+        g = code.generator_int_matrix().tolist()
+        d = code.data_len
+        for _ in range(12):
+            erased = rng.sample(range(k), rng.randint(1, t))
+            use, coef, check = codec_module._decode_plan(code, erased)
+            if use == list(range(d)):
+                continue
+            assert coef.shape == (d, d + len(check)) and not coef.flags.writeable
+            solve = coef[:, :d].tolist()
+            cols = [[row[c] for row in g] for c in use]
+            assert [[gf_dot_ref(r, c, f.reduction_poly, f.m) for c in cols] for r in solve] == np.eye(d, dtype=int).tolist()
+            for j, c in enumerate(check):
+                column = [row[c] for row in g]
+                assert coef[:, d + j].tolist() == [gf_dot_ref(r, column, f.reduction_poly, f.m) for r in solve]
+            planned += 1
+    assert planned >= 10
+
+
+def test_decode_plan_makes_no_kernel_call(monkeypatch):
+    code = build_code(10, 4, GF8)
+    calls = []
+    real = kernels.gf_matmul
+
+    def counting(a, b, field):
+        calls.append(b.shape)
+        return real(a, b, field)
+
+    monkeypatch.setattr(kernels, "gf_matmul", counting)
+    for erased in ([0], [2, 7], [1, 3, 5, 8], [6, 9], []):
+        codec_module._decode_plan(code, erased)
+    assert not calls
 
 
 def test_decode_cache_inverts_once_per_erasure_set(monkeypatch):

@@ -55,7 +55,7 @@ def test_inverse():
         GF8.zero.inverse()
 
 
-@pytest.mark.parametrize("m", [2, 4, 6, 8])
+@pytest.mark.parametrize("m", range(1, 9))
 def test_inverse_matches_exhaustive_search(m):
     ctx = FieldContext(m)
     for a in range(1, ctx.order):
