@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .graph import DisjointPathSet, Graph, GraphError, Path
 
@@ -479,7 +479,7 @@ def _multi_paths(snap: _Snapshot) -> list[int] | None:
     return None
 
 
-def _used_edge_sets(snap: _Snapshot) -> Iterator[list[int]]:
+def _used_edge_sets(snap: _Snapshot, spare: Callable[[], int] | None = None) -> Iterator[list[int]]:
     """The pairs' edge masks for every distinct used-edge set, once.
 
     Assignments are walked pair by pair, each pair's simple paths
@@ -490,6 +490,17 @@ def _used_edge_sets(snap: _Snapshot) -> Iterator[list[int]]:
     depends only on the pair index and the edges left, so a state walked
     before is skipped: all it could yield repeats a used-edge set already
     seen.
+
+    With spare, the walk skips the sets that leave fewer than spare()
+    edges unused (for the strict search, the edges its trees need); spare
+    is read at each state and may only grow.  Every later pair j needs at
+    least its hop count dist_j within the edges left, so at state
+    (i, avail) pair i's path may take at most
+    room = |avail| - spare() - (sum of dist_j over j > i) edges, and the
+    walk returns when room is below pair i's own hop count.  The other
+    sets still come in the order above, each with the first path set that
+    uses it: a state skipped as walked was walked under a bound no tighter
+    than the current one.
     """
     k = len(snap.ends)
     walks = [0] * k  # edge mask of each pair's path
@@ -500,9 +511,18 @@ def _used_edge_sets(snap: _Snapshot) -> Iterator[list[int]]:
         if i == k:
             yield walks[:]
             return
-        if snap.bounds(i, avail) is None:
+        to_r = snap.bounds(i, avail)
+        if to_r is None:
             return
-        for mask in snap.paths(i, avail):
+        if spare is None:
+            paths = snap.paths(i, avail)
+        else:
+            need = [d[s] for d, (s, _) in zip(to_r, snap.ends[i:])]
+            room = avail.bit_count() - spare() - sum(need[1:])
+            if room < need[0]:
+                return
+            paths = snap.paths(i, avail, to_r[0], room)
+        for mask in paths:
             if avail ^ mask not in walked[i + 1]:
                 walks[i] = mask
                 yield from walk(i + 1, avail ^ mask)

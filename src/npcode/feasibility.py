@@ -10,8 +10,9 @@ strictly infeasible).
 
 The search is exact: path assignments are enumerated exhaustively, one
 per distinct set of used edges (all that a tree placement depends on),
-and, for each, minimal source-connecting trees are enumerated in the
-leftover edges until a receiver tree fits too.  Each search builds one
+less those too large to leave room for the strict trees, and, for each,
+minimal source-connecting trees are enumerated in the leftover edges
+until a receiver tree fits too.  Each search builds one
 integer snapshot of the graph (`connectivity._Snapshot`), which owns the
 node index, the edge bits, the flow arcs and the tracing back to ids:
 paths, cuts and trees are all found on it, with edge sets as int masks,
@@ -33,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from itertools import permutations
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .connectivity import (
     SearchBudgetExceeded,
@@ -243,20 +244,25 @@ def _witness_for_path_set(
     sources: Sequence[int],
     receivers: Sequence[int],
     relaxed: bool,
+    settle: Callable[[], bool] | None = None,
 ) -> tuple[int | None, int | None, bool]:
     """Try to place both trees around a path set's used edges (a mask).
 
     Returns (source_tree, receiver_tree, source_tree_found) as edge masks;
     the trees are None when no placement exists for this path set.  An
-    empty mask is a valid tree for a single terminal.
+    empty mask is a valid tree for a single terminal.  settle, if given,
+    runs once, when the first source tree leaves no room for a receiver
+    tree; when it returns True the attempt ends there, with no trees.
     """
     spool = snap.full if relaxed else snap.full & ~used
     source_tree_found = False
     for stree in _iter_steiner_trees(snap, spool, sources):
-        source_tree_found = True
         rtree = _tree_for_terminals(snap, spool & ~stree, receivers)
         if rtree is not None:
             return stree, rtree, True
+        if not source_tree_found and settle is not None and settle():
+            return None, None, True
+        source_tree_found = True
     return None, None, source_tree_found
 
 
@@ -309,10 +315,18 @@ def _search(g: Graph, snap: _Snapshot, sources, receivers, relaxed: bool):
 
     Relaxed trees are placed in the whole graph, so the first path set's
     answer is every path set's.  In strict mode a deficient cut settles an
-    infeasible verdict; otherwise every other set of used edges is tried,
-    which is all a tree placement depends on, with the first path set that
-    uses it.  One snapshot carries the whole search: paths are one edge
-    mask per pair, and only the reported witness is traced back to ids.
+    infeasible verdict.  The cut is tried once the first path set's first
+    source tree leaves no room for a receiver tree, so a bridge that both
+    trees must cross does not wait for every other source tree, or after
+    that path set's trees when it has none.  Otherwise every other set
+    of used edges is tried, which is all a tree placement depends on, with
+    the first path set that uses it.  The walk skips the sets that leave
+    fewer edges than the trees need: |S| - 1 for the source tree, and from
+    the first source tree found on, |R| - 1 more for the receiver tree.  A
+    set that only has room for a source tree is never skipped before one is
+    found, so the reason stays the one the full walk gives.  One snapshot
+    carries the whole search: paths are one edge mask per pair, and only
+    the reported witness is traced back to ids.
     """
     terms = [snap.index[v] for v in sources], [snap.index[v] for v in receivers]
 
@@ -324,22 +338,34 @@ def _search(g: Graph, snap: _Snapshot, sources, receivers, relaxed: bool):
     if fast is None:
         return FeasibilityReport(False, failure_reason=REASON_PATHS, relaxed=relaxed)
     fast_used = sum(fast)  # the masks are disjoint
-    stree, rtree, any_source_tree = _witness_for_path_set(snap, fast_used, *terms, relaxed)
+    cut = None
+
+    def settle() -> bool:
+        nonlocal cut
+        cut = _deficient_cut(g, snap, sources, receivers, True)
+        return cut is not None
+
+    stree, rtree, any_source_tree = _witness_for_path_set(
+        snap, fast_used, *terms, relaxed, None if relaxed else settle)
     if rtree is not None:
         return witness(fast, stree, rtree)
     if not relaxed:
-        cut = _deficient_cut(g, snap, sources, receivers, any_source_tree)
+        if not any_source_tree:
+            cut = _deficient_cut(g, snap, sources, receivers, False)
         if cut is not None:
             certificate, reason = cut
             return FeasibilityReport(False, failure_reason=reason, certificate=certificate)
-        for walks in _used_edge_sets(snap):
+        spare = len(sources) - 1 + (len(receivers) - 1 if any_source_tree else 0)
+        for walks in _used_edge_sets(snap, lambda: spare):
             used = sum(walks)
             if used == fast_used:
                 continue
             stree, rtree, s_found = _witness_for_path_set(snap, used, *terms, relaxed)
-            any_source_tree = any_source_tree or s_found
             if rtree is not None:
                 return witness(walks, stree, rtree)
+            if s_found and not any_source_tree:
+                any_source_tree = True
+                spare += len(receivers) - 1
     if not any_source_tree:
         return FeasibilityReport(False, failure_reason=REASON_SOURCE_TREE, relaxed=relaxed)
     return FeasibilityReport(False, failure_reason=REASON_RECEIVER_TREE, relaxed=relaxed)

@@ -1,5 +1,6 @@
 import random
 from dataclasses import replace
+from pathlib import Path as FsPath
 
 import pytest
 
@@ -7,15 +8,18 @@ from npcode import cli, connectivity, feasibility
 from npcode.connectivity import SearchBudgetExceeded, max_edge_disjoint_paths
 from npcode.construction import harary
 from npcode.feasibility import (
+    FeasibilityReport,
     ProtectionInstance,
     build_fig2_fixture,
     check_feasibility,
     check_single_source,
     verify_report,
 )
-from npcode.graph import DisjointPathSet, Graph, Path, save
+from npcode.graph import DisjointPathSet, Graph, Path, load, save
 
 from oracles import brute_min_st_cut, edge_list, feasible_ref, hamiltonian_ref
+
+K6_BRIDGE = FsPath(__file__).parent / "data" / "k6_bridge.json"
 
 
 def _complete_graph(n):
@@ -357,6 +361,12 @@ def _bridged_blocks(m):
     return ProtectionInstance(g, ["av1"], ["av2", "av3", "bv1"])
 
 
+def _k6_bridge():
+    """Two K6 blocks joined by the bridge a6-b6, sources a1, b1 and receivers a2, b2."""
+    g = load(K6_BRIDGE.read_text())
+    return ProtectionInstance(g, g.nodes_with_role("source"), g.nodes_with_role("receiver"))
+
+
 def _small_corpus(seed, count):
     """Seeded strict instances on 5-6 nodes, half with a K4 block hung on a bridge."""
     rng = random.Random(seed)
@@ -448,7 +458,17 @@ def test_one_snapshot_per_search(monkeypatch, make):
     assert not hasattr(connectivity, "_edge_network")
 
 
+def _edge_mask(g, path_set):
+    """A path set's used edges as the search's edge mask (edge j is bit j)."""
+    bit = {e: 1 << j for j, e in enumerate(g.edges)}
+    return sum(bit[e] for e in path_set.edge_ids())
+
+
 def test_witness_attempt_once_per_used_edge_set(monkeypatch):
+    # the strict walk tries the fast path set first, then each other used-edge
+    # set once, in the full walk's order.  It skips only sets that leave fewer
+    # than (|S| - 1) + (|R| - 1) = 6 of the 20 edges for the trees, and until
+    # some set has room for a source tree, none that leave |S| - 1 = 3
     g = harary(10, 4)
     inst = ProtectionInstance(g, ["v0", "v1", "v2", "v3"], ["v5", "v6", "v7", "v8"])
     tried = []
@@ -461,9 +481,14 @@ def test_witness_attempt_once_per_used_edge_set(monkeypatch):
     monkeypatch.setattr(feasibility, "_witness_for_path_set", counted)
     report = check_feasibility(inst)
     assert report.failure_reason == "receiver-tree" and report.certificate == ()
-    path_sets = connectivity.iter_disjoint_path_sets(g, inst.pairs())
-    every = {frozenset(ps.edge_ids()) for ps in path_sets}
-    assert len(tried) == len(set(tried)) == len(every) == 157
+    fast = _edge_mask(g, connectivity.find_disjoint_paths_multi(g, inst.pairs()))
+    every = [_edge_mask(g, ps) for ps in connectivity.iter_disjoint_path_sets(g, inst.pairs())]
+    assert len(every) == len(set(every)) == 157
+    assert tried[0] == fast and len(tried) == len(set(tried)) == 141
+    assert tried[1:] == [used for used in every if used in tried[1:]]
+    skipped = set(every) - set(tried)
+    assert skipped and all(used.bit_count() > 20 - 6 for used in skipped)
+    assert all(used.bit_count() <= 20 - 3 for used in tried)
 
 
 def _witness_spans(monkeypatch) -> list[list]:
@@ -506,13 +531,14 @@ def test_tree_enumeration_cap_stops_the_search(monkeypatch, tmp_path, capsys):
 
 
 def test_tree_states_across_path_sets_share_one_budget(monkeypatch):
-    # multi H(4,10) tries trees around 157 path sets; the budget counts every
+    # multi H(4,10) tries trees around the 141 path sets that
+    # test_witness_attempt_once_per_used_edge_set pins; the budget counts every
     # tree state of every attempt, and the walks between them, on one total
     inst = ProtectionInstance(harary(10, 4), ["v0", "v1", "v2", "v3"], ["v5", "v6", "v7", "v8"])
     spans = _witness_spans(monkeypatch)
     check_feasibility(inst)
     states = [leave - enter for enter, leave in spans]
-    assert len(spans) == 157 and min(states) > 0
+    assert len(spans) == 141 and min(states) > 0
     assert all(leave <= enter for (_, leave), (enter, _) in zip(spans, spans[1:]))
     # stop half way through the attempt that grows the most tree states: no
     # attempt alone comes near the limit, the total does
@@ -524,6 +550,106 @@ def test_tree_states_across_path_sets_share_one_budget(monkeypatch):
     with pytest.raises(SearchBudgetExceeded, match=f"budget of {limit:,} states"):
         check_feasibility(inst)
     assert len(spans) == i + 1 and spans[-1][1] is None
+
+
+def _full_walk(inst):
+    """The strict search with neither the walk's prune nor the cut: the fast
+    path set, then each other set of iter_disjoint_path_sets in order, each
+    tried by _witness_for_path_set."""
+    g, pairs = inst.graph, inst.pairs()
+    snap = connectivity._pair_snapshot(g, pairs)
+    terms = [snap.index[v] for v in inst.sources], [snap.index[v] for v in inst.receivers]
+    fast = connectivity.find_disjoint_paths_multi(g, pairs)
+    if fast is None:
+        return FeasibilityReport(False, failure_reason="paths")
+    any_source_tree = False
+    for ps in [fast, *connectivity.iter_disjoint_path_sets(g, pairs)]:
+        used = _edge_mask(g, ps)
+        if ps is not fast and used == _edge_mask(g, fast):
+            continue
+        stree, rtree, found = feasibility._witness_for_path_set(snap, used, *terms, False)
+        if rtree is not None:
+            return FeasibilityReport(True, ps, snap.edge_ids(stree), snap.edge_ids(rtree))
+        any_source_tree = any_source_tree or found
+    return FeasibilityReport(False, failure_reason="receiver-tree" if any_source_tree
+                             else "source-tree")
+
+
+def _multi_pair_corpus(seed, count):
+    """Seeded strict instances on 6-8 nodes with 2-3 pairs, then multi H(4,10)."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        g, ids = _random_connected(rng, rng.randint(6, 8), rng.randrange(3, 9))
+        k = rng.randint(2, 3)
+        picked = rng.sample(ids, 2 * k)
+        yield ProtectionInstance(g, picked[:k], picked[k:])
+    yield ProtectionInstance(harary(10, 4), ["v0", "v1", "v2", "v3"], ["v5", "v6", "v7", "v8"])
+
+
+def test_pruned_walk_matches_the_full_walk(monkeypatch):
+    # the verdict, reason and witness of the pruned search, with and without
+    # the cut, are the full walk's; the cut only adds a certificate
+    instances = list(_multi_pair_corpus(2026, 80))
+    cut_reports = [check_feasibility(inst) for inst in instances]
+    monkeypatch.setattr(feasibility, "_deficient_cut", lambda *args: None)
+    tried = []
+    attempt = feasibility._witness_for_path_set
+
+    def counted(*args):
+        tried.append(1)
+        return attempt(*args)
+
+    monkeypatch.setattr(feasibility, "_witness_for_path_set", counted)
+    walked = pruned = 0
+    reasons = set()
+    for trial, (inst, cut_report) in enumerate(zip(instances, cut_reports)):
+        start = len(tried)
+        expect = _full_walk(inst)
+        full = len(tried) - start
+        assert check_feasibility(inst) == expect, f"trial {trial}"
+        search = len(tried) - start - full
+        assert replace(cut_report, certificate=()) == expect, f"trial {trial}"
+        if cut_report.certificate:
+            assert verify_report(inst, cut_report) == [], f"trial {trial}"
+        walked += search > 1
+        pruned += search < full
+        reasons.add(expect.failure_reason)
+    # the corpus walks, prunes, and ends in every verdict; H(4,10) comes last
+    assert walked and pruned and reasons == {None, "paths", "source-tree", "receiver-tree"}
+    assert (full, search) == (157, 141)
+
+
+def test_multi_h416_answers_inside_the_budget(monkeypatch):
+    # no cut certifies multi H(4,16); the pruned walk refutes it in 914,100
+    # states, where the full walk took 1,591,388 of the 2,000,000
+    inst = ProtectionInstance(harary(16, 4), ["v0", "v1", "v2", "v3"], ["v8", "v9", "v10", "v11"])
+    spent = []
+    search = feasibility._search
+
+    def counted(g, snap, *args):
+        report = search(g, snap, *args)
+        spent.append(snap.spent)
+        return report
+
+    monkeypatch.setattr(feasibility, "_search", counted)
+    report = check_feasibility(inst)
+    assert report.failure_reason == "receiver-tree" and report.certificate == ()
+    assert len(spent) == 1 and spent[0] < 1_200_000
+
+
+def test_cut_settles_a_bridge_that_splits_both_trees():
+    # two K6 blocks on the bridge a6-b6, pairs a1-a2 and b1-b2: the first
+    # source tree crosses the bridge and leaves no receiver tree, and the cut
+    # is tried there, not after every other source tree of the fast path set
+    import time
+
+    inst = _k6_bridge()
+    start = time.perf_counter()
+    report = check_feasibility(inst)
+    assert time.perf_counter() - start < 1.0
+    assert report.failure_reason == "receiver-tree"
+    assert report.certificate == ("a1", "a2", "a3", "a4", "a5", "a6")
+    assert verify_report(inst, report) == []
 
 
 def test_auto_pairing_spends_one_budget(monkeypatch):
