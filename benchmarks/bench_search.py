@@ -22,13 +22,15 @@ import argparse
 import json
 import os
 import platform
-import time
+from pathlib import Path
 
+from bench_gf_kernels import _best_of
 from npcode import connectivity, feasibility
 from npcode.construction import harary
-from npcode.graph import Graph
+from npcode.graph import load
 
 SIZES = (10, 12, 14, 16)
+K6_BRIDGE = Path(__file__).resolve().parent.parent / "tests" / "data" / "k6_bridge.json"
 
 
 def _multi_h4(n):
@@ -38,14 +40,9 @@ def _multi_h4(n):
 
 
 def _k6_bridge():
-    g = Graph()
-    for block in "ab":
-        ids = [g.add_node("relay", f"{block}{i}") for i in range(1, 7)]
-        for i, u in enumerate(ids):
-            for v in ids[i + 1:]:
-                g.add_edge(u, v)
-    g.add_edge("a6", "b6")
-    return g, ["a1", "b1"], ["a2", "b2"]
+    """The bridge instance the tests and CI load, its terminals from the node roles."""
+    g = load(K6_BRIDGE.read_text())
+    return g, g.nodes_with_role("source"), g.nodes_with_role("receiver")
 
 
 INSTANCES = {f"H4-{n}": (f"multi H(4,{n})", lambda n=n: _multi_h4(n)) for n in SIZES}
@@ -95,17 +92,6 @@ def _cpu_model():
     except OSError:
         pass
     return platform.processor() or platform.machine()
-
-
-def _best_of(repeat, fn):
-    """(fastest time in seconds, last result) over repeat calls."""
-    best = result = None
-    for _ in range(repeat):
-        start = time.perf_counter()
-        result = fn()
-        elapsed = time.perf_counter() - start
-        best = elapsed if best is None else min(best, elapsed)
-    return best, result
 
 
 if __name__ == "__main__":

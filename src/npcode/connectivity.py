@@ -479,7 +479,7 @@ def _multi_paths(snap: _Snapshot) -> list[int] | None:
     return None
 
 
-def _used_edge_sets(snap: _Snapshot, spare: Callable[[], int] | None = None) -> Iterator[list[int]]:
+def _used_edge_sets(snap: _Snapshot, spare: Callable[[], int] = lambda: 0) -> Iterator[list[int]]:
     """The pairs' edge masks for every distinct used-edge set, once.
 
     Assignments are walked pair by pair, each pair's simple paths
@@ -491,16 +491,17 @@ def _used_edge_sets(snap: _Snapshot, spare: Callable[[], int] | None = None) -> 
     before is skipped: all it could yield repeats a used-edge set already
     seen.
 
-    With spare, the walk skips the sets that leave fewer than spare()
-    edges unused (for the strict search, the edges its trees need); spare
-    is read at each state and may only grow.  Every later pair j needs at
-    least its hop count dist_j within the edges left, so at state
+    The walk skips the sets that leave fewer than spare() edges unused
+    (for the strict search, the edges its trees need; by default none);
+    spare is read at each state and may only grow.  Every later pair j
+    needs at least its hop count dist_j within the edges left, so at state
     (i, avail) pair i's path may take at most
     room = |avail| - spare() - (sum of dist_j over j > i) edges, and the
-    walk returns when room is below pair i's own hop count.  The other
-    sets still come in the order above, each with the first path set that
-    uses it: a state skipped as walked was walked under a bound no tighter
-    than the current one.
+    walk returns when room is below pair i's own hop count.  With spare 0
+    this cuts only branches that complete no path set, so every set comes.
+    The other sets still come in the order above, each with the first path
+    set that uses it: a state skipped as walked was walked under a bound no
+    tighter than the current one.
     """
     k = len(snap.ends)
     walks = [0] * k  # edge mask of each pair's path
@@ -514,15 +515,11 @@ def _used_edge_sets(snap: _Snapshot, spare: Callable[[], int] | None = None) -> 
         to_r = snap.bounds(i, avail)
         if to_r is None:
             return
-        if spare is None:
-            paths = snap.paths(i, avail)
-        else:
-            need = [d[s] for d, (s, _) in zip(to_r, snap.ends[i:])]
-            room = avail.bit_count() - spare() - sum(need[1:])
-            if room < need[0]:
-                return
-            paths = snap.paths(i, avail, to_r[0], room)
-        for mask in paths:
+        need = [d[s] for d, (s, _) in zip(to_r, snap.ends[i:])]
+        room = avail.bit_count() - spare() - sum(need[1:])
+        if room < need[0]:
+            return
+        for mask in snap.paths(i, avail, to_r[0], room):
             if avail ^ mask not in walked[i + 1]:
                 walks[i] = mask
                 yield from walk(i + 1, avail ^ mask)
