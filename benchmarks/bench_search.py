@@ -5,7 +5,8 @@ Runs strict `check_feasibility`'s search, `feasibility._search` on the
 pairs' snapshot, on two families:
 
 - multi-pair H(4,n), pairs v_i -> v_{n/2+i} for i < 4: infeasible with
-  no cut certificate, so the search walks the used-edge sets to the end;
+  no cut certificate, so the search walks the used-edge sets to the end
+  (a search that reaches its state budget first reads "budget");
 - two K6 blocks a1..a6 and b1..b6 joined by the bridge a6-b6, sources
   a1,b1 and receivers a2,b2: both trees must cross the bridge, so a cut
   certificate settles it.
@@ -29,7 +30,7 @@ from npcode import connectivity, feasibility
 from npcode.construction import harary
 from npcode.graph import load
 
-SIZES = (10, 12, 14, 16)
+SIZES = (10, 12, 14, 16, 18)
 K6_BRIDGE = Path(__file__).resolve().parent.parent / "tests" / "data" / "k6_bridge.json"
 
 
@@ -63,10 +64,11 @@ def main():
         label, make = INSTANCES[name]
         g, sources, receivers = make()
         best, (report, states) = _best_of(args.repeat, lambda: _search(g, sources, receivers))
-        verdict = "feasible" if report.feasible else report.failure_reason
+        verdict = ("budget" if report is None else
+                   "feasible" if report.feasible else report.failure_reason)
         print(f"  {label:16} {g.num_edges:6d} {best * 1e3:10.1f} {verdict:>14} {states:10,d}")
         results.append({"instance": label, "edges": g.num_edges, "ms": round(best * 1e3, 2),
-                         "verdict": verdict, "certificate": bool(report.certificate),
+                         "verdict": verdict, "certificate": bool(report and report.certificate),
                          "states": states})
     if args.out:
         record = {"repeat": args.repeat, "cpu": _cpu_model(), "cores": os.cpu_count(),
@@ -77,9 +79,13 @@ def main():
 
 
 def _search(g, sources, receivers):
-    """(report, states spent) of one strict search with the fixed pairing."""
+    """(report, states spent) of one strict search with the fixed pairing; the
+    report is None when the search reached its state budget."""
     snap = connectivity._pair_snapshot(g, list(zip(sources, receivers)))
-    report = feasibility._search(g, snap, sources, receivers, False)
+    try:
+        report = feasibility._search(g, snap, sources, receivers, False)
+    except connectivity.SearchBudgetExceeded:
+        report = None
     return report, snap.spent
 
 

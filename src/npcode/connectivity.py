@@ -26,7 +26,11 @@ step, like each Steiner-tree state, spends one of the call's
 The exhaustive enumeration lists each distinct set of used edges once,
 with the first path set (pair by pair, lowest-edge-id first) that uses
 it; everything after a (pair index, edges left) state depends on those
-two alone, so each such state is walked once.
+two alone, so each such state is walked once.  The caller may end a
+state early: when its edges cannot hold the later pairs' shortest paths
+plus the spare edges it names, or when some cut it names keeps fewer
+edges than the paths and trees that must still cross it, which is the
+cut condition for edge-disjoint routing (Okamura & Seymour, 1981).
 """
 
 from __future__ import annotations
@@ -206,15 +210,18 @@ class _Snapshot:
             raise SearchBudgetExceeded(f"exact search stopped at its budget of {_MAX_STATES:,} states")
         self.spent = spent
 
-    def network(self, sinks: Sequence[int] = ()) -> _Network:
+    def network(self, *hubs: Sequence[int]) -> _Network:
         """The unit-capacity residual graph; its arcs at each node follow adj, which
-        fixes the BFS order and so the paths found.  With sinks, edge len(edges) + i
-        joins sinks[i] to one more node, numbered len(nodes)."""
-        net = _Network(len(self.nodes) + bool(sinks))
+        fixes the BFS order and so the paths found.  Each hub is one more node,
+        numbered len(nodes) on, joined to the nodes it lists by more edges,
+        numbered len(edges) on in the order listed."""
+        n = len(self.nodes)
+        net = _Network(n + len(hubs))
         for u, v in self.edge_ends:
             net.add(u, v, 1, 1)
-        for x in sinks:
-            net.add(x, len(self.nodes), 1, 1)
+        for h, joined in enumerate(hubs):
+            for x in joined:
+                net.add(x, n + h, 1, 1)
         return net
 
     def bounds(self, i: int, avail: int) -> list[list[int]] | None:
@@ -479,7 +486,8 @@ def _multi_paths(snap: _Snapshot) -> list[int] | None:
     return None
 
 
-def _used_edge_sets(snap: _Snapshot, spare: Callable[[], int] = lambda: 0) -> Iterator[list[int]]:
+def _used_edge_sets(snap: _Snapshot, limits: Callable[[], tuple[int, Sequence]] = lambda: (0, ())
+                    ) -> Iterator[list[int]]:
     """The pairs' edge masks for every distinct used-edge set, once.
 
     Assignments are walked pair by pair, each pair's simple paths
@@ -491,17 +499,22 @@ def _used_edge_sets(snap: _Snapshot, spare: Callable[[], int] = lambda: 0) -> It
     before is skipped: all it could yield repeats a used-edge set already
     seen.
 
-    The walk skips the sets that leave fewer than spare() edges unused
-    (for the strict search, the edges its trees need; by default none);
-    spare is read at each state and may only grow.  Every later pair j
+    limits() gives (spare, cuts), read at each state; by default (0, ()).
+    The walk skips the sets that leave fewer than spare edges unused (for
+    the strict search, the edges its trees need).  Every later pair j
     needs at least its hop count dist_j within the edges left, so at state
     (i, avail) pair i's path may take at most
-    room = |avail| - spare() - (sum of dist_j over j > i) edges, and the
-    walk returns when room is below pair i's own hop count.  With spare 0
-    this cuts only branches that complete no path set, so every set comes.
-    The other sets still come in the order above, each with the first path
-    set that uses it: a state skipped as walked was walked under a bound no
-    tighter than the current one.
+    room = |avail| - spare - (sum of dist_j over j > i) edges, and the
+    walk returns when room is below pair i's own hop count.  cuts, when
+    given, holds for each pair index i (0 to k) a list of (crossing, least):
+    an edge mask and the fewest of its edges that the paths of pairs i..
+    and the trees must cross.  The walk returns at (i, avail) when some
+    cut has fewer than least of its edges in avail.  With the defaults this
+    cuts only branches that complete no path set, so every set comes.  The
+    limits may only grow: then the other sets still come in the order
+    above, each with the first path set that uses it, since a state
+    skipped as walked was walked under limits no tighter than the current
+    ones, and a state cut off stays cut off.
     """
     k = len(snap.ends)
     walks = [0] * k  # edge mask of each pair's path
@@ -509,6 +522,11 @@ def _used_edge_sets(snap: _Snapshot, spare: Callable[[], int] = lambda: 0) -> It
 
     def walk(i: int, avail: int) -> Iterator[list[int]]:
         walked[i].add(avail)
+        spare, cuts = limits()
+        if cuts:
+            for crossing, least in cuts[i]:
+                if (avail & crossing).bit_count() < least:
+                    return
         if i == k:
             yield walks[:]
             return
@@ -516,7 +534,7 @@ def _used_edge_sets(snap: _Snapshot, spare: Callable[[], int] = lambda: 0) -> It
         if to_r is None:
             return
         need = [d[s] for d, (s, _) in zip(to_r, snap.ends[i:])]
-        room = avail.bit_count() - spare() - sum(need[1:])
+        room = avail.bit_count() - spare - sum(need[1:])
         if room < need[0]:
             return
         for mask in snap.paths(i, avail, to_r[0], room):

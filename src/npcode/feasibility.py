@@ -10,13 +10,14 @@ strictly infeasible).
 
 The search is exact: path assignments are enumerated exhaustively, one
 per distinct set of used edges (all that a tree placement depends on),
-less those too large to leave room for the strict trees, and, for each,
-minimal source-connecting trees are enumerated in the leftover edges
-until a receiver tree fits too.  Each search builds one
-integer snapshot of the graph (`connectivity._Snapshot`), which owns the
-node index, the edge bits, the flow arcs and the tracing back to ids:
-paths, cuts and trees are all found on it, with edge sets as int masks,
-and only the reported witness becomes ids.
+less those that leave the strict trees too few edges, in all or across
+some cut between the terminals, and, for each, minimal
+source-connecting trees are enumerated in the leftover edges until a
+receiver tree fits too.  Each search builds one integer snapshot of
+the graph (`connectivity._Snapshot`), which owns the node index, the
+edge bits, the flow arcs and the tracing back to ids: paths, cuts and
+trees are all found on it, with edge sets as int masks, and only the
+reported witness becomes ids.
 A "feasible" answer always carries a full witness; an "infeasible" answer
 means the whole space was exhausted, or names a cut certificate.
 The independent checks (`verify_report`, the certificate recount) stay
@@ -33,7 +34,7 @@ both a path and the receiver tree.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import permutations
+from itertools import combinations, permutations
 from typing import Callable, Iterator, Sequence
 
 from .connectivity import (
@@ -195,6 +196,22 @@ def _tree_for_terminals(snap: _Snapshot, pool: int, terminals: Sequence[int]) ->
     return chosen
 
 
+def _rejoins(adj, component: int, terms: int, avail: int, x: int) -> bool:
+    """Whether node x reaches the component (a node mask) over the edges in
+    avail, or else reaches no node of the terms mask.  The search goes out
+    from x and stops at the first component node it meets."""
+    seen = 1 << x
+    queue = [x]
+    for x in queue:
+        for bit, _, y in adj[x]:
+            if avail & bit and not seen >> y & 1:
+                if component >> y & 1:
+                    return True
+                seen |= 1 << y
+                queue.append(y)
+    return not seen & terms
+
+
 def _iter_steiner_trees(snap: _Snapshot, pool: int, terminals: Sequence[int]) -> Iterator[int]:
     """All inclusion-minimal trees connecting the terminals, each once.
 
@@ -202,6 +219,10 @@ def _iter_steiner_trees(snap: _Snapshot, pool: int, terminals: Sequence[int]) ->
     mask, touched the edges at those nodes and inner the edges with both
     ends in it.  The state either takes the lowest boundary edge left in the
     pool or bans it, the latter only while the terminals stay reachable.
+    They all are while the pool joins them, as it must at the start: the
+    component is joined by its tree, and a ban keeps the rest joined
+    unless it cuts the banned edge's outer end off from the component,
+    with some terminal on that end's side (`_rejoins`).
     """
     if len(terminals) <= 1:
         yield 0
@@ -228,10 +249,11 @@ def _iter_steiner_trees(snap: _Snapshot, pool: int, terminals: Sequence[int]) ->
         yield from rec(component | 1 << grown, touched | inc[grown],
                        inner | (inc[grown] & touched), chosen | bit, banned)
         banned |= bit
-        dist = _distances(adj, root, pool & ~banned)
-        if all(dist[t] >= 0 for t in terminals):
+        if joined and _rejoins(adj, component, terms, pool & ~banned, grown):
             yield from rec(component, touched, inner, chosen, banned)
 
+    dist = _distances(adj, root, pool)
+    joined = all(dist[t] >= 0 for t in terminals)
     yield from rec(1 << root, inc[root], 0, 0, 0)
 
 
@@ -270,13 +292,14 @@ def _cut_demand(g: Graph, pairs, sources, receivers, side: set[str]) -> tuple[in
     """(c, p, s, r) for a node set: the edges crossing it, the pairs it
     separates, and whether it splits the sources and the receivers (1 or 0).
     """
-
-    def split(terms) -> int:
-        return int(len({t in side for t in terms}) == 2)
-
     crossing = sum((u in side) != (v in side) for u, v in g.edges.values())
     separated = sum((s in side) != (r in side) for s, r in pairs)
-    return crossing, separated, split(sources), split(receivers)
+    return crossing, separated, _splits(side, sources), _splits(side, receivers)
+
+
+def _splits(side: set, terms) -> int:
+    """1 when the side holds some but not all of the terminals, else 0."""
+    return int(len({t in side for t in terms}) == 2)
 
 
 def _deficient_cut(g: Graph, snap: _Snapshot, sources, receivers, any_source_tree: bool):
@@ -310,6 +333,70 @@ def _deficient_cut(g: Graph, snap: _Snapshot, sources, receivers, any_source_tre
     return None
 
 
+_CUT_SIDE_MAX = 3  # most terminals on the smaller side of a bipartition in _terminal_cuts
+
+
+def _terminal_cuts(snap: _Snapshot, sources: Sequence[int], receivers: Sequence[int]):
+    """(crossing, separated, s, r) for the minimal minimum cut X of each
+    bipartition of the distinct terminals whose smaller side holds at most
+    _CUT_SIDE_MAX of them.
+
+    crossing is X's edge mask, separated[i] the number of pairs i.. that X
+    separates (i from 0 to k), and s and r are 1 when X splits the sources
+    or the receivers.  Each cut is one flow, spending one state, from a hub
+    joined to one side's terminals to a hub joined to the other's, on one
+    network whose terminal arcs are switched for each flow.
+    """
+    terminals = list(dict.fromkeys((*sources, *receivers)))
+    t, n, m = len(terminals), len(snap.nodes), len(snap.edges)
+    net = snap.network(terminals, terminals)
+    # arc 2(m + i) + 1 enters terminal i from hub n; arc 2(m + t + i) leaves it for hub n + 1
+    closed = net.cap[: 2 * m] + [0] * (4 * t)
+    cuts = []
+    for size in range(1, min(_CUT_SIDE_MAX, t // 2) + 1):
+        for side in combinations(range(t), size):
+            if 2 * size == t and side[0]:
+                continue  # the other side lists the same bipartition
+            cap = closed[:]
+            for i in range(t):
+                cap[2 * (m + i) + 1 if i in side else 2 * (m + t + i)] = m + 1
+            snap.count(snap.spent + 1)
+            _, parent = _flow(net, cap, n, n + 1)
+            crossing = 0
+            for x in range(n):
+                if parent[x] != -1:
+                    crossing ^= snap.inc[x]  # an edge inside X is counted twice
+            inside = {terminals[i] for i in side}
+            separated = [0]
+            for x, y in reversed(snap.ends):
+                separated.append(separated[-1] + ((x in inside) != (y in inside)))
+            cuts.append((crossing, separated[::-1], _splits(inside, sources),
+                         _splits(inside, receivers)))
+    return cuts
+
+
+def _walk_limits(snap: _Snapshot, sources: Sequence[int], receivers: Sequence[int]):
+    """The strict walk's (spare, cuts) before and from the first source tree found on.
+
+    spare is the edges the trees need: |S| - 1, and |R| - 1 more from the
+    first source tree on.  cuts[i] lists (crossing, least) for each of
+    _terminal_cuts' cuts, least being what the paths of pairs i.. and the
+    trees must cross it: separated[i] + s, and r more from the first source
+    tree on, least slack first.  Before a source tree is found the receiver
+    tree counts nowhere, so a skipped set never had room for a source tree.
+    """
+    cuts = _terminal_cuts(snap, sources, receivers)
+    limits = []
+    for rtree in (0, 1):
+        rows = []
+        for i in range(len(snap.ends) + 1):
+            row = [(c, separated[i] + s + r * rtree) for c, separated, s, r in cuts]
+            rows.append(sorted([cut for cut in row if cut[1]],
+                               key=lambda cut: cut[0].bit_count() - cut[1]))
+        limits.append((len(sources) - 1 + (len(receivers) - 1) * rtree, rows))
+    return limits
+
+
 def _search(g: Graph, snap: _Snapshot, sources, receivers, relaxed: bool):
     """Exact witness search on the pairs' snapshot; returns a report without pairing metadata.
 
@@ -320,13 +407,17 @@ def _search(g: Graph, snap: _Snapshot, sources, receivers, relaxed: bool):
     trees must cross does not wait for every other source tree, or after
     that path set's trees when it has none.  Otherwise every other set
     of used edges is tried, which is all a tree placement depends on, with
-    the first path set that uses it.  The walk skips the sets that leave
-    fewer edges than the trees need: |S| - 1 for the source tree, and from
-    the first source tree found on, |R| - 1 more for the receiver tree.  A
-    set that only has room for a source tree is never skipped before one is
-    found, so the reason stays the one the full walk gives.  One snapshot
-    carries the whole search: paths are one edge mask per pair, and only
-    the reported witness is traced back to ids.
+    the first path set that uses it.  Before that walk starts, the search
+    flows one cut per small bipartition of the terminals (`_terminal_cuts`).
+    The walk then skips the sets that leave fewer edges than the trees
+    need, and ends each branch where some cut has fewer edges left than
+    the later paths and the trees that must cross it (Okamura & Seymour's
+    cut condition): the source tree, and from the first source tree found
+    on, the receiver tree too (`_walk_limits`).  A set that only has room
+    for a source tree is never skipped before one is found, so the reason
+    stays the one the full walk gives.  One snapshot carries the whole
+    search: paths are one edge mask per pair, and only the reported
+    witness is traced back to ids.
     """
     terms = [snap.index[v] for v in sources], [snap.index[v] for v in receivers]
 
@@ -355,17 +446,15 @@ def _search(g: Graph, snap: _Snapshot, sources, receivers, relaxed: bool):
         if cut is not None:
             certificate, reason = cut
             return FeasibilityReport(False, failure_reason=reason, certificate=certificate)
-        spare = len(sources) - 1 + (len(receivers) - 1 if any_source_tree else 0)
-        for walks in _used_edge_sets(snap, lambda: spare):
+        limits = _walk_limits(snap, *terms)
+        for walks in _used_edge_sets(snap, lambda: limits[any_source_tree]):
             used = sum(walks)
             if used == fast_used:
                 continue
             stree, rtree, s_found = _witness_for_path_set(snap, used, *terms, relaxed)
             if rtree is not None:
                 return witness(walks, stree, rtree)
-            if s_found and not any_source_tree:
-                any_source_tree = True
-                spare += len(receivers) - 1
+            any_source_tree = any_source_tree or s_found
     if not any_source_tree:
         return FeasibilityReport(False, failure_reason=REASON_SOURCE_TREE, relaxed=relaxed)
     return FeasibilityReport(False, failure_reason=REASON_RECEIVER_TREE, relaxed=relaxed)

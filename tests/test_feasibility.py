@@ -17,7 +17,7 @@ from npcode.feasibility import (
 )
 from npcode.graph import DisjointPathSet, Graph, Path, load, save
 
-from oracles import brute_min_st_cut, edge_list, feasible_ref, hamiltonian_ref
+from oracles import brute_min_st_cut, edge_list, feasible_ref, hamiltonian_ref, reachable_ref
 
 K6_BRIDGE = FsPath(__file__).parent / "data" / "k6_bridge.json"
 
@@ -464,11 +464,20 @@ def _edge_mask(g, path_set):
     return sum(bit[e] for e in path_set.edge_ids())
 
 
+def _family(inst):
+    """The walk's terminal cuts on a fresh snapshot of the instance, each as
+    (crossing edge ids, separated, s, r)."""
+    snap = connectivity._pair_snapshot(inst.graph, inst.pairs())
+    terms = [snap.index[v] for v in inst.sources], [snap.index[v] for v in inst.receivers]
+    return [(set(snap.edge_ids(c)), sep, s, r)
+            for c, sep, s, r in feasibility._terminal_cuts(snap, *terms)]
+
+
 def test_witness_attempt_once_per_used_edge_set(monkeypatch):
     # the strict walk tries the fast path set first, then each other used-edge
-    # set once, in the full walk's order.  It skips only sets that leave fewer
-    # than (|S| - 1) + (|R| - 1) = 6 of the 20 edges for the trees, and until
-    # some set has room for a source tree, none that leave |S| - 1 = 3
+    # set once, in the full walk's order.  It skips only sets that leave the
+    # trees too few edges: fewer than (|S| - 1) + (|R| - 1) = 6 of the 20 in
+    # all, or fewer across some terminal cut than the trees that must cross it
     g = harary(10, 4)
     inst = ProtectionInstance(g, ["v0", "v1", "v2", "v3"], ["v5", "v6", "v7", "v8"])
     tried = []
@@ -482,13 +491,54 @@ def test_witness_attempt_once_per_used_edge_set(monkeypatch):
     report = check_feasibility(inst)
     assert report.failure_reason == "receiver-tree" and report.certificate == ()
     fast = _edge_mask(g, connectivity.find_disjoint_paths_multi(g, inst.pairs()))
-    every = [_edge_mask(g, ps) for ps in connectivity.iter_disjoint_path_sets(g, inst.pairs())]
+    path_sets = list(connectivity.iter_disjoint_path_sets(g, inst.pairs()))
+    every = [_edge_mask(g, ps) for ps in path_sets]
     assert len(every) == len(set(every)) == 157
-    assert tried[0] == fast and len(tried) == len(set(tried)) == 141
+    assert tried[0] == fast and len(tried) == len(set(tried)) == 5
     assert tried[1:] == [used for used in every if used in tried[1:]]
-    skipped = set(every) - set(tried)
-    assert skipped and all(used.bit_count() > 20 - 6 for used in skipped)
     assert all(used.bit_count() <= 20 - 3 for used in tried)
+    cuts = _family(inst)
+    assert len(cuts) == 8 + 28 + 56  # one per bipartition with at most 3 terminals on a side
+    skipped = [ps.edge_ids() for ps, used in zip(path_sets, every) if used not in tried]
+    assert len(skipped) == 157 - 5  # the fast set is one of the 157
+    for used in skipped:
+        assert len(used) > 20 - 6 or any(len(crossing - used) < s + r
+                                         for crossing, _, s, r in cuts)
+
+
+def test_tree_bans_spend_what_a_full_reachability_check_spends(monkeypatch):
+    # a Steiner-tree state bans an edge only while every terminal stays
+    # reachable from the tree grown so far; _rejoins searches out from the
+    # banned edge's outer end alone, and must give the trees and spend the
+    # states that a search from the whole tree gives, on pools that join the
+    # terminals and on pools that do not
+    rng = random.Random(11)
+    cases = []
+    for _ in range(300):
+        g, ids = _random_connected(rng, rng.randint(4, 8), rng.randrange(0, 8))
+        snap = connectivity._Snapshot(g)
+        pool = snap.full if rng.random() < 0.3 else rng.getrandbits(len(snap.edges))
+        cases.append((snap, pool, rng.sample(range(len(ids)), rng.randint(2, 4))))
+
+    def enumerate_all():
+        out = []
+        for snap, pool, terminals in cases:
+            snap.spent = 0
+            out.append((list(feasibility._iter_steiner_trees(snap, pool, terminals)), snap.spent))
+        return out
+
+    def reaches_from_the_tree(adj, component, terms, avail, x):
+        edges = [(j, u, v) for u, at in enumerate(adj) for _, j, v in at]
+        allowed = {j for j, _, _ in edges if avail >> j & 1}
+        tree = [u for u in range(len(adj)) if component >> u & 1]
+        seen = set().union(*(reachable_ref(u, edges, allowed) for u in tree))
+        return all(t in seen for t in range(len(adj)) if terms >> t & 1)
+
+    searched = enumerate_all()
+    monkeypatch.setattr(feasibility, "_rejoins", reaches_from_the_tree)
+    assert searched == enumerate_all()
+    assert sum(bool(trees) for trees, _ in searched) > 100
+    assert sum(not trees for trees, _ in searched) > 20
 
 
 def _witness_spans(monkeypatch) -> list[list]:
@@ -531,14 +581,14 @@ def test_tree_enumeration_cap_stops_the_search(monkeypatch, tmp_path, capsys):
 
 
 def test_tree_states_across_path_sets_share_one_budget(monkeypatch):
-    # multi H(4,10) tries trees around the 141 path sets that
+    # multi H(4,10) tries trees around the 5 path sets that
     # test_witness_attempt_once_per_used_edge_set pins; the budget counts every
     # tree state of every attempt, and the walks between them, on one total
     inst = ProtectionInstance(harary(10, 4), ["v0", "v1", "v2", "v3"], ["v5", "v6", "v7", "v8"])
     spans = _witness_spans(monkeypatch)
     check_feasibility(inst)
     states = [leave - enter for enter, leave in spans]
-    assert len(spans) == 141 and min(states) > 0
+    assert len(spans) == 5 and min(states) > 0
     assert all(leave <= enter for (_, leave), (enter, _) in zip(spans, spans[1:]))
     # stop half way through the attempt that grows the most tree states: no
     # attempt alone comes near the limit, the total does
@@ -552,11 +602,11 @@ def test_tree_states_across_path_sets_share_one_budget(monkeypatch):
     assert len(spans) == i + 1 and spans[-1][1] is None
 
 
-def _full_walk(inst):
+def _full_walk(inst, pairs=None):
     """The strict search with neither the walk's prune nor the cut: the fast
     path set, then each other set of iter_disjoint_path_sets in order, each
-    tried by _witness_for_path_set."""
-    g, pairs = inst.graph, inst.pairs()
+    tried by _witness_for_path_set.  pairs, if given, replaces the instance's."""
+    g, pairs = inst.graph, pairs or inst.pairs()
     snap = connectivity._pair_snapshot(g, pairs)
     terms = [snap.index[v] for v in inst.sources], [snap.index[v] for v in inst.receivers]
     fast = connectivity.find_disjoint_paths_multi(g, pairs)
@@ -616,12 +666,93 @@ def test_pruned_walk_matches_the_full_walk(monkeypatch):
         reasons.add(expect.failure_reason)
     # the corpus walks, prunes, and ends in every verdict; H(4,10) comes last
     assert walked and pruned and reasons == {None, "paths", "source-tree", "receiver-tree"}
-    assert (full, search) == (157, 141)
+    assert (full, search) == (157, 5)
+
+
+def _four_pair_corpus(seed, count):
+    """Seeded strict instances on 8-10 nodes, each with its pairs: four pairs
+    on 8 terminals, and in every fourth one the first of three pairs twice."""
+    rng = random.Random(seed)
+    for trial in range(count):
+        g, ids = _random_connected(rng, rng.randint(8, 10), rng.randrange(4, 16))
+        picked = rng.sample(ids, 8)
+        if trial % 4 == 3:
+            inst = ProtectionInstance(g, picked[:3], picked[4:7])
+            yield inst, inst.pairs()[:1] + inst.pairs()
+        else:
+            inst = ProtectionInstance(g, picked[:4], picked[4:])
+            yield inst, inst.pairs()
+
+
+def test_cut_pruned_walk_matches_the_full_walk_on_four_pairs(monkeypatch):
+    # with the certificate off every infeasible instance walks; the walk,
+    # pruned by the edge count and the terminal cuts, gives the full walk's
+    # report, and so does check_feasibility where the pairs are the instance's
+    monkeypatch.setattr(feasibility, "_deficient_cut", lambda *args: None)
+    tried = []
+    attempt = feasibility._witness_for_path_set
+
+    def counted(*args):
+        tried.append(1)
+        return attempt(*args)
+
+    monkeypatch.setattr(feasibility, "_witness_for_path_set", counted)
+    pruned = 0
+    reasons = set()
+    for trial, (inst, pairs) in enumerate(_four_pair_corpus(2027, 80)):
+        start = len(tried)
+        expect = _full_walk(inst, pairs)
+        full = len(tried) - start
+        snap = connectivity._pair_snapshot(inst.graph, pairs)
+        report = feasibility._search(inst.graph, snap, inst.sources, inst.receivers, False)
+        assert report == expect, f"trial {trial}"
+        if pairs == inst.pairs():
+            assert check_feasibility(inst) == expect, f"trial {trial}"
+        pruned += len(tried) - start - full < full
+        reasons.add((expect.failure_reason, pairs != inst.pairs()))
+    assert pruned > 20
+    assert reasons == {(reason, repeated) for repeated in (False, True)
+                       for reason in (None, "paths", "source-tree", "receiver-tree")}
+
+
+def test_every_witness_meets_every_terminal_cut():
+    # recounted on edge ids: each cut of the walk's family keeps apart every
+    # pair it counts as separated, and the sources or receivers it says it
+    # splits; and every feasible witness has, at each pair index i, at least
+    # as many structures crossing the cut in the edges the paths of pairs < i
+    # leave as the walk demands there, which bounds those edges too
+    from npcode.graph import connected_within
+
+    instances = list(_multi_pair_corpus(2026, 80))
+    instances += [inst for inst, pairs in _four_pair_corpus(2027, 80) if pairs == inst.pairs()]
+    witnesses = 0
+    for trial, inst in enumerate(instances):
+        g, pairs = inst.graph, inst.pairs()
+        cuts = _family(inst)
+        for crossing, separated, s, r in cuts:
+            rest = set(g.edges) - crossing
+            for i, (x, y) in enumerate(pairs):
+                if separated[i] > separated[i + 1]:
+                    assert not connected_within(g, [x, y], rest), f"trial {trial}"
+            assert not s or not connected_within(g, inst.sources, rest), f"trial {trial}"
+            assert not r or not connected_within(g, inst.receivers, rest), f"trial {trial}"
+        report = check_feasibility(inst)
+        if not report.feasible:
+            continue
+        witnesses += 1
+        paths = [set(p.edges) for p in report.paths]
+        trees = [set(report.source_tree), set(report.receiver_tree)]
+        for crossing, separated, s, r in cuts:
+            for i in range(len(pairs) + 1):
+                left = crossing.difference(*paths[:i])
+                crossers = sum(bool(left & used) for used in paths[i:] + trees)
+                assert len(left) >= crossers >= separated[i] + s + r, f"trial {trial}"
+    assert witnesses > 30
 
 
 def test_multi_h416_answers_inside_the_budget(monkeypatch):
-    # no cut certifies multi H(4,16); the pruned walk refutes it in 914,100
-    # states, where the full walk took 1,591,388 of the 2,000,000
+    # no cut certifies multi H(4,16); the pruned walk refutes it in 123,231
+    # states, 92 of them flows, where the full walk took 1,591,388 of the 2,000,000
     inst = ProtectionInstance(harary(16, 4), ["v0", "v1", "v2", "v3"], ["v8", "v9", "v10", "v11"])
     spent = []
     search = feasibility._search
@@ -634,7 +765,7 @@ def test_multi_h416_answers_inside_the_budget(monkeypatch):
     monkeypatch.setattr(feasibility, "_search", counted)
     report = check_feasibility(inst)
     assert report.failure_reason == "receiver-tree" and report.certificate == ()
-    assert len(spent) == 1 and spent[0] < 1_200_000
+    assert len(spent) == 1 and spent[0] < 125_000
 
 
 def test_cut_settles_a_bridge_that_splits_both_trees():
