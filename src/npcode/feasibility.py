@@ -367,11 +367,9 @@ def _terminal_cuts(snap: _Snapshot, sources: Sequence[int], receivers: Sequence[
                 if parent[x] != -1:
                     crossing ^= snap.inc[x]  # an edge inside X is counted twice
             inside = {terminals[i] for i in side}
-            separated = [0]
-            for x, y in reversed(snap.ends):
-                separated.append(separated[-1] + ((x in inside) != (y in inside)))
-            cuts.append((crossing, separated[::-1], _splits(inside, sources),
-                         _splits(inside, receivers)))
+            separated = [sum((x in inside) != (y in inside) for x, y in snap.ends[i:])
+                         for i in range(len(snap.ends) + 1)]
+            cuts.append((crossing, separated, _splits(inside, sources), _splits(inside, receivers)))
     return cuts
 
 
