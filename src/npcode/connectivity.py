@@ -3,8 +3,8 @@
 Each call builds one integer snapshot of the graph (`_Snapshot`): it
 alone maps node ids to ints, edge ids to mask bits and flow arcs, and
 int results back to ids.  Every max-flow runs on an integer residual
-graph (`_Network`) with arcs and their reverses in flat lists, each flow
-from a copy of the capacity list, by unit shortest augmenting paths.
+graph (`_Network`) with arcs and their reverses in flat lists, by unit
+shortest augmenting paths, on a capacity list the caller passes in.
 
 Single-pair questions are unit-capacity max-flows in which each
 undirected edge carries one unit in at most one direction; flow
@@ -16,6 +16,17 @@ delta to each non-neighbour, and between each non-adjacent pair of v's
 neighbours, so O(n + delta^2) flows instead of one per non-adjacent
 pair.  A lexicographic scan of the non-adjacent pairs then takes the
 witness from the first pair that reaches that value.
+
+Both connectivities run many flows from one source, each stopped at the
+least value so far, L.  A flow that carries L units to sink t is kept,
+and the next sink t', when it is adjacent to t, first asks the same
+augmenting-path routine for L units from t to t' on that residual: the
+max-flow survives a change of sink (Hao & Orlin, 1994).  Reaching L
+proves the pair's value is at least L; falling short proves it is below
+L.  Only then, or when the chain is skipped (t' not adjacent to t, or
+too few edges at t'), does a fresh flow run from a copy of the capacity
+list, so every value and witness comes from the same flow as without
+the chain.
 
 The multi-pair variant (distinct source-receiver pairs that must be
 mutually edge-disjoint) is NP-complete in general, so it is solved by
@@ -320,17 +331,38 @@ def max_edge_disjoint_paths(g: Graph, s: str, r: str) -> DisjointPathSet:
 
 
 def edge_connectivity(g: Graph) -> CutReport:
-    """Size and witness of a smallest edge cut (0 if already disconnected)."""
+    """Size and witness of a smallest edge cut (0 if already disconnected).
+
+    One flow runs from node 0 to each later node t, stopped at the least
+    value L so far (the first runs to the end); the witness is the minimal
+    cut of the last t whose flow fell short of L, the first to reach the
+    minimum.  The flow to t - 1 carries L units (f).  When t is adjacent
+    to t - 1, the sink changes first: a flow g of L units from t - 1 to t
+    on f's residual makes f + g an L-unit flow from 0 to t, so
+    lambda(0, t) >= L and t cannot change the answer.  Conversely, for any
+    L-unit flow f' from 0 to t, f' - f is an L-unit flow from t - 1 to t
+    on f's residual, so g falls short only when lambda(0, t) < L.  Then,
+    and when t is not adjacent to t - 1 or has fewer than L edges (so
+    lambda(0, t) < L), t gets the fresh flow from node 0 it would get
+    without the chain.  Adjacency keeps the chained search local: on dense
+    random graphs, chaining to a far sink costs more than a fresh flow.
+    """
     if g.num_nodes < 2:
         raise GraphError("edge connectivity needs at least 2 nodes")
     if not g.is_connected():
         return CutReport(0, ())
     snap = _Snapshot(g)
     net = snap.network()
+    adj = snap.adj
     best_value = None
     best_witness: tuple[str, ...] = ()
     for t in range(1, len(snap.nodes)):
-        value, parent = _flow(net, net.cap[:], 0, t, best_value)
+        # cap holds the last flow, best_value units from node 0 to t - 1
+        if (t > 1 and len(adj[t]) >= best_value and any(y == t - 1 for _, _, y in adj[t])
+                and _flow(net, cap, t - 1, t, best_value)[0] == best_value):
+            continue
+        cap = net.cap[:]
+        value, parent = _flow(net, cap, 0, t, best_value)
         if parent is not None:
             best_value = value
             best_witness = tuple(
@@ -369,6 +401,14 @@ def node_connectivity(g: Graph) -> CutReport:
     nodes, and the first it misses is cut off from a later node, so that
     pair comes within the first kappa + 1 rows (one flow on Harary graphs).
     The scan skips each pair whose value-phase flow, either way, passed kappa.
+
+    Each phase chains the flows from one out-half as edge_connectivity
+    does: the last flow from that source carries the current limit L
+    (kappa, or kappa + 1 in the scan) to in-half 2t.  When the next sink
+    t' is adjacent to t in g, a flow of L units from 2t to 2t' on that
+    residual shows kappa(v, t') >= L, the same answer as a fresh flow
+    stopped at L; by the f' - f argument it falls short only when the
+    fresh flow would too, and then the fresh flow runs.
     """
     if g.num_nodes == 0:
         raise GraphError("node connectivity needs at least 1 node")
@@ -395,19 +435,30 @@ def node_connectivity(g: Graph) -> CutReport:
     pairs = [(low, y) for y in range(n) if y != low and y not in adjacent[low]]
     pairs += [(x, y) for a, x in enumerate(near) for y in near[a + 1 :] if y not in adjacent[x]]
     known = {}  # a lower bound on each flown pair's local connectivity
+    last = (-1, -1)  # the last pair flown; its flow, in cap, carries kappa units
     for x, y in pairs:
-        value, parent = _flow(net, net.cap[:], 2 * x + 1, 2 * y, kappa)
+        if last[0] == x and y in adjacent[last[1]] and _flow(net, cap, 2 * last[1], 2 * y, kappa)[0] == kappa:
+            value = kappa
+        else:
+            cap = net.cap[:]
+            value, parent = _flow(net, cap, 2 * x + 1, 2 * y, kappa)
+            if parent is not None:
+                kappa = value
         known[min(x, y), max(x, y)] = value
-        if parent is not None:
-            kappa = value
+        last = x, y
     for i in range(n):
+        last = -1  # the row's last sink; its flow, in cap, carries kappa + 1 units
         for j in range(i + 1, n):
-            if j not in adjacent[i] and known.get((i, j), kappa) <= kappa:
-                value, parent = _flow(net, net.cap[:], 2 * i + 1, 2 * j, kappa + 1)
+            if j in adjacent[i] or known.get((i, j), kappa) > kappa:
+                continue
+            if last < 0 or j not in adjacent[last] or _flow(net, cap, 2 * last, 2 * j, kappa + 1)[0] <= kappa:
+                cap = net.cap[:]
+                value, parent = _flow(net, cap, 2 * i + 1, 2 * j, kappa + 1)
                 if value == kappa:
                     return CutReport(kappa, tuple(
                         v for x, v in enumerate(nodes) if parent[2 * x] != -1 and parent[2 * x + 1] == -1
                     ))
+            last = j
     raise AssertionError("no non-adjacent pair reaches the node connectivity")
 
 

@@ -368,6 +368,30 @@ def test_node_connectivity_runs_few_flows(monkeypatch, n, k):
     assert len(calls) <= n + k * (k - 1) // 2
 
 
+@pytest.mark.parametrize("n,k", [(60, 6), (200, 4)])
+def test_chained_flows_start_few_flows_at_a_source(monkeypatch, n, k):
+    sources = []
+    flow = connectivity._flow
+
+    def counted(net, cap, s, t, limit=None):
+        sources.append(s)
+        return flow(net, cap, s, t, limit)
+
+    monkeypatch.setattr(connectivity, "_flow", counted)
+    h = harary(n, k)
+    assert edge_connectivity(h).value == k
+    # v_t is adjacent to v_{t-1}, so each later sink's flow chains on from the
+    # last sink's residual and reaches k there: n - 1 flows, one from v0
+    assert len(sources) == n - 1
+    assert sources.count(0) == 1
+    sources.clear()
+    assert node_connectivity(h).value == k
+    # out-half 2i + 1 starts a fresh flow from v_i; a chained flow starts at
+    # the last sink's in-half.  One fresh flow for v0's non-neighbours, at
+    # most one per non-adjacent pair of its k neighbours, one for the witness.
+    assert sum(s % 2 for s in sources) <= 2 + k * (k - 1) // 2
+
+
 # -- the integer path walker against the string-keyed oracle -------------------------
 
 

@@ -3,9 +3,11 @@
 The brute-force oracles in oracles.py enumerate cuts and stop at about
 8 nodes; networkx reaches the sizes the max-flow code is meant for.
 Edge connectivity of a multigraph is the min cut of the simple graph
-whose edge capacities count the parallel edges.  The node-cut witness is
-checked against `node_cut_ref`, a scan of every non-adjacent pair with
-networkx flows on a split digraph of its own.
+whose edge capacities count the parallel edges.  The edge-cut witness is
+checked against `edge_cut_ref`, a networkx flow from the first node to
+each other node, and the node-cut witness against `node_cut_ref`, a scan
+of every non-adjacent pair with networkx flows on a split digraph of its
+own.
 """
 
 import random
@@ -91,6 +93,7 @@ def _split_apart(ref):
 def test_edge_connectivity_matches_networkx(label, g):
     rep = edge_connectivity(g)
     assert rep.value == _nx_edge_connectivity(_simple(g))
+    assert (rep.value, rep.witness) == edge_cut_ref(g)
     assert len(rep.witness) == rep.value
     cut = set(rep.witness)
     rest = nx.MultiGraph()
@@ -316,3 +319,44 @@ def test_witness_scan_skips_pairs_the_value_phase_passed(monkeypatch, kappa, m, 
     assert rep.value == kappa
     # a scan that reflows every pair of the separators' rows takes rerun_flows
     assert len(calls) < rerun_flows
+
+
+# -- edge-cut witnesses against a flow from the first node to each other node --------
+
+
+def edge_cut_ref(g):
+    """(value, witness) that edge_connectivity must return, from networkx flows.
+
+    Each edge u-v adds one unit of capacity to the arcs u -> v and v -> u,
+    so parallel edges count.  The value is the least max flow from the first
+    node s to any other node.  The witness belongs to the first t, in
+    g.nodes order, whose flow reaches it: the edges, in g.edges order, with
+    exactly one end on the side that the residual graph reaches from s.
+    """
+    nodes = list(g.nodes)
+    ref = _simple(g)
+    if _split_apart(ref):
+        return 0, ()
+    arcs = nx.DiGraph()
+    for u, v, c in ref.edges(data="capacity"):
+        arcs.add_edge(u, v, capacity=c)
+        arcs.add_edge(v, u, capacity=c)
+    s = nodes[0]
+    flows = [nx.maximum_flow(arcs, s, t) for t in nodes[1:]]
+    best = min(value for value, _ in flows)
+    flow = next(flow for value, flow in flows if value == best)
+    reached = {s}
+    queue = [s]
+    for x in queue:
+        for y, c in arcs[x].items():
+            if y not in reached and flow[x][y] - flow[y][x] < c["capacity"]:
+                reached.add(y)
+                queue.append(y)
+    return best, tuple(e for e, (u, v) in g.edges.items() if (u in reached) != (v in reached))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_multigraphs().filter(lambda g: g.num_nodes > 1))
+def test_edge_connectivity_matches_edge_cut_ref_hypothesis(g):
+    rep = edge_connectivity(g)
+    assert (rep.value, rep.witness) == edge_cut_ref(g)
