@@ -83,7 +83,7 @@ def _search(g, sources, receivers):
     report is None when the search reached its state budget."""
     snap = connectivity._pair_snapshot(g, list(zip(sources, receivers)))
     try:
-        report = feasibility._search(g, snap, sources, receivers, False)
+        report = feasibility._search(snap, sources, receivers, False)
     except connectivity.SearchBudgetExceeded:
         report = None
     return report, snap.spent

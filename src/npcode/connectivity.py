@@ -29,12 +29,12 @@ list, so every value and witness comes from the same flow as without
 the chain.
 
 The multi-pair variant (distinct source-receiver pairs that must be
-mutually edge-disjoint) is NP-complete in general, so it is solved by
-exact backtracking with admissible pruning, except when all sources (or
-all receivers) coincide, which collapses to a single max-flow.  Each
-step, like each Steiner-tree state, spends one of the call's
-`_MAX_STATES` states.  The searches carry each path as an edge mask.
-The exhaustive enumeration lists each distinct set of used edges once,
+mutually edge-disjoint) is NP-complete in general.  When all sources (or
+all receivers) coincide it is a single max-flow; otherwise one exact
+walker (`_used_edge_sets`) answers it, run once per total edge budget
+for a shortest path set.  Each step, like each Steiner-tree state,
+spends one of the call's `_MAX_STATES` states.  The walker carries each
+path as an edge mask and lists each distinct set of used edges once,
 with the first path set (pair by pair, lowest-edge-id first) that uses
 it; everything after a (pair index, edges left) state depends on those
 two alone, so each such state is walked once.  The caller may end a
@@ -498,10 +498,13 @@ def _multi_paths(snap: _Snapshot) -> list[int] | None:
     the search space is exhausted.
 
     Coinciding sources (or receivers) short-circuit to a polynomial
-    max-flow; otherwise iterative deepening on the total edge count with
-    per-pair residual distance/flow pruning keeps the backtracking
-    honest without losing completeness.  The witness is the first path set,
-    pair by pair and lowest-edge-id first, whose total length is the least.
+    max-flow.  Otherwise `_used_edge_sets` runs once per total edge budget
+    B, least first, with m - B spare edges (iterative deepening, Korf
+    1985): its room at (i, avail) is then B less the edges pairs < i took
+    and the later pairs' hop counts.  The first set found returns, so the
+    walk's memo skips only states that ended with no set, and the witness
+    is the first path set, pair by pair and lowest-edge-id first, whose
+    total length is the least.
     """
     sources = [s for s, _ in snap.ends]
     receivers = [r for _, r in snap.ends]
@@ -510,29 +513,12 @@ def _multi_paths(snap: _Snapshot) -> list[int] | None:
     if len(set(receivers)) == 1:
         # a path traced from its own source is the flow's path reversed
         return _shared_source_flow(snap, receivers[0], sources)
-    k = len(snap.ends)
-    walks = [0] * k  # edge mask of each pair's path
-
-    def dfs(i: int, budget: int, avail: int) -> bool:
-        if i == k:
-            return True
-        to_r = snap.bounds(i, avail)
-        if to_r is None:
-            return False
-        need = [d[s] for d, (s, _) in zip(to_r, snap.ends[i:])]
-        if sum(need) > budget:
-            return False
-        for mask in snap.paths(i, avail, to_r[0], budget - sum(need[1:])):
-            walks[i] = mask
-            if dfs(i + 1, budget - mask.bit_count(), avail ^ mask):
-                return True
-        return False
-
     to_r = snap.bounds(0, snap.full)
     if to_r is None:
         return None
-    for budget in range(sum(d[s] for d, (s, _) in zip(to_r, snap.ends)), len(snap.edges) + 1):
-        if dfs(0, budget, snap.full):
+    m = len(snap.edges)
+    for budget in range(sum(d[s] for d, (s, _) in zip(to_r, snap.ends)), m + 1):
+        for walks in _used_edge_sets(snap, lambda: (m - budget, ())):
             return walks
     return None
 
@@ -541,7 +527,9 @@ def _used_edge_sets(snap: _Snapshot, limits: Callable[[], tuple[int, Sequence]] 
                     ) -> Iterator[list[int]]:
     """The pairs' edge masks for every distinct used-edge set, once.
 
-    Assignments are walked pair by pair, each pair's simple paths
+    The one multi-pair walker: `iter_disjoint_path_sets` lists its sets,
+    `_multi_paths` runs it once per edge budget, and the strict feasibility
+    search under its tree and cut limits.  Assignments are walked pair by pair, each pair's simple paths
     lowest-edge-id first in the edges the earlier pairs left; a branch ends
     once a later pair has no path left, or a repeated pair too few
     edge-disjoint ones.  Each distinct set of used edges comes with the

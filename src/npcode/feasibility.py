@@ -302,30 +302,46 @@ def _splits(side: set, terms) -> int:
     return int(len({t in side for t in terms}) == 2)
 
 
-def _deficient_cut(g: Graph, snap: _Snapshot, sources, receivers, any_source_tree: bool):
+def _side_demand(snap: _Snapshot, parent, sources: Sequence[int], receivers: Sequence[int]):
+    """(crossing, separated, s, r) for X, the nodes x with parent[x] != -1:
+    X's edge mask, the number of pairs i.. it separates for i from 0 to k,
+    and 1 or 0 for whether it splits the sources and the receivers (node
+    indices).  The verifier recounts certificates on ids (`_cut_demand`).
+    """
+    inside = {x for x in range(len(snap.nodes)) if parent[x] != -1}
+    crossing = 0
+    for x in inside:
+        crossing ^= snap.inc[x]  # an edge inside X is counted twice
+    separated = [sum((x in inside) != (y in inside) for x, y in snap.ends[i:])
+                 for i in range(len(snap.ends) + 1)]
+    return crossing, separated, _splits(inside, sources), _splits(inside, receivers)
+
+
+def _deficient_cut(snap: _Snapshot, sources, receivers, any_source_tree: bool):
     """(certificate, failure reason) for a strict infeasible instance, or None.
 
-    Candidate sides are the minimal minimum cuts between terminals, one
-    flow per unordered pair stopped at k+2 units: no side crossed by that
-    many edges can be deficient.  A deficient side proves infeasibility,
-    but it gives the reason the exhaustive search names only in two cases:
-    receiver-tree when the first path set left room for a source tree
-    (empty for one source), and source-tree when the side splits the
-    sources and every crossing edge carries a path (c == p), leaving none.
+    Candidate sides are the minimal minimum cuts between terminals (node
+    indices), one flow per unordered pair stopped at k+2 units: no side
+    crossed by that many edges can be deficient.  Each is counted on the
+    snapshot (`_side_demand`).  A deficient side, traced to node ids,
+    proves infeasibility, but it gives the reason the exhaustive search
+    names only in two cases: receiver-tree when the first path set left
+    room for a source tree (empty for one source), and source-tree when the
+    side splits the sources and every crossing edge carries a path (c == p).
     """
-    terminals = list(dict.fromkeys(snap.index[v] for v in (*sources, *receivers)))
+    terminals = list(dict.fromkeys((*sources, *receivers)))
     net = snap.network()
-    pairs = [(snap.nodes[s], snap.nodes[r]) for s, r in snap.ends]
-    limit = len(pairs) + 2
+    limit = len(snap.ends) + 2
     for i, a in enumerate(terminals):
         for b in terminals[i + 1 :]:
             _, parent = _flow(net, net.cap[:], a, b, limit)
             if parent is None:
                 continue
-            certificate = tuple(v for v, p in zip(snap.nodes, parent) if p != -1)
-            c, p, s, r = _cut_demand(g, pairs, sources, receivers, set(certificate))
+            crossing, separated, s, r = _side_demand(snap, parent, sources, receivers)
+            c, p = crossing.bit_count(), separated[0]
             if c >= p + s + r:
                 continue
+            certificate = tuple(v for v, x in zip(snap.nodes, parent) if x != -1)
             if any_source_tree:
                 return certificate, REASON_RECEIVER_TREE
             if s and c == p:
@@ -337,15 +353,14 @@ _CUT_SIDE_MAX = 3  # most terminals on the smaller side of a bipartition in _ter
 
 
 def _terminal_cuts(snap: _Snapshot, sources: Sequence[int], receivers: Sequence[int]):
-    """(crossing, separated, s, r) for the minimal minimum cut X of each
-    bipartition of the distinct terminals whose smaller side holds at most
-    _CUT_SIDE_MAX of them.
+    """`_side_demand`'s (crossing, separated, s, r) for the minimal minimum
+    cut X of each bipartition of the distinct terminals whose smaller side
+    holds at most _CUT_SIDE_MAX of them.
 
-    crossing is X's edge mask, separated[i] the number of pairs i.. that X
-    separates (i from 0 to k), and s and r are 1 when X splits the sources
-    or the receivers.  Each cut is one flow, spending one state, from a hub
-    joined to one side's terminals to a hub joined to the other's, on one
-    network whose terminal arcs are switched for each flow.
+    Each cut is one flow, spending one state, from a hub joined to one
+    side's terminals to a hub joined to the other's, on one network whose
+    terminal arcs are switched for each flow.  Those arcs carry m + 1, so
+    X holds the side's terminals and no other.
     """
     terminals = list(dict.fromkeys((*sources, *receivers)))
     t, n, m = len(terminals), len(snap.nodes), len(snap.edges)
@@ -361,15 +376,7 @@ def _terminal_cuts(snap: _Snapshot, sources: Sequence[int], receivers: Sequence[
             for i in range(t):
                 cap[2 * (m + i) + 1 if i in side else 2 * (m + t + i)] = m + 1
             snap.count(snap.spent + 1)
-            _, parent = _flow(net, cap, n, n + 1)
-            crossing = 0
-            for x in range(n):
-                if parent[x] != -1:
-                    crossing ^= snap.inc[x]  # an edge inside X is counted twice
-            inside = {terminals[i] for i in side}
-            separated = [sum((x in inside) != (y in inside) for x, y in snap.ends[i:])
-                         for i in range(len(snap.ends) + 1)]
-            cuts.append((crossing, separated, _splits(inside, sources), _splits(inside, receivers)))
+            cuts.append(_side_demand(snap, _flow(net, cap, n, n + 1)[1], sources, receivers))
     return cuts
 
 
@@ -395,7 +402,7 @@ def _walk_limits(snap: _Snapshot, sources: Sequence[int], receivers: Sequence[in
     return limits
 
 
-def _search(g: Graph, snap: _Snapshot, sources, receivers, relaxed: bool):
+def _search(snap: _Snapshot, sources, receivers, relaxed: bool):
     """Exact witness search on the pairs' snapshot; returns a report without pairing metadata.
 
     Relaxed trees are placed in the whole graph, so the first path set's
@@ -431,7 +438,7 @@ def _search(g: Graph, snap: _Snapshot, sources, receivers, relaxed: bool):
 
     def settle() -> bool:
         nonlocal cut
-        cut = _deficient_cut(g, snap, sources, receivers, True)
+        cut = _deficient_cut(snap, *terms, True)
         return cut is not None
 
     stree, rtree, any_source_tree = _witness_for_path_set(
@@ -440,7 +447,7 @@ def _search(g: Graph, snap: _Snapshot, sources, receivers, relaxed: bool):
         return witness(fast, stree, rtree)
     if not relaxed:
         if not any_source_tree:
-            cut = _deficient_cut(g, snap, sources, receivers, False)
+            cut = _deficient_cut(snap, *terms, False)
         if cut is not None:
             certificate, reason = cut
             return FeasibilityReport(False, failure_reason=reason, certificate=certificate)
@@ -479,7 +486,7 @@ def check_feasibility(
         fixed_report, spent = None, 0
         for perm in permutations(inst.receivers):
             snap = _pair_snapshot(g, list(zip(inst.sources, perm)), spent)
-            report = _search(g, snap, inst.sources, perm, relaxed)
+            report = _search(snap, inst.sources, perm, relaxed)
             spent = snap.spent
             if report.feasible:
                 return FeasibilityReport(
@@ -491,7 +498,7 @@ def check_feasibility(
         return FeasibilityReport(
             False, failure_reason=fixed_report.failure_reason, relaxed=relaxed
         )
-    return _search(g, _pair_snapshot(g, inst.pairs()), inst.sources, inst.receivers, relaxed)
+    return _search(_pair_snapshot(g, inst.pairs()), inst.sources, inst.receivers, relaxed)
 
 
 def check_single_source(inst: ProtectionInstance, relaxed: bool = False) -> FeasibilityReport:

@@ -4,6 +4,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from npcode import connectivity
 from npcode.connectivity import (
@@ -428,6 +430,59 @@ def test_path_sets_are_first_per_used_edge_set_of_the_oracle():
         repeated += len(ref) - len(got)
     assert repeated  # the corpus repeats used-edge sets, so the deduplication is exercised
     assert len(got) == 157  # multi H(4,10): 1,636 path sets, 157 distinct used-edge sets
+
+
+def _least_path_set_ref(g, pairs):
+    """The first path set of least total length in the oracle's order, or None."""
+    best = None
+    for chosen in disjoint_path_sets_ref(edge_list(g), pairs):
+        length = sum(len(eids) for _, eids in chosen)
+        if best is None or length < best[0]:
+            best = length, chosen
+    return None if best is None else best[1]
+
+
+def _distinct_terminal_corpus(seed, count):
+    """Seeded 5-8-node multigraphs with 2-3 pairs on 4-6 distinct terminals."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(5, 8)
+        g, ids = _random_graph(rng, n, rng.randrange(2, n + 2))  # parallel edges allowed
+        k = rng.choice([2, 3]) if n >= 6 else 2
+        picked = rng.sample(ids, 2 * k)
+        yield g, [(picked[2 * i], picked[2 * i + 1]) for i in range(k)]
+
+
+def test_fast_path_set_is_the_first_of_least_total_length():
+    # find_disjoint_paths_multi's witness, with no shared source or receiver
+    # to shortcut it, is the first path set of least total length in the
+    # walk's order: some witnesses are not the first path set of all
+    outcomes = later = 0
+    for trial, (g, pairs) in enumerate(_distinct_terminal_corpus(2424, 400)):
+        expect = _least_path_set_ref(g, pairs)
+        found = find_disjoint_paths_multi(g, pairs)
+        assert (None if found is None else _as_tuples(found)) == expect, f"trial {trial}"
+        outcomes |= 1 << (expect is None)
+        later += expect is not None and expect != next(disjoint_path_sets_ref(edge_list(g), pairs))
+    assert outcomes == 3 and later
+
+
+@st.composite
+def _distinct_terminal_instances(draw):
+    n = draw(st.integers(4, 8))
+    k = draw(st.integers(2, n // 2 if n < 6 else 3))
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda uv: uv[0] != uv[1])
+    g = graph_from_pairs(n, draw(st.lists(pair, max_size=14)))
+    picked = draw(st.permutations(range(n)))[: 2 * k]
+    return g, [(f"x{picked[2 * i]}", f"x{picked[2 * i + 1]}") for i in range(k)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_distinct_terminal_instances())
+def test_fast_path_set_is_the_first_of_least_total_length_hypothesis(instance):
+    g, pairs = instance
+    found = find_disjoint_paths_multi(g, pairs)
+    assert (None if found is None else _as_tuples(found)) == _least_path_set_ref(g, pairs)
 
 
 def test_repeated_pair_path_sets_counted_once_per_used_edge_set():

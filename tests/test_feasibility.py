@@ -405,6 +405,63 @@ def test_certificates_are_exact_on_a_bridged_corpus(monkeypatch):
     assert certified and searched  # the corpus exercises both infeasible routes
 
 
+def _assert_cut_counts_agree(inst, snap, parent, demand, label):
+    """The search's count of a side on the snapshot (`_side_demand`'s
+    crossing, separated, s, r) against the verifier's recount on ids
+    (`_cut_demand`), at every pair index, for the side parent marks."""
+    g, pairs = inst.graph, inst.pairs()
+    side = {v for v, x in zip(snap.nodes, parent) if x != -1}
+    crossing, separated, s, r = demand
+    assert set(snap.edge_ids(crossing)) == {e for e, (u, v) in g.edges.items()
+                                            if (u in side) != (v in side)}, label
+    for i in range(len(pairs) + 1):
+        recount = feasibility._cut_demand(g, pairs[i:], inst.sources, inst.receivers, side)
+        assert (crossing.bit_count(), separated[i], s, r) == recount, label
+
+
+def _terms(snap, inst):
+    return [snap.index[v] for v in inst.sources], [snap.index[v] for v in inst.receivers]
+
+
+def test_snapshot_cut_counts_match_the_verifier_recount(monkeypatch):
+    # the search counts each cut on its snapshot and the verifier recounts a
+    # certificate on ids, in independent code: the two agree on every
+    # certificate of the strict corpus and of the pinned reports, and on
+    # every terminal cut of multi H(4,10) and H(4,12)
+    from test_tree_pins import TREE_PINS, _pinned_cases
+
+    certified = [(f"corpus {trial}", inst, report.certificate)
+                 for trial, inst in enumerate(_small_corpus(2024, 100))
+                 for report in [check_feasibility(inst)] if report.certificate]
+    corpus = len(certified)
+    certified += [(label, inst, TREE_PINS[label]["certificate"])
+                  for label, inst, _ in _pinned_cases() if TREE_PINS[label]["certificate"]]
+    assert corpus and len(certified) - corpus == 42
+    for label, inst, certificate in certified:
+        snap = connectivity._pair_snapshot(inst.graph, inst.pairs())
+        parent = [0 if v in certificate else -1 for v in snap.nodes]
+        demand = feasibility._side_demand(snap, parent, *_terms(snap, inst))
+        _assert_cut_counts_agree(inst, snap, parent, demand, label)
+
+    side_demand = feasibility._side_demand
+    parents = []
+
+    def recorded(snap, parent, *terms):
+        parents.append(parent)  # a flow's, with its two hubs last
+        return side_demand(snap, parent, *terms)
+
+    monkeypatch.setattr(feasibility, "_side_demand", recorded)
+    for n in (10, 12):
+        inst = ProtectionInstance(harary(n, 4), [f"v{i}" for i in range(4)],
+                                  [f"v{n // 2 + i}" for i in range(4)])
+        snap = connectivity._pair_snapshot(inst.graph, inst.pairs())
+        del parents[:]
+        cuts = feasibility._terminal_cuts(snap, *_terms(snap, inst))
+        assert len(parents) == len(cuts) == 92
+        for parent, demand in zip(parents, cuts):
+            _assert_cut_counts_agree(inst, snap, parent, demand, f"H(4,{n})")
+
+
 def test_receiver_split_cut_does_not_name_the_reason():
     # r1 hangs on x alone, so {r1} is a deficient cut that splits the
     # receivers; but the only path set also cuts s1 off from s2, and the
@@ -468,9 +525,8 @@ def _family(inst):
     """The walk's terminal cuts on a fresh snapshot of the instance, each as
     (crossing edge ids, separated, s, r)."""
     snap = connectivity._pair_snapshot(inst.graph, inst.pairs())
-    terms = [snap.index[v] for v in inst.sources], [snap.index[v] for v in inst.receivers]
     return [(set(snap.edge_ids(c)), sep, s, r)
-            for c, sep, s, r in feasibility._terminal_cuts(snap, *terms)]
+            for c, sep, s, r in feasibility._terminal_cuts(snap, *_terms(snap, inst))]
 
 
 def test_witness_attempt_once_per_used_edge_set(monkeypatch):
@@ -608,7 +664,7 @@ def _full_walk(inst, pairs=None):
     tried by _witness_for_path_set.  pairs, if given, replaces the instance's."""
     g, pairs = inst.graph, pairs or inst.pairs()
     snap = connectivity._pair_snapshot(g, pairs)
-    terms = [snap.index[v] for v in inst.sources], [snap.index[v] for v in inst.receivers]
+    terms = _terms(snap, inst)
     fast = connectivity.find_disjoint_paths_multi(g, pairs)
     if fast is None:
         return FeasibilityReport(False, failure_reason="paths")
@@ -704,7 +760,7 @@ def test_cut_pruned_walk_matches_the_full_walk_on_four_pairs(monkeypatch):
         expect = _full_walk(inst, pairs)
         full = len(tried) - start
         snap = connectivity._pair_snapshot(inst.graph, pairs)
-        report = feasibility._search(inst.graph, snap, inst.sources, inst.receivers, False)
+        report = feasibility._search(snap, inst.sources, inst.receivers, False)
         assert report == expect, f"trial {trial}"
         if pairs == inst.pairs():
             assert check_feasibility(inst) == expect, f"trial {trial}"
@@ -757,8 +813,8 @@ def test_multi_h416_answers_inside_the_budget(monkeypatch):
     spent = []
     search = feasibility._search
 
-    def counted(g, snap, *args):
-        report = search(g, snap, *args)
+    def counted(snap, *args):
+        report = search(snap, *args)
         spent.append(snap.spent)
         return report
 
@@ -791,8 +847,8 @@ def test_auto_pairing_spends_one_budget(monkeypatch):
     spent = []
     search = feasibility._search
 
-    def counted(g, snap, *args):
-        report = search(g, snap, *args)
+    def counted(snap, *args):
+        report = search(snap, *args)
         spent.append(snap.spent)
         return report
 
