@@ -3,9 +3,9 @@
 
 Times the kernel on the shapes a [k, k-t] code uses: the (k-t) x t
 parity matrix of an encode, a random square (k-t) x (k-t) decode matrix,
-and the codec's own recovery shape, the (k-t) x (k-t + t-1) decode plan
-[solve | solve G[:, check]] for a lost data position 0, whose unit
-columns (one per surviving data position) the kernel copies.  Each runs
+and the codec's own recovery shape, the (k-t) x t decode plan
+[solve[:, 0] | solve G[:, check]] for a lost data position 0 and its
+t-1 surviving checks (the surviving data is received as is).  Each runs
 on --blocks blocks and on a 64-block batch, over GF(2^8) (one-byte
 symbols) and GF(2^16) (two-byte symbols, one gather per byte plane).
 The parity product is checked against the scalar encoder.  A sweep over
@@ -74,7 +74,7 @@ def _time_shapes(field, args, rng):
     batch = data[:BATCH]
     parity = code.parity_int_matrix()
     decode = rng.integers(1, field.order, size=(d, d), dtype=field.symbol_dtype)
-    _, recovery, _ = _decode_plan(code, [0])
+    _, _, recovery, _ = _decode_plan(code, [0])
 
     print(f"gf_matmul over GF(2^{field.m}), k={args.k} t={args.t}, best of {args.repeat}")
     print(f"  {'shape':16} {'blocks':>8} {'ms':>10} {'MB/s':>10}")

@@ -13,12 +13,13 @@ reduces the Vandermonde matrix to [I | P], tests generator minors in
 `verify_mds`, and builds each decode plan in one reduction, with no
 kernel call.  Each code caches a decode plan per erasure set, shared by
 `recover` and `recover_blocks`, so a pattern that repeats is reduced
-once.  A plan holds one coefficient matrix that yields both the data
-and the surviving parity symbols the data must reproduce, so
-`recover_blocks` makes at most one `kernels.gf_matmul` call (m <= 16).
-Each surviving data position is a unit column of that matrix, which the
-kernel's long-batch gather copies, so there only the lost data and the
-check symbols cost table gathers.
+once.  The code is systematic, so each surviving data symbol is one of
+the received symbols (Plank, "A Tutorial on Reed-Solomon Coding for
+Fault-Tolerance in RAID-like Systems", 1997): `recover_blocks` copies
+those, and a plan holds one coefficient matrix that yields only the
+lost data and the surviving parity symbols the data must reproduce, at
+most t columns, so a recovery makes at most one `kernels.gf_matmul`
+call (m <= 16).
 The kernel keeps its tables for a coefficient matrix (a parity matrix,
 a decode plan's matrix) in its own memo, within the byte budget
 `kernels.TABLE_MEMO_BYTES`, so a repeating pattern also reuses them.
@@ -146,7 +147,7 @@ class NpcCode:
         g.setflags(write=False)
         self._parity_ints = p
         self._generator_ints = g
-        # frozenset(erased) -> (use, coef, check); see _decode_plan.  Threads
+        # frozenset(erased) -> (use, lost, coef, check); see _decode_plan.  Threads
         # that miss together compute equal plans, so the last store is harmless.
         self._decode: dict[frozenset[int], tuple] = {}
 
@@ -246,22 +247,23 @@ def verify_mds(code: NpcCode) -> bool:
     return True
 
 
-def _decode_plan(code: NpcCode, erased: Iterable[int]) -> tuple[list[int], np.ndarray | None, list[int]]:
-    """(use, coef, check) for an erasure set, from the code's cache.
+def _decode_plan(code: NpcCode, erased: Iterable[int]) -> tuple[list[int], list[int], np.ndarray | None, list[int]]:
+    """(use, lost, coef, check) for an erasure set, from the code's cache.
 
-    use is the first k-t surviving positions and check the surviving
-    parity positions outside use.  With solve the inverse of use's
-    generator columns, data = received[use] @ solve and the check
-    positions must read data @ G[:, check]; by associativity that is
-    received[use] @ (solve @ G[:, check]).  So coef holds both in one
-    matrix, [solve | solve @ G[:, check]], and one product gives the data
-    and the check symbols.  One Gauss-Jordan reduction of
-    [G[:, use] | I | G[:, check]] leaves exactly that matrix right of
-    its identity block.  When use is the data positions, solve is the
-    identity and coef is G[:, check], or None with no check position.
-    Every surviving data position is in use, and data @ G[:, use] equals
-    received[use] by construction, so the consistency check compares
-    check alone.
+    use is the first k-t surviving positions, lost the erased data
+    positions and check the surviving parity positions outside use.
+    With solve the inverse of use's generator columns, data =
+    received[use] @ solve, and the check positions must read
+    data @ G[:, check], by associativity received[use] @
+    (solve @ G[:, check]).  Every other data position is received as is,
+    so coef holds only the columns that need the field,
+    [solve[:, lost] | solve @ G[:, check]], at most t of them, and one
+    product gives the lost data and the check symbols.  One Gauss-Jordan
+    reduction of [G[:, use] | I[:, lost] | G[:, check]] leaves exactly
+    that matrix right of its identity block.  With no data lost, use is
+    the data positions, and coef is G[:, check], or None with no check
+    position.  data @ G[:, use] equals received[use] by construction, so
+    the consistency check compares check alone.
     """
     key = frozenset(erased)
     plan = code._decode.get(key)
@@ -276,14 +278,15 @@ def _decode_plan(code: NpcCode, erased: Iterable[int]) -> tuple[list[int], np.nd
     survivors = [i for i in range(code.k) if i not in key]
     d = code.data_len
     use, check = survivors[:d], survivors[d:]
+    lost = sorted(i for i in key if i < d)
     g = code.generator_int_matrix()
     coef = g[:, check] if check else None
-    if use != list(range(d)):
-        aug = np.hstack([g[:, use], np.eye(d, dtype=g.dtype), g[:, check]])
+    if lost:
+        aug = np.hstack([g[:, use], np.eye(d, dtype=g.dtype)[:, lost], g[:, check]])
         coef = _row_reduce(aug, code.field)[:, d:]
     if coef is not None:
         coef.setflags(write=False)
-    plan = code._decode[key] = (use, coef, check)
+    plan = code._decode[key] = (use, lost, coef, check)
     return plan
 
 
@@ -310,7 +313,7 @@ def recover(code: NpcCode, received: Codeword) -> DataBlock:
     """
     if len(received.symbols) != code.k:
         raise CodecError(f"expected {code.k} symbols, got {len(received.symbols)}")
-    use, _, check = _decode_plan(code, received.erased)
+    use, _, _, check = _decode_plan(code, received.erased)
     f = code.field
     f._check(*(received.symbols[i] for i in use + check))
     values = [0 if i in received.erased else s.value for i, s in enumerate(received.symbols)]
@@ -358,16 +361,17 @@ def recover_blocks(code: NpcCode, received: np.ndarray, erased: Iterable[int]) -
     Any input layout is accepted, and the column-major one that
     `encode_blocks` returns is the fastest: its codeword positions are
     read as contiguous rows without a transpose.  The data comes back as
-    the (n, k-t) transpose of a C-ordered (k-t, n) array.
+    the (n, k-t) transpose of a C-ordered (k-t, n) array: a copy of the
+    received data rows, with the lost ones solved in.
     """
     r = _as_symbol_matrix(received, code.k, code.field)
-    use, coef, check = _decode_plan(code, erased)
+    use, lost, coef, check = _decode_plan(code, erased)
     rows = np.ascontiguousarray(r.T)
-    data = rows[use].T
+    data = rows[: code.data_len].copy()
     if coef is not None:
-        out = kernels.gf_matmul(data, coef, code.field)
-        if coef.shape[1] > len(check):  # coef solves for the data first
-            data = out[:, : code.data_len]
-        if check and not np.array_equal(out[:, coef.shape[1] - len(check) :].T, rows[check]):
+        # with no data lost, use is the data positions: their copy is data
+        out = kernels.gf_matmul((rows[use] if lost else data).T, coef, code.field).T
+        data[lost] = out[: len(lost)]
+        if check and not np.array_equal(out[len(lost) :], rows[check]):
             raise InconsistentSymbolsError("surviving symbols fit no codeword")
-    return data
+    return data.T

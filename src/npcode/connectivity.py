@@ -249,12 +249,11 @@ class _Snapshot:
                 return None
         return to_r
 
-    def paths(self, i: int, avail: int, to_r: list[int] | None = None,
-              max_len: int = 0) -> Iterator[int]:
+    def paths(self, i: int, avail: int, to_r: list[int], max_len: int) -> Iterator[int]:
         """Edge masks of the simple paths of pair i inside avail, lowest-edge-id first.
 
-        With to_r (hop counts to the receiver within avail), only paths of
-        at most max_len edges are walked: a step is dropped when even the
+        Only paths of at most max_len edges are walked, with to_r the hop
+        counts to the receiver within avail: a step is dropped when even the
         shortest way on from its end would be too long.  The edges a walk
         may still take are avail less those at every path node but the
         last, so no node repeats.  Each step taken spends one state.
@@ -272,7 +271,7 @@ class _Snapshot:
                     self.count(spent + 1)
                     yield mask | bit
                     spent = self.spent
-                elif to_r is None or 0 <= to_r[y] < max_len - len(stack):
+                elif 0 <= to_r[y] < max_len - len(stack):
                     spent += 1
                     if spent > limit:
                         self.count(spent)  # raises
@@ -376,8 +375,6 @@ def is_k_edge_connected(g: Graph, k: int) -> bool:
     if k <= 0:
         return True
     if g.num_nodes < 2:
-        return False
-    if not g.is_connected():
         return False
     return edge_connectivity(g).value >= k
 

@@ -16,7 +16,9 @@ as the transpose of a C-ordered (mm, n) array.
 
 `gf_matmul` picks the gather from the input alone: a batch of up to
 `_ROW_GATHER_BYTES` bytes per input column (n symbols of 1 or 2 bytes)
-takes the row gather, a longer one the word gather.
+takes the row gather, a longer one the word gather.  With no input
+column (kk = 0) there is nothing to gather, and the row gather's XOR
+reduce over no rows gives the zero product.
 
 The row gather is for short batches, where numpy's per-call overhead,
 not table reads, sets the cost.  Row (l * planes + p) * entries + x of
@@ -26,33 +28,25 @@ one `take` along axis 0 gathers the products of every plane row, one
 XOR reduce over the plane rows sums them, and one copy puts the sum in
 the output layout: three numpy calls, whatever kk and mm.
 
-The word gather copies before it gathers.  A unit column j of `b`, whose
-only nonzero coefficient b[l, j] is 1, makes output column j a plain copy
-of input column l, read from the symbol rows before any byte-plane split:
-in a systematic code each surviving data symbol is one of the received
-symbols (Plank, "A Tutorial on Reed-Solomon Coding for Fault-Tolerance
-in RAID-like Systems", 1997), so a decode plan [solve | solve G[:, check]]
-has a unit column per surviving data position.  The other output columns
-go, in order, in chunks of as many symbols as an 8-byte word holds: eight
-one-byte or four two-byte lanes, from columns that need not be adjacent.
-For each input row l of `b` with a nonzero coefficient in a chunk, and
-each byte plane p, a word table holds in lane i of entry x the product
-of b[l, j] by x << 8p, for the chunk's i-th output column j, in the
-smallest word of 1, 2, 4 or 8 bytes that fits the chunk.  One `take` of
-that table by plane p of column l yields those products for every
-output column of the chunk at once, and the chunk is the XOR of those
-gathers (the first one is written straight into the accumulator).  One
-lane transpose moves each chunk into its output rows.  Long batches are walked in slices of n, so that
-a slice's accumulator and gather buffer stay in cache.
+The word gather takes the output columns in order, in chunks of as many
+symbols as an 8-byte word holds: eight one-byte or four two-byte lanes.
+For each input row l of `b` and each byte plane p, a word table holds in
+lane i of entry x the product of b[l, j] by x << 8p, for the chunk's
+i-th output column j, in the smallest word of 1, 2, 4 or 8 bytes that
+fits the chunk.  One `take` of that table by plane p of column l yields
+those products for every output column of the chunk at once, and the
+chunk is the XOR of those gathers (the first one is written straight
+into the accumulator).  One lane transpose moves each chunk into its
+output rows.  Long batches are walked in slices of n, so that a slice's
+accumulator and gather buffer stay in cache.
 
 Both kinds of table depend only on the field and the values of `b`, so
 they are kept in one memo keyed on the kind, the field's (m, polynomial)
 and b's dtype, shape and bytes, and evicted oldest first to stay within
 `TABLE_MEMO_BYTES`.  A matrix's row table takes kk * planes * entries *
 mm symbols, and its word tables up to kk * planes * entries *
-ceil(c / lanes) * 8 bytes for its c columns that are not unit columns
-(q entries for m <= 8, 256 above); tables that exceed the whole budget
-are not kept.
+ceil(mm / lanes) * 8 bytes (q entries for m <= 8, 256 above); tables
+that exceed the whole budget are not kept.
 """
 
 from __future__ import annotations
@@ -66,9 +60,9 @@ from .galois import FieldContext
 # perfbench/run.py reads this for its run record; the kernel is numpy only.
 NUMBA_ACTIVE = False
 
-# Bytes of tables the memo keeps: 8 MiB holds the row tables of 145
-# 15 x 15 GF(2^8) decode matrices, the largest in a k <= 16 code (or
-# the word tables of 136).
+# Bytes of tables the memo keeps.  A k <= 16 code's matrices are at most
+# (k-t) x t, so 8 MiB holds the row tables of 510 8 x 8 GF(2^8) matrices,
+# the largest, or the word tables of 372 11 x 5 ones, the largest there.
 TABLE_MEMO_BYTES = 8 << 20
 
 # Bytes of the widest word table entry: 8 one-byte or 4 two-byte products.
@@ -122,38 +116,30 @@ def _row_table(b: np.ndarray, field: FieldContext) -> tuple[tuple[np.ndarray, np
     return (table, offsets), table.nbytes + offsets.nbytes
 
 
-def _word_tables(b: np.ndarray, field: FieldContext) -> tuple[tuple[list, list], int]:
-    """(chunks, copies) of b's columns, with the chunks' bytes.
+def _word_tables(b: np.ndarray, field: FieldContext) -> tuple[list, int]:
+    """The chunks of b's columns, with their bytes.
 
-    copies lists (output column j, input row l) for each unit column of
-    b, one whose only nonzero entry is b[l, j] = 1.  The chunks take the
-    other columns in order, as many per chunk as a word holds, as
-    (output columns, plane rows, their word tables).  Plane row
-    l * planes + p is byte plane p of input column l, for each row l of
-    b with a nonzero coefficient in the chunk.  The tables of a chunk
-    form one read-only (len(plane rows), entries) array of unsigned
-    words, whose lane i in memory is the product of b[l, output column i]
-    by x << 8p.
+    The chunks take the columns in order, as many per chunk as a word
+    holds, as (the slice of their output columns, their word tables).
+    The tables of a chunk form one read-only (kk * planes, entries) array
+    of unsigned words: in row l * planes + p, for byte plane p of input
+    column l, lane i of entry x holds the product of b[l, the chunk's
+    i-th output column] by x << 8p.
     """
     lane = field.symbol_dtype
     per_word = _WORD_BYTES // lane.itemsize
-    unit = (np.count_nonzero(b, axis=0) == 1) & (b == 1).any(axis=0)
-    copies = [(j, int(b[:, j].argmax())) for j in np.flatnonzero(unit).tolist()]
-    rest = np.flatnonzero(~unit)
     chunks = []
-    for c0 in range(0, len(rest), per_word):
-        cols = rest[c0 : c0 + per_word]
-        sub = b[:, cols]
-        word = 1 << (len(cols) * lane.itemsize - 1).bit_length()
-        rows = np.flatnonzero(sub.any(axis=1))
-        products = field.plane_products(sub[rows])
-        planes, entries = products.shape[2:]
-        lanes = np.zeros((len(rows), planes, entries, word // lane.itemsize), dtype=lane)
-        lanes[..., : len(cols)] = products.transpose(0, 2, 3, 1)
-        tables = lanes.view(f"u{word}").reshape(len(rows) * planes, entries)
+    for c0 in range(0, b.shape[1], per_word):
+        cols = slice(c0, c0 + per_word)
+        products = field.plane_products(b[:, cols])
+        kk, width, planes, entries = products.shape
+        word = 1 << (width * lane.itemsize - 1).bit_length()
+        lanes = np.zeros((kk, planes, entries, word // lane.itemsize), dtype=lane)
+        lanes[..., :width] = products.transpose(0, 2, 3, 1)
+        tables = lanes.view(f"u{word}").reshape(kk * planes, entries)
         tables.setflags(write=False)
-        chunks.append((cols.tolist(), [l * planes + p for l in rows.tolist() for p in range(planes)], tables))
-    return (chunks, copies), sum(tables.nbytes for *_, tables in chunks)
+        chunks.append((cols, tables))
+    return chunks, sum(tables.nbytes for _, tables in chunks)
 
 
 class _TableMemo:
@@ -212,32 +198,27 @@ def _row_gather(symbols: np.ndarray, b: np.ndarray, field: FieldContext) -> np.n
 
 
 def _word_gather(symbols: np.ndarray, b: np.ndarray, field: FieldContext) -> np.ndarray:
-    """The (mm, n) product of the symbol rows: row copies, and word-table gathers per chunk."""
+    """The (mm, n) product of the symbol rows: word-table gathers per chunk."""
     lane = field.symbol_dtype
     n = symbols.shape[1]
     out = np.empty((b.shape[1], n), dtype=lane)
-    chunks, copies = _TABLES.tables(_word_tables, field, b)
-    for j, l in copies:
-        out[j] = symbols[l]
     planes = _planes(symbols)
-    for cols, rows, tables in chunks:
-        if not rows:
-            out[cols] = 0
-            continue
+    for cols, tables in _TABLES.tables(_word_tables, field, b):
+        block = out[cols]
         word = tables.itemsize
         step = _SLICE_BYTES // word
         temp = np.empty((2, min(step, n)), dtype=tables.dtype)
         for s0 in range(0, n, step):
             s1 = min(s0 + step, n)
             part = planes[:, s0:s1]
-            acc = out[cols[0], s0:s1] if word == lane.itemsize else temp[0, : s1 - s0]
+            acc = block[0, s0:s1] if word == lane.itemsize else temp[0, : s1 - s0]
             buf = temp[1, : s1 - s0]
-            tables[0].take(part[rows[0]], out=acc, mode="clip")
-            for l, table in zip(rows[1:], tables[1:]):
-                table.take(part[l], out=buf, mode="clip")
+            tables[0].take(part[0], out=acc, mode="clip")
+            for row, table in zip(part[1:], tables[1:]):
+                table.take(row, out=buf, mode="clip")
                 acc ^= buf
             if word > lane.itemsize:
-                out[cols, s0:s1] = acc.view(out.dtype).reshape(s1 - s0, -1)[:, : len(cols)].T
+                block[:, s0:s1] = acc.view(lane).reshape(s1 - s0, -1)[:, : len(block)].T
     return out
 
 
@@ -257,5 +238,5 @@ def gf_matmul(a: np.ndarray, b: np.ndarray, field: FieldContext) -> np.ndarray:
         raise ValueError(f"coefficients must have shape ({kk}, mm), got {b.shape}")
     if not _symbols_in_range(b, field.order):
         raise ValueError(f"coefficients must be integers in [0, {field.order})")
-    gather = _row_gather if n * lane.itemsize <= _ROW_GATHER_BYTES else _word_gather
+    gather = _word_gather if kk and n * lane.itemsize > _ROW_GATHER_BYTES else _row_gather
     return gather(symbols, b, field).T

@@ -401,26 +401,32 @@ def _count_inversions(monkeypatch):
 
 @pytest.mark.parametrize("name", sorted(PROPERTY_FIELDS))
 def test_decode_plan_matches_oracle(name):
-    """coef[:, :d] inverts G[:, use] and coef[:, d:] is coef[:, :d] G[:, check]."""
+    """G[:, use] coef gives e_lost[j] in each lost column and G[:, check] in each check column."""
     f = PROPERTY_FIELDS[name]
     rng = random.Random(f.m * f.reduction_poly)
     planned = 0
     for k, t in ((3, 1), (6, 2), (9, 4), (min(f.order, 16), 6)):
         code = build_code(k, t, f)
-        g = code.generator_int_matrix().tolist()
+        g = code.generator_int_matrix()
         d = code.data_len
         for _ in range(12):
             erased = rng.sample(range(k), rng.randint(1, t))
-            use, coef, check = codec_module._decode_plan(code, erased)
-            if use == list(range(d)):
+            use, lost, coef, check = codec_module._decode_plan(code, erased)
+            assert lost == sorted(i for i in erased if i < d)
+            assert use == [i for i in range(k) if i not in erased][:d]
+            if coef is None:
+                assert not check and not lost
                 continue
-            assert coef.shape == (d, d + len(check)) and not coef.flags.writeable
-            solve = coef[:, :d].tolist()
-            cols = [[row[c] for row in g] for c in use]
-            assert [[gf_dot_ref(r, c, f.reduction_poly, f.m) for c in cols] for r in solve] == np.eye(d, dtype=int).tolist()
-            for j, c in enumerate(check):
-                column = [row[c] for row in g]
-                assert coef[:, d + j].tolist() == [gf_dot_ref(r, column, f.reduction_poly, f.m) for r in solve]
+            assert coef.shape == (d, len(lost) + len(check)) and coef.shape[1] <= t
+            assert not coef.flags.writeable
+            if not lost:
+                assert use == list(range(d)) and np.array_equal(coef, g[:, check])
+                continue
+            rows = g[:, use].tolist()
+            expect = [np.eye(d, dtype=int)[:, i] for i in lost] + [g[:, c] for c in check]
+            for j, column in enumerate(expect):
+                got = [gf_dot_ref(r, coef[:, j].tolist(), f.reduction_poly, f.m) for r in rows]
+                assert got == column.tolist(), (erased, j)
             planned += 1
     assert planned >= 10
 
@@ -472,7 +478,7 @@ def test_decode_cache_is_per_code(monkeypatch):
         received[:, [0, 3]] = 0
         assert np.array_equal(recover_blocks(code, received, [0, 3]), data)
     assert [f.reduction_poly for f in calls] == [0x11B, 0x11D]
-    assert not np.array_equal(a._decode[frozenset({0, 3})][1], b._decode[frozenset({0, 3})][1])
+    assert not np.array_equal(a._decode[frozenset({0, 3})][2], b._decode[frozenset({0, 3})][2])
 
 
 def test_one_kernel_call_per_warm_recovery(monkeypatch):
@@ -514,13 +520,34 @@ def test_corruption_detected_past_the_row_gather_cut_off(m):
     erased = [1]
     sent[:, erased] = 0
     assert np.array_equal(recover_blocks(code, sent, erased), data)
-    use, _, check = codec_module._decode_plan(code, erased)
+    use, _, _, check = codec_module._decode_plan(code, erased)
     assert check
     for pos in (check[0], use[-1]):
         received = sent.copy()
         received[n - 1, pos] ^= 1
         with pytest.raises(InconsistentSymbolsError):
             recover_blocks(code, received, erased)
+
+
+@pytest.mark.parametrize("m", [8, 16])
+@pytest.mark.parametrize("long", [False, True], ids=["row-gather", "word-gather"])
+def test_recover_blocks_leaves_received_alone(m, long):
+    # the data comes back in a copy of the received data rows: never in the
+    # received array itself, nor aliasing it, in encode_blocks' layout (whose
+    # rows recover_blocks reads in place) or in a C-ordered copy
+    field = FieldContext(m)
+    code = build_code(7, 3, field)
+    n = kernels._ROW_GATHER_BYTES // field.symbol_dtype.itemsize + 1 if long else 64
+    data = np.random.default_rng(m + long).integers(0, field.order, size=(n, 4), dtype=field.symbol_dtype)
+    sent = encode_blocks(code, data)
+    for erased in ([0], [1, 6], [0, 2, 3], [5], [4, 5, 6]):
+        for received in (encode_blocks(code, data), np.ascontiguousarray(sent)):
+            received[:, erased] = 0
+            before = received.copy()
+            got = recover_blocks(code, received, erased)
+            assert np.array_equal(got, data), erased
+            assert np.array_equal(received, before)
+            assert not np.shares_memory(got, received)
 
 
 def test_invalid_erasure_sets_are_not_cached():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from npcode import kernels
-from npcode.codec import build_code, encode_blocks, recover_blocks
+from npcode.codec import _decode_plan, build_code, encode_blocks, recover_blocks
 from npcode.galois import FieldContext
 
 from oracles import gf_mul_ref
@@ -162,21 +162,21 @@ def test_zero_and_one_coefficients():
     assert np.array_equal(got[:, 1], np.bitwise_xor.reduce(a, axis=1))
 
 
-def _word_entry(memo, shape):
-    """The (chunks, copies) that memo keeps for the one coefficient matrix of this shape."""
+def _word_entry(memo, b):
+    """The chunks that memo keeps for the coefficient matrix b."""
     [tables] = [
         tables for key, (tables, _) in memo._entries.items()
-        if key[0] is kernels._word_tables and key[4] == shape
+        if key[0] is kernels._word_tables and key[4:] == (b.shape, b.tobytes())
     ]
     return tables
 
 
 @pytest.mark.parametrize("ctx", [GF8, GF16], ids=["GF8", "GF16"])
-def test_long_batches_copy_unit_columns(ctx, monkeypatch):
-    # past the cut-off a unit column (one nonzero entry, and that entry 1) is
-    # a copy of its input column, and every other column is gathered: here
-    # units with their 1 in the first and in the last row, a lone nonzero
-    # that is not 1, zero columns and dense ones, and then an identity b
+def test_long_batches_gather_every_column(ctx, monkeypatch):
+    # past the cut-off every output column is gathered, in chunks of adjacent
+    # columns, whatever its coefficients: here unit columns with their 1 in
+    # the first and in the last row, a lone nonzero that is not 1, zero
+    # columns and dense ones, and then an identity b
     memo = kernels._TableMemo(kernels.TABLE_MEMO_BYTES)
     monkeypatch.setattr(kernels, "_TABLES", memo)
     ran = _spy_gathers(monkeypatch)
@@ -193,11 +193,7 @@ def test_long_batches_copy_unit_columns(ctx, monkeypatch):
     b[2, 3] = 7
     b[:, 5] = rng.integers(1, ctx.order, size=kk)
     b[1, 6] = 1
-    cases = [
-        (b, [(0, 0), (2, kk - 1), (6, 1)], [1, 3, 4, 5, 7]),
-        (np.eye(kk, dtype=ctx.symbol_dtype), [(j, j) for j in range(kk)], []),
-    ]
-    for coef, copies, gathered in cases:
+    for coef in (b, np.eye(kk, dtype=ctx.symbol_dtype)):
         expect = _matmul_oracle(rows, coef, ctx)[pick]
         for a in _layouts(rows[pick]):
             ran.clear()
@@ -206,17 +202,18 @@ def test_long_batches_copy_unit_columns(ctx, monkeypatch):
             assert got.shape == expect.shape and got.dtype == ctx.symbol_dtype
             assert got.T.flags.c_contiguous
             assert np.array_equal(got, expect)
-        chunks, kept = _word_entry(memo, coef.shape)
-        assert kept == copies
-        assert sorted(j for cols, _, _ in chunks for j in cols) == gathered
+        mm = coef.shape[1]
+        chunks = _word_entry(memo, coef)
+        assert [j for cols, _ in chunks for j in range(mm)[cols]] == list(range(mm))
+        assert all(tables.shape == (kk * (ctx.m // 8), 256) for _, tables in chunks)
 
 
 def test_decode_plan_gathers_only_what_it_lost(monkeypatch):
     # a (12, 4) recovery that lost data position 0 uses positions 1..8 and
-    # checks 9..11: its plan's 8 x 11 matrix [solve | solve G[:, check]] has
-    # a unit column for each of the 7 surviving data positions, so a long
-    # batch gathers one 4-byte chunk (position 0 and the 3 checks) and
-    # copies 7 rows
+    # checks 9..11: the surviving data positions are received as they are,
+    # so its plan is the 8 x 4 matrix [solve[:, 0] | solve G[:, check]], and
+    # a long batch gathers it as one chunk of 4-byte words, one table per
+    # plane row
     memo = kernels._TableMemo(kernels.TABLE_MEMO_BYTES)
     monkeypatch.setattr(kernels, "_TABLES", memo)
     code = build_code(12, 4, GF8)
@@ -225,11 +222,11 @@ def test_decode_plan_gathers_only_what_it_lost(monkeypatch):
     received = encode_blocks(code, data)
     received[:, 0] = 0
     assert np.array_equal(recover_blocks(code, received, [0]), data)
-    chunks, copies = _word_entry(memo, (8, 11))
-    assert copies == [(j, j - 1) for j in range(1, 8)]
-    [(cols, plane_rows, tables)] = chunks
-    assert cols == [0, 8, 9, 10]
-    assert tables.dtype == np.uint32 and len(plane_rows) == 8
+    coef = _decode_plan(code, [0])[2]
+    assert coef.shape == (8, 4)
+    [(cols, tables)] = _word_entry(memo, coef)
+    assert range(4)[cols] == range(4)
+    assert tables.dtype == np.uint32 and tables.shape == (8, 256)
 
 
 def test_zero_row_batch():
@@ -237,6 +234,15 @@ def test_zero_row_batch():
     for ctx in (GF8, GF16):
         got = kernels.gf_matmul(np.zeros((0, 4), dtype=ctx.symbol_dtype), b, ctx)
         assert got.shape == (0, 3) and got.dtype == ctx.symbol_dtype
+
+
+def test_no_input_columns_give_the_zero_product():
+    # kk = 0 on both sides of the cut-off: an empty sum, so every output is 0
+    for ctx in (GF8, GF16):
+        for n in (5, kernels._ROW_GATHER_BYTES + 1):
+            a = np.zeros((n, 0), dtype=ctx.symbol_dtype)
+            got = kernels.gf_matmul(a, np.zeros((0, 9), dtype=np.uint8), ctx)
+            assert got.shape == (n, 9) and got.dtype == ctx.symbol_dtype and not got.any()
 
 
 def test_small_field_tables():
