@@ -26,7 +26,6 @@ from .connectivity import (
     node_connectivity,
 )
 from .construction import (
-    HararySpec,
     build_minimal_witness,
     harary,
     harary_lower_bound,

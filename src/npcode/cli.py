@@ -30,9 +30,15 @@ from .codec import (
 )
 from .connectivity import SearchBudgetExceeded, edge_connectivity, node_connectivity
 from .galois import DEFAULT_M, FieldContext
-from .graph import Graph, load, save
+from .graph import DisjointPathSet, Graph, Path, load, save
 
 __all__ = ["main"]
+
+# Work limits, checked before any work.  At each limit, on a 2-core host:
+# `generate --harary 100000 4` took 2.5 s and 352 MB peak, and a 16 MiB
+# `simulate` payload (k=3, t=1) 0.6 s and 143 MB.
+_GENERATE_MAX_EDGES = 200_000
+_SIMULATE_MAX_PAYLOAD = 16 * 2**20
 
 
 class _UsageError(Exception):
@@ -105,11 +111,14 @@ def _instance_json(inst: feasibility.ProtectionInstance) -> dict:
     }
 
 
+def _pairs(inst, pairing) -> list[tuple[str, str]]:
+    """The instance's (source, receiver) pairs, in a report's pairing if it has one."""
+    if pairing is not None and len(inst.sources) > 1:
+        return list(zip(inst.sources, pairing))
+    return inst.pairs()
+
+
 def _report_json(inst, report) -> dict:
-    if report.pairing is not None and len(inst.sources) > 1:
-        pairs = list(zip(inst.sources, report.pairing))
-    else:
-        pairs = inst.pairs()
     return {
         "feasible": report.feasible,
         "failure_reason": report.failure_reason,
@@ -117,7 +126,7 @@ def _report_json(inst, report) -> dict:
         "pairing": list(report.pairing) if report.pairing else None,
         "k_edge_connected": report.k_edge_connected,
         "hamiltonian": report.hamiltonian,
-        "paths": _paths_json(report.paths, pairs) if report.paths else None,
+        "paths": _paths_json(report.paths, _pairs(inst, report.pairing)) if report.paths else None,
         "source_tree": list(report.source_tree),
         "receiver_tree": list(report.receiver_tree),
         "certificate": list(report.certificate),
@@ -128,14 +137,24 @@ def _report_json(inst, report) -> dict:
 # -- verbs ----------------------------------------------------------------------
 
 
+def _check_edges(option: str, n: int, k: int, edges: int) -> None:
+    if edges > _GENERATE_MAX_EDGES:
+        raise _UsageError(
+            f"{option} {n} {k} would build {edges} edges; generate builds at most "
+            f"{_GENERATE_MAX_EDGES}"
+        )
+
+
 def _cmd_generate(args) -> int:
     if args.harary:
         n, k = args.harary
+        _check_edges("--harary", n, k, (k * n + 1) // 2)
         g = construction.harary(n, k)
     else:
         n, k, mode = args.minimal_witness
-        inst = construction.build_minimal_witness(int(n), int(k), mode.replace("-", "_"))
-        g = inst.graph
+        n, k = int(n), int(k)
+        _check_edges("--minimal-witness", n, k, n + k - 2)
+        g = construction.build_minimal_witness(n, k, mode.replace("-", "_")).graph
     print(save(g))
     return 0
 
@@ -282,7 +301,44 @@ def _is_id_list(value) -> bool:
     return isinstance(value, list) and all(isinstance(v, str) for v in value)
 
 
+def _witness(doc: dict, inst, relaxed: bool) -> feasibility.FeasibilityReport:
+    """A feasible report's witness, read from its JSON and re-verified on the instance."""
+    paths, pairing = doc.get("paths"), doc.get("pairing")
+    if not (
+        isinstance(paths, list)
+        and all(
+            isinstance(p, dict) and _is_id_list(p.get("nodes")) and p["nodes"]
+            and _is_id_list(p.get("edges"))
+            for p in paths
+        )
+        and all(_is_id_list(doc.get(key)) for key in ("source_tree", "receiver_tree"))
+        and (pairing is None or _is_id_list(pairing))
+    ):
+        raise _UsageError(
+            "report needs 'paths' of objects with non-empty 'nodes' and 'edges' lists of "
+            "ids, 'source_tree' and 'receiver_tree' lists of edge ids, and a 'pairing' "
+            "list of receiver ids or null"
+        )
+    report = feasibility.FeasibilityReport(
+        True,
+        DisjointPathSet(tuple(Path(tuple(p["nodes"]), tuple(p["edges"])) for p in paths)),
+        tuple(doc["source_tree"]),
+        tuple(doc["receiver_tree"]),
+        relaxed=relaxed,
+        pairing=None if pairing is None else tuple(pairing),
+    )
+    problems = feasibility.verify_report(inst, report)
+    if problems:
+        raise _UsageError(f"report witness does not verify: {'; '.join(problems)}")
+    return report
+
+
 def _simulate_input(args):
+    """The instance to drill, with a report's verified witness paths and pairing.
+
+    A graph carries neither, so both are None and simulate solves the
+    instance strict.
+    """
     doc = json.loads(_read_text(args.graph))
     if isinstance(doc, dict) and "feasible" in doc and "instance" in doc:
         relaxed = doc.get("relaxed", False)
@@ -305,21 +361,28 @@ def _simulate_input(args):
         inst = feasibility.ProtectionInstance(
             g, inst_doc["sources"], inst_doc["receivers"], inst_doc.get("num_paths")
         )
-        return inst, relaxed
+        witness = _witness(doc, inst, relaxed)
+        return inst, witness.paths, witness.pairing
     g = load(json.dumps(doc))
-    return _instance_from_args(g, args), False
+    return _instance_from_args(g, args), None, None
 
 
 def _cmd_simulate(args) -> int:
     if args.blocks < 1:
         raise _UsageError(f"--blocks must be at least 1, got {args.blocks}")
-    inst, relaxed = _simulate_input(args)
+    inst, paths, pairing = _simulate_input(args)
     if inst.k != args.k:
         raise _UsageError(f"instance provisions k={inst.k} paths but --k is {args.k}")
     field = _field_from_env()
     code = build_code(args.k, args.t, field)
     dtype = field.symbol_dtype
-    draw = random.Random(args.seed).randbytes(args.blocks * code.data_len * dtype.itemsize)
+    size = args.blocks * code.data_len * dtype.itemsize
+    if size > _SIMULATE_MAX_PAYLOAD:
+        raise _UsageError(
+            f"--blocks {args.blocks} would draw a {size}-byte payload; simulate draws at "
+            f"most {_SIMULATE_MAX_PAYLOAD} bytes ({_SIMULATE_MAX_PAYLOAD >> 20} MiB)"
+        )
+    draw = random.Random(args.seed).randbytes(size)
     payload = (np.frombuffer(draw, dtype=dtype) & field.order - 1).reshape(args.blocks, code.data_len)
     labels = simulator.path_labels(args.k)
     if args.failures is not None:
@@ -327,7 +390,7 @@ def _cmd_simulate(args) -> int:
         model = simulator.ExplicitFailures(tuple(labels[p] for p in positions))
     else:
         model = simulator.RandomFailures(args.random, args.seed)
-    sc = simulator.Scenario(inst, code, payload, model, relaxed=relaxed)
+    sc = simulator.Scenario(inst, code, payload, model, provisioned=paths)
     report = simulator.run(sc)
     _emit(
         {
@@ -341,7 +404,7 @@ def _cmd_simulate(args) -> int:
             "field": _field_json(field),
             "blocks": args.blocks,
             "seed": args.seed,
-            "provisioned": _paths_json(report.provisioned, inst.pairs()),
+            "provisioned": _paths_json(report.provisioned, _pairs(inst, pairing)),
         }
     )
     return 0 if report.recovered else 1
@@ -357,12 +420,16 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    p = sub.add_parser("generate", help="emit a graph as JSON")
+    p = sub.add_parser(
+        "generate", help="emit a graph as JSON",
+        description=f"Emit a graph of at most {_GENERATE_MAX_EDGES:,} edges as JSON.",
+    )
     group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--harary", nargs=2, type=int, metavar=("N", "K"))
+    group.add_argument("--harary", nargs=2, type=int, metavar=("N", "K"),
+                       help="H(K,N): ceil(K*N/2) edges")
     group.add_argument(
         "--minimal-witness", nargs=3, metavar=("N", "K", "MODE"),
-        help="MODE: single_source or predetermined",
+        help="N+K-2 edges; MODE: single_source or predetermined",
     )
     p.set_defaults(func=_cmd_generate)
 
@@ -413,7 +480,9 @@ def _build_parser() -> argparse.ArgumentParser:
     failure.add_argument("--failures", help="path labels to fail, e.g. L1,L3")
     failure.add_argument("--random", type=int, metavar="N", help="fail N random paths")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--blocks", type=int, default=4)
+    p.add_argument("--blocks", type=int, default=4,
+                   help=f"payload blocks of k-t symbols, at most "
+                        f"{_SIMULATE_MAX_PAYLOAD >> 20} MiB in all")
     p.set_defaults(func=_cmd_simulate)
 
     return parser

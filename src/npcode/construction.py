@@ -3,7 +3,9 @@
 The Harary graph H_{k,n} (Harary, 1962) is the canonical k-connected
 graph on n nodes with the fewest possible edges, exactly ceil(k*n/2):
 a circulant ring of chords at distance up to floor(k/2), plus diameters
-(even n) or near-diameters through v0 (odd n) when k is odd.
+(even n) or near-diameters through v0 (odd n) when k is odd.  harary
+builds it in one pass over each node's ring offsets, O(k*n) work, and
+adds the edges in a fixed order, so ids e0.. and the saved JSON are stable.
 
 The bound formulas answer how few edges any connected n-node network
 can have while still supporting protected deployment: n+k-2 when the
@@ -14,13 +16,10 @@ build_minimal_witness constructs graphs that attain the n+k-2 bounds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .feasibility import ProtectionInstance
 from .graph import Graph
 
 __all__ = [
-    "HararySpec",
     "build_minimal_witness",
     "harary",
     "harary_lower_bound",
@@ -30,47 +29,34 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class HararySpec:
-    n: int
-    k: int
-
-    def __post_init__(self):
-        if self.k < 2:
-            raise ValueError(f"connectivity target must be at least 2, got {self.k}")
-        if self.k >= self.n:
-            raise ValueError(f"need k < n, got k={self.k}, n={self.n}")
-
-
 def harary(n: int, k: int) -> Graph:
-    """Construct H_{k,n}: k-connected, n nodes, exactly ceil(k*n/2) edges."""
-    HararySpec(n, k)
+    """Construct H_{k,n}: k-connected, n nodes, exactly ceil(k*n/2) edges.
+
+    Nodes are v0..v{n-1} on a ring.  Each v_i is joined to every v_j with
+    j > i at ring distance at most floor(k/2), in increasing j, so each
+    edge is listed once, from its lower end; odd k then adds the
+    (near-)diameters.  No chord repeats a ring edge, since k < n keeps
+    floor(k/2) below the ring distance of every chord.
+    """
+    if k < 2:
+        raise ValueError(f"connectivity target must be at least 2, got {k}")
+    if k >= n:
+        raise ValueError(f"need k < n, got k={k}, n={n}")
     g = Graph()
-    for i in range(n):
-        g.add_node("relay", f"v{i}")
-    added: set[frozenset[str]] = set()
-
-    def connect(i: int, j: int) -> None:
-        u, v = f"v{i % n}", f"v{j % n}"
-        key = frozenset((u, v))
-        if u != v and key not in added:
-            added.add(key)
-            g.add_edge(u, v)
-
+    v = [g.add_node("relay", f"v{i}") for i in range(n)]
     r = k // 2
-    for i in range(n - 1):
-        for j in range(i + 1, n):
-            if j - i <= r or n + i - j <= r:
-                connect(i, j)
+    for i in range(n):
+        for j in range(i + 1, min(i + r, n - 1) + 1):
+            g.add_edge(v[i], v[j])
+        for j in range(max(i + r + 1, n + i - r), n):
+            g.add_edge(v[i], v[j])
     if k % 2 == 1:
         if n % 2 == 0:
-            for i in range(n // 2):
-                connect(i, i + n // 2)
+            chords = [(i, i + n // 2) for i in range(n // 2)]
         else:
-            connect(0, (n - 1) // 2)
-            connect(0, (n + 1) // 2)
-            for i in range(1, (n - 3) // 2 + 1):
-                connect(i, i + (n + 1) // 2)
+            chords = [(0, (n - 1) // 2)] + [(i, i + (n + 1) // 2) for i in range((n - 1) // 2)]
+        for i, j in chords:
+            g.add_edge(v[i], v[j])
     return g
 
 

@@ -575,6 +575,8 @@ def verify_report(inst: ProtectionInstance, report: FeasibilityReport) -> list[s
     """
     problems: list[str] = []
     g = inst.graph
+    if report.pairing is not None and sorted(report.pairing) != sorted(inst.receivers):
+        return [f"pairing {list(report.pairing)} is not an ordering of the receivers"]
     pairs = (
         list(zip(inst.sources, report.pairing))
         if report.pairing is not None

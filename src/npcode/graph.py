@@ -272,22 +272,18 @@ def load(data: str | bytes) -> Graph:
             raise GraphFormatError("node entries must be objects")
         nid = _require_str(entry, "id", "node")
         role = _require_str(entry, "role", f"node {nid!r}")
-        if role not in ROLES:
-            raise GraphFormatError(f"node {nid!r}: unknown role {role!r}")
-        if nid in g.nodes:
-            raise GraphFormatError(f"duplicate node id {nid!r}")
-        g.add_node(role, nid)
+        try:
+            g.add_node(role, nid)
+        except GraphError as exc:
+            raise GraphFormatError(f"node {nid!r}: {exc}") from exc
     for entry in edges:
         if not isinstance(entry, dict):
             raise GraphFormatError("edge entries must be objects")
         eid = _require_str(entry, "id", "edge")
         u = _require_str(entry, "u", f"edge {eid!r}")
         v = _require_str(entry, "v", f"edge {eid!r}")
-        if eid in g.edges:
-            raise GraphFormatError(f"duplicate edge id {eid!r}")
-        if u not in g.nodes or v not in g.nodes:
-            raise GraphFormatError(f"edge {eid!r} has a dangling endpoint")
-        if u == v:
-            raise GraphFormatError(f"edge {eid!r} is a self-loop")
-        g.add_edge(u, v, eid)
+        try:
+            g.add_edge(u, v, eid)
+        except GraphError as exc:
+            raise GraphFormatError(f"edge {eid!r}: {exc}") from exc
     return g

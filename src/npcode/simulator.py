@@ -1,7 +1,9 @@
 """End-to-end protection drills: provision, encode, fail paths, recover.
 
 A scenario couples a deployable instance with a code whose k matches the
-provisioned path count.  Each payload block maps one field symbol onto
+provisioned path count.  It drills the paths it is given, such as a
+verified report's witness; without them the instance is solved strict and
+its witness drilled.  Each payload block maps one field symbol onto
 each working path; failing a path erases its symbol position in every
 block.  With at most t failures and an MDS code every block must come
 back exactly; more than t failures is reported as expected-unrecoverable
@@ -52,7 +54,7 @@ class Scenario:
     code: NpcCode
     payload: np.ndarray
     failure_model: ExplicitFailures | RandomFailures
-    relaxed: bool = False
+    provisioned: DisjointPathSet | None = None
 
 
 @dataclass(frozen=True)
@@ -94,10 +96,13 @@ def _payload_matrix(payload, code: NpcCode) -> np.ndarray:
 
 
 def _provision(sc: Scenario) -> DisjointPathSet:
-    report = check_feasibility(sc.instance, relaxed=sc.relaxed)
-    if not report.feasible:
-        raise InfeasibleInstanceError(report)
-    paths = report.paths
+    """The scenario's own paths, or a strict solve's witness when it has none."""
+    paths = sc.provisioned
+    if paths is None:
+        report = check_feasibility(sc.instance)
+        if not report.feasible:
+            raise InfeasibleInstanceError(report)
+        paths = report.paths
     if len(paths) != sc.code.k:
         raise ValueError(
             f"code protects k={sc.code.k} paths but instance provisions {len(paths)}"

@@ -392,3 +392,39 @@ def graph_from_pairs(n, pairs):
     for u, v in pairs:
         g.add_edge(f"x{u}", f"x{v}")
     return g
+
+
+def harary_ref(n, k):
+    """H_{k,n} by testing every node pair for ring distance at most k // 2,
+    then the odd-k (near-)diameters, deduplicated through a set of pairs."""
+    from npcode.graph import Graph
+
+    if k < 2 or k >= n:
+        raise ValueError(f"need 2 <= k < n, got k={k}, n={n}")
+    g = Graph()
+    for i in range(n):
+        g.add_node("relay", f"v{i}")
+    added = set()
+
+    def connect(i, j):
+        u, v = f"v{i % n}", f"v{j % n}"
+        key = frozenset((u, v))
+        if u != v and key not in added:
+            added.add(key)
+            g.add_edge(u, v)
+
+    r = k // 2
+    for i in range(n - 1):
+        for j in range(i + 1, n):
+            if j - i <= r or n + i - j <= r:
+                connect(i, j)
+    if k % 2 == 1:
+        if n % 2 == 0:
+            for i in range(n // 2):
+                connect(i, i + n // 2)
+        else:
+            connect(0, (n - 1) // 2)
+            connect(0, (n + 1) // 2)
+            for i in range(1, (n - 3) // 2 + 1):
+                connect(i, i + (n + 1) // 2)
+    return g

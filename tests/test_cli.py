@@ -42,6 +42,37 @@ def test_generate_invalid_counts():
     assert res.stderr
 
 
+@pytest.mark.parametrize("argv, option", [
+    (["--harary", "100000000", "4"], "--harary"),
+    (["--harary", "100000", "5"], "--harary"),
+    (["--minimal-witness", "300000", "3", "predetermined"], "--minimal-witness"),
+])
+def test_generate_refuses_past_its_edge_limit(monkeypatch, capsys, argv, option):
+    # the edge count is checked before any graph is built
+    monkeypatch.setattr(construction, "harary", None)
+    monkeypatch.setattr(construction, "build_minimal_witness", None)
+    assert cli.main(["generate", *argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: {option} ") and err.count("\n") == 1
+    assert "200000" in err
+
+
+def test_generate_edge_limit_is_inclusive_and_stated(monkeypatch, capsys):
+    # H(4,100000) has exactly the 200,000 edges the limit allows; a stub
+    # stands in for its seconds-long build
+    built = []
+    monkeypatch.setattr(construction, "harary", lambda n, k: built.append((n, k)) or graph.Graph())
+    assert cli.main(["generate", "--harary", "100000", "4"]) == 0
+    assert built == [(100000, 4)]
+    assert cli.main(["generate", "--harary", "100001", "4"]) == 2
+    assert built == [(100000, 4)]
+    capsys.readouterr()
+    with pytest.raises(SystemExit):
+        cli.main(["generate", "--help"])
+    assert "at most 200,000 edges" in capsys.readouterr().out
+
+
 def _read_then_close(args, nbytes):
     """Run a verb, read nbytes of its stdout and close the pipe; (exit code, stderr)."""
     env = dict(os.environ)
@@ -414,11 +445,104 @@ def test_simulate_report_flags_must_be_booleans(tmp_path, capsys):
         return status, capsys.readouterr()
 
     assert simulate()[0] == 0
-    assert simulate(relaxed=False)[0] == 1
+    # the relaxed witness fails the strict recheck: its trees reuse path edges
+    status, (out, err) = simulate(relaxed=False)
+    assert (status, out) == (2, "")
+    assert err.startswith("error: report witness does not verify: ") and err.count("\n") == 1
     for fields in ({"relaxed": "false"}, {"relaxed": None}, {"feasible": "false"}, {"feasible": 1}):
         status, (out, err) = simulate(**fields)
         assert (status, out) == (2, ""), fields
         assert err.startswith("error: ") and err.count("\n") == 1, fields
+
+
+@pytest.mark.parametrize("poly, itemsize", [("", 1), ("0x1100B", 2)])
+def test_simulate_refuses_payload_past_16_mib(monkeypatch, capsys, poly, itemsize):
+    monkeypatch.setenv("NPC_FIELD_POLY", poly)
+
+    def simulate(blocks):
+        status = cli.main(["simulate", "--graph", str(FIG2), "--k", "3", "--t", "1",
+                           "--failures", "L1", "--blocks", str(blocks)])
+        return status, capsys.readouterr()
+
+    # k - t = 2 symbols a block; at the limit the payload is drawn, and the
+    # strict Fig. 2 instance is then infeasible (exit 1)
+    most = 16 * 2**20 // (2 * itemsize)
+    assert simulate(most)[0] == 1
+    for blocks in (most + 1, 10**10):
+        status, (out, err) = simulate(blocks)
+        assert (status, out) == (2, "")
+        assert err.startswith(f"error: --blocks {blocks} ") and err.count("\n") == 1
+
+
+_CROSSED = json.dumps({
+    "nodes": [{"id": "s1", "role": "source"}, {"id": "s2", "role": "source"},
+              {"id": "r1", "role": "receiver"}, {"id": "r2", "role": "receiver"}],
+    "edges": [{"id": "e0", "u": "s1", "v": "r2"}, {"id": "e1", "u": "s2", "v": "r1"},
+              {"id": "e2", "u": "s1", "v": "s2"}, {"id": "e3", "u": "r1", "v": "r2"}],
+})
+
+
+def _crossed_auto_report(tmp_path, capsys):
+    # fixed pairing s1-r1, s2-r2 has no disjoint paths; auto pairs s1-r2, s2-r1
+    graph_path = tmp_path / "crossed.json"
+    graph_path.write_text(_CROSSED)
+    assert cli.main(["feasibility", "--graph", str(graph_path), "--pairing", "auto",
+                     "--verify"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["pairing"] == ["r2", "r1"] and report["verified"] is True
+    return report
+
+
+def _simulate_report(tmp_path, capsys, report, *extra):
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(report))
+    status = cli.main(["simulate", "--graph", str(path), "--k", "2", "--t", "1", *extra])
+    return status, capsys.readouterr()
+
+
+def test_simulate_drills_the_reports_auto_pairing(tmp_path, capsys):
+    report = _crossed_auto_report(tmp_path, capsys)
+    status, (out, err) = _simulate_report(tmp_path, capsys, report, "--failures", "L1")
+    assert (status, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["status"] == "recovered"
+    assert [(p["source"], p["receiver"], p["edges"]) for p in doc["provisioned"]] == [
+        ("s1", "r2", ["e0"]), ("s2", "r1", ["e1"])
+    ]
+    assert doc["provisioned"] == report["paths"]
+
+
+def test_simulate_report_input_never_solves(monkeypatch, tmp_path, capsys):
+    report = _crossed_auto_report(tmp_path, capsys)
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("report input must not be solved again")
+
+    monkeypatch.setattr(feasibility, "check_feasibility", no_solve)
+    monkeypatch.setattr(simulator, "check_feasibility", no_solve)
+    status, (out, err) = _simulate_report(tmp_path, capsys, report, "--random", "1")
+    assert (status, err) == (0, "")
+    assert json.loads(out)["recovered"] is True
+
+
+@pytest.mark.parametrize("edit, reason", [
+    (lambda r: r.update(paths=None), "report needs 'paths'"),
+    (lambda r: r["paths"][0].update(nodes=[]), "report needs 'paths'"),
+    (lambda r: r["paths"][0].update(edges="e0"), "report needs 'paths'"),
+    (lambda r: r.update(source_tree=None), "report needs 'paths'"),
+    (lambda r: r.update(pairing="r2,r1"), "report needs 'paths'"),
+    (lambda r: r["paths"][0].update(edges=["e3"]), "does not verify: paths invalid"),
+    (lambda r: r.update(pairing=None), "does not verify: path endpoints"),
+    (lambda r: r.update(pairing=["r2", "r2"]), "does not verify: pairing"),
+    (lambda r: r.update(source_tree=[]), "does not verify: source tree missing"),
+], ids=["no-paths", "empty-nodes", "string-edges", "null-tree", "string-pairing",
+        "wrong-edge", "fixed-pairing", "repeated-receiver", "no-source-tree"])
+def test_simulate_rejects_a_witness_that_does_not_verify(tmp_path, capsys, edit, reason):
+    report = _crossed_auto_report(tmp_path, capsys)
+    edit(report)
+    status, (out, err) = _simulate_report(tmp_path, capsys, report, "--failures", "L1")
+    assert (status, out) == (2, "")
+    assert err.startswith("error: ") and reason in err and err.count("\n") == 1
 
 
 def test_schema_error_exit_2():

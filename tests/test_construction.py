@@ -1,3 +1,4 @@
+import networkx as nx
 import pytest
 
 from npcode.connectivity import edge_connectivity, node_connectivity
@@ -10,6 +11,7 @@ from npcode.construction import (
     min_edges_single_source,
 )
 from npcode.feasibility import check_feasibility
+from npcode.graph import save
 
 from oracles import (
     brute_global_min_cut,
@@ -17,6 +19,7 @@ from oracles import (
     connected_graph_corpus,
     edge_list,
     graph_from_pairs,
+    harary_ref,
 )
 
 
@@ -46,10 +49,34 @@ def test_harary_grid_small():
 
 
 def test_harary_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="need k < n"):
         harary(3, 3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="at least 2"):
         harary(5, 1)
+
+
+def test_harary_matches_the_pair_scan_byte_for_byte():
+    # save() is a function of the ordered node and edge items alone, so equal
+    # item lists mean equal bytes; the grid compares those, since save's
+    # indented JSON would take most of the test's time
+    for n in range(3, 60):
+        for k in range(2, n):
+            g, ref = harary(n, k), harary_ref(n, k)
+            assert list(g.nodes.items()) == list(ref.nodes.items()), (n, k)
+            assert list(g.edges.items()) == list(ref.edges.items()), (n, k)
+    for n, k in ((2000, 4), (2001, 5)):
+        assert save(harary(n, k)) == save(harary_ref(n, k)), (n, k)
+
+
+def test_harary_edge_sets_match_networkx():
+    # networkx places the near-diameters of odd n with odd k elsewhere
+    for n in range(3, 40):
+        for k in range(2, n):
+            if n % 2 and k % 2:
+                continue
+            ours = {frozenset(int(x[1:]) for x in uv) for uv in harary(n, k).edges.values()}
+            theirs = {frozenset(uv) for uv in nx.hkn_harary_graph(k, n).edges()}
+            assert ours == theirs, (n, k)
 
 
 def test_bound_formulas():

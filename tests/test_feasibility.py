@@ -194,6 +194,21 @@ def test_auto_pairing_rescues_crossed_demands():
     assert verify_report(inst, auto) == []
 
 
+def test_verify_report_needs_a_pairing_of_every_receiver():
+    # both paths end at r1 and the source tree joins s1 and s2; only the
+    # pairing check notices that r2 receives nothing
+    g = Graph()
+    s1, s2, r1, r2 = (g.add_node(node_id=x) for x in ("s1", "s2", "r1", "r2"))
+    e0, e1, e2 = g.add_edge(s1, r1), g.add_edge(s2, r1), g.add_edge(s1, s2)
+    g.add_edge(r1, r2)
+    inst = ProtectionInstance(g, [s1, s2], [r1, r2])
+    paths = DisjointPathSet((Path((s1, r1), (e0,)), Path((s2, r1), (e1,))))
+    report = FeasibilityReport(True, paths, (e2,), (), pairing=(r1, r1))
+    assert verify_report(inst, report) == [
+        "pairing ['r1', 'r1'] is not an ordering of the receivers"
+    ]
+
+
 def test_source_tree_failure_reason():
     # paths exist but the two sources can never be interconnected
     g = Graph()

@@ -5,7 +5,13 @@ import pytest
 
 from npcode.codec import build_code
 from npcode.construction import harary
-from npcode.feasibility import InfeasibleInstanceError, ProtectionInstance, build_fig2_fixture
+from npcode import simulator
+from npcode.feasibility import (
+    InfeasibleInstanceError,
+    ProtectionInstance,
+    build_fig2_fixture,
+    check_feasibility,
+)
 from npcode.galois import FieldContext
 from npcode.simulator import (
     BatchStats,
@@ -91,6 +97,22 @@ def test_infeasible_instance_raises():
     sc = Scenario(inst, code, _payload(2, 2), ExplicitFailures(()))
     with pytest.raises(InfeasibleInstanceError):
         run(sc)
+
+
+def test_provisioned_paths_are_drilled_as_given(monkeypatch):
+    # Fig. 2 is infeasible strict, so only its relaxed witness can be drilled
+    inst = build_fig2_fixture()
+    paths = check_feasibility(inst, relaxed=True).paths
+    monkeypatch.setattr(simulator, "check_feasibility", None)
+    sc = Scenario(inst, build_code(3, 1, GF8), _payload(4, 2), ExplicitFailures(("L2",)),
+                  provisioned=paths)
+    report = run(sc)
+    assert report.recovered and report.provisioned is paths
+    # relay c1 carries only the b1-c1-e1 path
+    assert run_node_failure(sc, "c1").failed_paths == ("L2",)
+    with pytest.raises(ValueError, match="k=4 paths but instance provisions 3"):
+        run(Scenario(inst, build_code(4, 1, GF8), _payload(2, 3), ExplicitFailures(()),
+                     provisioned=paths))
 
 
 def test_code_path_count_mismatch():
