@@ -35,10 +35,12 @@ from .graph import DisjointPathSet, Graph, Path, load, save
 __all__ = ["main"]
 
 # Work limits, checked before any work.  At each limit, on a 2-core host:
-# `generate --harary 100000 4` took 2.5 s and 352 MB peak, and a 16 MiB
-# `simulate` payload (k=3, t=1) 0.6 s and 143 MB.
+# `generate --harary 100000 4` took 2.5 s and 352 MB peak, a 16 MiB
+# `simulate` payload (k=3, t=1) 0.6 s and 143 MB, and `build_code` on
+# GF(2^16) 3.3 s at k = 1024, t = 512 (0.7 s at k = 512).
 _GENERATE_MAX_EDGES = 200_000
 _SIMULATE_MAX_PAYLOAD = 16 * 2**20
+_CODE_MAX_K = 1024
 
 
 class _UsageError(Exception):
@@ -241,9 +243,16 @@ def _format_symbols(symbols: np.ndarray, field: FieldContext) -> str:
     return np.ascontiguousarray(symbols, dtype=field.symbol_dtype.newbyteorder(">")).tobytes().hex()
 
 
-def _cmd_encode(args) -> int:
+def _code(args):
+    """The field and the (k, t) code of a codec verb, once --k is within its limit."""
+    if args.k > _CODE_MAX_K:
+        raise _UsageError(f"--k {args.k} is past the limit of {_CODE_MAX_K} symbols per codeword")
     field = _field_from_env()
-    code = build_code(args.k, args.t, field)
+    return field, build_code(args.k, args.t, field)
+
+
+def _cmd_encode(args) -> int:
+    field, code = _code(args)
     values = _parse_symbols(args.data, field)
     d = code.data_len
     if not values.size or values.size % d:
@@ -277,8 +286,7 @@ def _parse_positions(raw: str, k: int) -> list[int]:
 
 
 def _cmd_recover(args) -> int:
-    field = _field_from_env()
-    code = build_code(args.k, args.t, field)
+    field, code = _code(args)
     values = _parse_symbols(args.symbols, field)
     if not values.size or values.size % args.k:
         raise _UsageError(f"symbols must be a positive multiple of k = {args.k}")
@@ -370,11 +378,10 @@ def _simulate_input(args):
 def _cmd_simulate(args) -> int:
     if args.blocks < 1:
         raise _UsageError(f"--blocks must be at least 1, got {args.blocks}")
+    field, code = _code(args)
     inst, paths, pairing = _simulate_input(args)
     if inst.k != args.k:
         raise _UsageError(f"instance provisions k={inst.k} paths but --k is {args.k}")
-    field = _field_from_env()
-    code = build_code(args.k, args.t, field)
     dtype = field.symbol_dtype
     size = args.blocks * code.data_len * dtype.itemsize
     if size > _SIMULATE_MAX_PAYLOAD:
@@ -457,14 +464,15 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=_cmd_bounds)
 
+    k_help = f"symbols per codeword, at most {_CODE_MAX_K}"
     p = sub.add_parser("encode", help="encode hex symbol blocks")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=int, required=True, help=k_help)
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--data", required=True, help="hex string, (k-t)-symbol blocks")
     p.set_defaults(func=_cmd_encode)
 
     p = sub.add_parser("recover", help="recover data from erased codewords")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=int, required=True, help=k_help)
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--symbols", required=True, help="hex string, k-symbol blocks")
     p.add_argument("--erased", help="1-based erased positions, e.g. 2,5 or L2,L5")
@@ -472,7 +480,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="full protection drill on a graph or report")
     p.add_argument("--graph", default="-", help="graph or feasibility-report JSON")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=int, required=True, help=k_help)
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--sources")
     p.add_argument("--receivers")

@@ -348,11 +348,11 @@ def edge_connectivity(g: Graph) -> CutReport:
     """
     if g.num_nodes < 2:
         raise GraphError("edge connectivity needs at least 2 nodes")
-    if not g.is_connected():
-        return CutReport(0, ())
     snap = _Snapshot(g)
-    net = snap.network()
     adj = snap.adj
+    if min(_distances(adj, 0, snap.full)) < 0:
+        return CutReport(0, ())
+    net = snap.network()
     best_value = None
     best_witness: tuple[str, ...] = ()
     for t in range(1, len(snap.nodes)):
@@ -411,9 +411,9 @@ def node_connectivity(g: Graph) -> CutReport:
         raise GraphError("node connectivity needs at least 1 node")
     if g.num_nodes == 1:
         return CutReport(0, ())
-    if not g.is_connected():
-        return CutReport(0, ())
     snap = _Snapshot(g)
+    if min(_distances(snap.adj, 0, snap.full)) < 0:
+        return CutReport(0, ())
     nodes = snap.nodes
     n = len(nodes)
     net = _Network(2 * n)

@@ -532,12 +532,11 @@ def _hamiltonian_cycle_exists(g: Graph) -> bool:
     n = g.num_nodes
     if n < 3:
         return False
-    if not g.is_connected():
-        return False
-    if any(g.degree(v) < 2 for v in g.nodes):
+    snap = _Snapshot(g)
+    if any(len(at) < 2 for at in snap.adj) or min(_distances(snap.adj, 0, snap.full)) < 0:
         return False
     # node i is bit i - 1, so the first node's own bit shifts out
-    first_nbrs, *nbrs = (sum({1 << y for _, _, y in at}) >> 1 for at in _Snapshot(g).adj)
+    first_nbrs, *nbrs = (sum({1 << y for _, _, y in at}) >> 1 for at in snap.adj)
     full = (1 << (n - 1)) - 1
     failed: dict[int, int] = {}
 
@@ -596,7 +595,7 @@ def verify_report(inst: ProtectionInstance, report: FeasibilityReport) -> list[s
         problems.append(f"paths invalid: {exc}")
     for p, (s, r) in zip(paths, pairs):
         if p.start != s or p.end != r:
-            problems.append(f"path endpoints {p.start}-{p.end} differ from pair {s}-{r}")
+            problems.append(f"path endpoints {p.start!r}-{p.end!r} differ from pair {s!r}-{r!r}")
     for name, tree, terms in (
         ("source tree", report.source_tree, list(inst.sources)),
         ("receiver tree", report.receiver_tree, receiver_terms),

@@ -4,7 +4,15 @@ Nodes carry a role tag (source / receiver / relay) and edges are a
 multiset of unordered pairs, each with its own id, so parallel edges
 between the same endpoints coexist.  Self-loops are rejected: they can
 never appear on a path or in a cut.  Graphs are mutable while being
-built; the algorithms treat the snapshots they receive as read-only.
+built; the algorithms treat the graphs they receive as read-only.
+
+A `Graph` stores ids only: two dicts, node id to role and edge id to its
+ends, both in insertion order.  It keeps no adjacency.  Each library
+call builds its own integer snapshot (`connectivity._Snapshot`), and
+that snapshot is the adjacency every search and traversal reads;
+`incident`, `neighbors`, `degree` and `has_parallel` scan the edges.
+`connected_within` is the verifier's own reachability check on ids,
+independent of the snapshot.
 """
 
 from __future__ import annotations
@@ -40,7 +48,6 @@ class Graph:
     def __init__(self):
         self.nodes: dict[str, str] = {}
         self.edges: dict[str, tuple[str, str]] = {}
-        self._adj: dict[str, list[str]] = {}
         self._next_node = 0
         self._next_edge = 0
 
@@ -57,7 +64,6 @@ class Graph:
         elif node_id in self.nodes:
             raise GraphError(f"duplicate node id {node_id!r}")
         self.nodes[node_id] = role
-        self._adj[node_id] = []
         return node_id
 
     def set_role(self, node_id: str, role: str) -> None:
@@ -79,16 +85,12 @@ class Graph:
         elif edge_id in self.edges:
             raise GraphError(f"duplicate edge id {edge_id!r}")
         self.edges[edge_id] = (u, v)
-        self._adj[u].append(edge_id)
-        self._adj[v].append(edge_id)
         return edge_id
 
     def remove_edge(self, edge_id: str) -> None:
         if edge_id not in self.edges:
             raise GraphError(f"unknown edge {edge_id!r}")
-        u, v = self.edges.pop(edge_id)
-        self._adj[u].remove(edge_id)
-        self._adj[v].remove(edge_id)
+        del self.edges[edge_id]
 
     # -- queries ---------------------------------------------------------------
 
@@ -101,26 +103,18 @@ class Graph:
             raise GraphError(f"unknown edge {edge_id!r}")
         return self.edges[edge_id]
 
-    def other_end(self, edge_id: str, node: str) -> str:
-        u, v = self.endpoints(edge_id)
-        if node == u:
-            return v
-        if node == v:
-            return u
-        raise GraphError(f"node {node!r} not on edge {edge_id!r}")
-
     def incident(self, node_id: str) -> list[str]:
         """Edge ids at a node, oldest first (used for deterministic ties)."""
         self._require_node(node_id)
-        return list(self._adj[node_id])
+        return [e for e, ends in self.edges.items() if node_id in ends]
 
     def neighbors(self, node_id: str) -> set[str]:
         self._require_node(node_id)
-        return {self.other_end(e, node_id) for e in self._adj[node_id]}
+        return {v if u == node_id else u for u, v in self.edges.values() if node_id in (u, v)}
 
     def degree(self, node_id: str) -> int:
         self._require_node(node_id)
-        return len(self._adj[node_id])
+        return sum(node_id in ends for ends in self.edges.values())
 
     def nodes_with_role(self, role: str) -> list[str]:
         return [n for n, r in self.nodes.items() if r == role]
@@ -134,46 +128,43 @@ class Graph:
         return len(self.edges)
 
     def has_parallel(self, u: str, v: str) -> bool:
-        return sum(1 for e in self._adj.get(u, ()) if self.other_end(e, u) == v) > 1
+        return sum(ends in ((u, v), (v, u)) for ends in self.edges.values()) > 1
 
     def copy(self) -> "Graph":
         g = Graph()
-        for n, role in self.nodes.items():
-            g.add_node(role, n)
-        for e, (u, v) in self.edges.items():
-            g.add_edge(u, v, e)
+        g.nodes = dict(self.nodes)
+        g.edges = dict(self.edges)
         return g
 
     def is_connected(self) -> bool:
-        if self.num_nodes <= 1:
-            return True
-        start = next(iter(self.nodes))
-        return len(self._reachable(start, None)) == self.num_nodes
-
-    def _reachable(self, start: str, allowed: set[str] | None) -> set[str]:
-        seen = {start}
-        stack = [start]
-        while stack:
-            x = stack.pop()
-            for e in self._adj[x]:
-                if allowed is not None and e not in allowed:
-                    continue
-                y = self.other_end(e, x)
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        return seen
+        return connected_within(self, self.nodes)
 
     def __repr__(self) -> str:
         return f"Graph({self.num_nodes} nodes, {self.num_edges} edges)"
 
 
 def connected_within(g: Graph, terminals: Iterable[str], allowed: set[str] | None = None) -> bool:
-    """True iff all terminals lie in one component of the allowed edges."""
+    """True iff all terminals lie in one component of the allowed edges.
+
+    allowed=None allows every edge; ids in allowed that are not edges of g
+    are skipped.  The search runs on ids, apart from the snapshot.
+    """
     terms = list(terminals)
     if len(terms) <= 1:
         return True
-    return set(terms) <= g._reachable(terms[0], allowed)
+    edges = g.edges
+    near: dict[str, list[str]] = {}
+    for u, v in edges.values() if allowed is None else (edges[e] for e in allowed if e in edges):
+        near.setdefault(u, []).append(v)
+        near.setdefault(v, []).append(u)
+    seen = {terms[0]}
+    stack = [terms[0]]
+    while stack:
+        for y in near.get(stack.pop(), ()):
+            if y not in seen:
+                seen.add(y)
+                stack.append(y)
+    return seen.issuperset(terms)
 
 
 @dataclass(frozen=True)

@@ -323,6 +323,55 @@ def test_codec_verbs_take_the_block_path(m, monkeypatch, capsys, tmp_path):
     assert simulator.run(sc).recovered
 
 
+_CODEC_VERBS = {
+    "encode": ["--data", "0000"],
+    "recover": ["--symbols", "0000"],
+    "simulate": ["--graph", str(FIG2), "--failures", "L1"],
+}
+
+
+def test_encode_refuses_k_past_its_limit_at_once():
+    # building this code on GF(2^16) ran for seconds on end; the limit is checked first
+    res = subprocess.run(
+        [sys.executable, "-m", "npcode", "encode", "--k", "4000", "--t", "2000", "--data", "0000"],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "NPC_FIELD_POLY": "0x1100B"},
+    )
+    assert (res.returncode, res.stdout) == (2, "")
+    assert res.stderr.startswith("error: --k 4000 ") and res.stderr.count("\n") == 1
+    assert "1024" in res.stderr and "Traceback" not in res.stderr
+
+
+class _Built(Exception):
+    pass
+
+
+@pytest.mark.parametrize("verb", sorted(_CODEC_VERBS))
+def test_codec_verbs_k_limit_is_inclusive_and_stated(verb, monkeypatch, capsys):
+    # a stub stands in for build_code, whose k = 1024 build on GF(2^16) takes seconds
+    built = []
+
+    def stub(k, t, field):
+        built.append((k, t))
+        raise _Built
+
+    monkeypatch.setattr(cli, "build_code", stub)
+    with pytest.raises(_Built):
+        cli.main([verb, "--k", "1024", "--t", "1", *_CODEC_VERBS[verb]])
+    assert built == [(1024, 1)]
+    # past the limit, nothing is built and no field is read
+    monkeypatch.setattr(cli, "_field_from_env", None)
+    for k in ("1025", "10000000000"):
+        assert cli.main([verb, "--k", k, "--t", "1", *_CODEC_VERBS[verb]]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: --k {k} ") and err.count("\n") == 1
+    assert built == [(1024, 1)]
+    with pytest.raises(SystemExit):
+        cli.main([verb, "--help"])
+    assert "at most 1024" in capsys.readouterr().out
+
+
 def test_encode_bad_hex():
     res = npcode("encode", "--k", "4", "--t", "1", "--data", "0a0b")
     assert res.returncode == 2
@@ -543,6 +592,22 @@ def test_simulate_rejects_a_witness_that_does_not_verify(tmp_path, capsys, edit,
     status, (out, err) = _simulate_report(tmp_path, capsys, report, "--failures", "L1")
     assert (status, out) == (2, "")
     assert err.startswith("error: ") and reason in err and err.count("\n") == 1
+
+
+def test_simulate_names_odd_ids_on_one_error_line(tmp_path, capsys):
+    # receiver r1 renamed "r\nx": with the report's two paths swapped, the
+    # endpoint message quotes the id, so the newline stays inside one line
+    graph_path = tmp_path / "crossed.json"
+    graph_path.write_text(_CROSSED.replace('"r1"', '"r\\nx"'))
+    assert cli.main(["feasibility", "--graph", str(graph_path), "--pairing", "auto"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["pairing"] == ["r2", "r\nx"]
+    report["paths"].reverse()
+    status, (out, err) = _simulate_report(tmp_path, capsys, report, "--failures", "L1")
+    assert (status, out) == (2, "")
+    assert err.startswith("error: report witness does not verify: path endpoints ")
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert "'r\\nx'" in err
 
 
 def test_schema_error_exit_2():

@@ -286,7 +286,8 @@ def _path(nodes, edges):
      ["paths invalid: edge 'e13' does not join 'v0'-'v6'"]),
     (_h12_witness,
      lambda r: replace(r, paths=DisjointPathSet((r.paths.paths[1], r.paths.paths[0], r.paths.paths[2]))),
-     ["path endpoints v1-v7 differ from pair v0-v6", "path endpoints v0-v6 differ from pair v1-v7"]),
+     ["path endpoints 'v1'-'v7' differ from pair 'v0'-'v6'",
+      "path endpoints 'v0'-'v6' differ from pair 'v1'-'v7'"]),
     (_k5_witness, lambda r: replace(r, source_tree=("e9",)),
      ["source tree should be empty for a single terminal"]),
     (_h12_witness, lambda r: replace(r, source_tree=()), ["source tree missing"]),

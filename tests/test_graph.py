@@ -1,10 +1,14 @@
 import json
+from itertools import count
 from pathlib import Path as FsPath
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from npcode.connectivity import edge_connectivity
 from npcode.graph import (
+    ROLES,
     DisjointPathSet,
     Graph,
     GraphError,
@@ -14,6 +18,8 @@ from npcode.graph import (
     load,
     save,
 )
+
+from oracles import connected_ref
 
 FIG2 = FsPath(__file__).parent / "data" / "fig2.json"
 
@@ -166,3 +172,88 @@ def test_connected_within():
     assert connected_within(g, [a, c])
     assert not connected_within(g, [a, c], {e1})
     assert connected_within(g, [a])
+
+
+# -- Graph against an edge-list model ------------------------------------------------
+# Explicit ids come from a small pool that overlaps the automatic n<i> and
+# e<i> ids, so duplicates and skipped automatic ids both occur.
+
+_IDS = st.sampled_from(["n0", "n1", "n2", "e0", "e1", "e3", "x", "y"])
+
+
+def _first_free(prefix, taken):
+    return next(f"{prefix}{i}" for i in count() if f"{prefix}{i}" not in taken)
+
+
+def _check_model(g, nodes, edges, data):
+    """g against the model: nodes {id: role} and edges [(id, u, v)], oldest first."""
+    assert list(g.nodes.items()) == list(nodes.items())
+    assert list(g.edges.items()) == [(e, (u, v)) for e, u, v in edges]
+    for x in nodes:
+        at = [(e, v if u == x else u) for e, u, v in edges if x in (u, v)]
+        assert g.incident(x) == [e for e, _ in at]
+        assert g.degree(x) == len(at)
+        assert g.neighbors(x) == {y for _, y in at}
+        for y in nodes:
+            assert g.has_parallel(x, y) == (sum({u, v} == {x, y} for _, u, v in edges) > 1)
+    assert g.is_connected() == connected_ref(nodes, edges)
+    ids = [e for e, _, _ in edges]
+    terminals = data.draw(st.lists(st.sampled_from(list(nodes)), max_size=4)) if nodes else []
+    allowed = data.draw(st.none() | st.sets(st.sampled_from(ids + ["unknown"])))
+    assert connected_within(g, terminals, allowed) == connected_ref(terminals, edges, allowed)
+
+
+def _check_copy(g, nodes, edges):
+    c = g.copy()
+    assert list(c.nodes.items()) == list(g.nodes.items())
+    assert list(c.edges.items()) == list(g.edges.items())
+    # a copy's automatic ids count from 0 again, skipping the ids it holds
+    x = c.add_node()
+    assert x == _first_free("n", nodes)
+    if nodes:
+        e = c.add_edge(next(iter(nodes)), x)
+        assert e == _first_free("e", {e for e, _, _ in edges})
+    if edges:
+        c.remove_edge(edges[0][0])
+    assert list(g.nodes.items()) == list(nodes.items())
+    assert list(g.edges.items()) == [(e, (u, v)) for e, u, v in edges]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_graph_matches_an_edge_list_model(data):
+    g = Graph()
+    nodes: dict[str, str] = {}
+    edges: list[tuple[str, str, str]] = []
+    for _ in range(data.draw(st.integers(0, 20))):
+        step = data.draw(st.sampled_from(["node", "edge", "edge", "remove"]))
+        ids = [e for e, _, _ in edges]
+        if step == "node":
+            role, nid = data.draw(st.sampled_from(ROLES)), data.draw(st.none() | _IDS)
+            if nid in nodes:
+                with pytest.raises(GraphError):
+                    g.add_node(role, nid)
+            else:
+                got = g.add_node(role, nid)
+                assert got not in nodes and nid in (None, got)
+                nodes[got] = role
+        elif step == "edge":
+            ends = st.sampled_from([*nodes, "unknown"])
+            u, v, eid = data.draw(ends), data.draw(ends), data.draw(st.none() | _IDS)
+            if u == v or "unknown" in (u, v) or eid in ids:
+                with pytest.raises(GraphError):
+                    g.add_edge(u, v, eid)
+            else:
+                got = g.add_edge(u, v, eid)
+                assert got not in ids and eid in (None, got)
+                edges.append((got, u, v))
+        else:
+            eid = data.draw(st.sampled_from(ids) | _IDS) if ids else data.draw(_IDS)
+            if eid in ids:
+                g.remove_edge(eid)
+                del edges[ids.index(eid)]
+            else:
+                with pytest.raises(GraphError):
+                    g.remove_edge(eid)
+        _check_model(g, nodes, edges, data)
+        _check_copy(g, nodes, edges)
