@@ -74,7 +74,7 @@ def _time_shapes(field, args, rng):
     batch = data[:BATCH]
     parity = code.parity_int_matrix()
     decode = rng.integers(1, field.order, size=(d, d), dtype=field.symbol_dtype)
-    _, _, recovery, _ = _decode_plan(code, [0])
+    recovery = _decode_plan(code, [0]).coef
 
     print(f"gf_matmul over GF(2^{field.m}), k={args.k} t={args.t}, best of {args.repeat}")
     print(f"  {'shape':16} {'blocks':>8} {'ms':>10} {'MB/s':>10}")

@@ -34,7 +34,9 @@ from .graph import DisjointPathSet, Graph, Path, load, save
 
 __all__ = ["main"]
 
-# Work limits, checked before any work.  At each limit, on a 2-core host:
+# Work limits, checked before any work.  _GENERATE_MAX_EDGES bounds the
+# graphs `generate` builds and those `connectivity`, `feasibility` and
+# `simulate` read.  At each limit, on a 2-core host:
 # `generate --harary 100000 4` took 2.5 s and 352 MB peak, a 16 MiB
 # `simulate` payload (k=3, t=1) 0.6 s and 143 MB, and `build_code` on
 # GF(2^16) 3.3 s at k = 1024, t = 512 (0.7 s at k = 512).
@@ -147,6 +149,16 @@ def _check_edges(option: str, n: int, k: int, edges: int) -> None:
         )
 
 
+def _load_graph(text: str) -> Graph:
+    """The graph of a JSON document, refused past the edge limit before any search."""
+    g = load(text)
+    if g.num_edges > _GENERATE_MAX_EDGES:
+        raise _UsageError(
+            f"--graph has {g.num_edges} edges; this verb reads at most {_GENERATE_MAX_EDGES}"
+        )
+    return g
+
+
 def _cmd_generate(args) -> int:
     if args.harary:
         n, k = args.harary
@@ -162,7 +174,7 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_connectivity(args) -> int:
-    g = load(_read_text(args.graph))
+    g = _load_graph(_read_text(args.graph))
     ec = edge_connectivity(g)
     nc = node_connectivity(g)
     _emit(
@@ -185,7 +197,7 @@ def _instance_from_args(g: Graph, args) -> feasibility.ProtectionInstance:
 
 
 def _cmd_feasibility(args) -> int:
-    g = load(_read_text(args.graph))
+    g = _load_graph(_read_text(args.graph))
     inst = _instance_from_args(g, args)
     if len(inst.sources) == 1:
         report = feasibility.check_single_source(inst, relaxed=args.relaxed)
@@ -365,13 +377,13 @@ def _simulate_input(args):
                 "report 'instance' needs a graph, lists of node ids for sources and "
                 "receivers, and an integer or null num_paths"
             )
-        g = load(json.dumps(inst_doc["graph"]))
+        g = _load_graph(json.dumps(inst_doc["graph"]))
         inst = feasibility.ProtectionInstance(
             g, inst_doc["sources"], inst_doc["receivers"], inst_doc.get("num_paths")
         )
         witness = _witness(doc, inst, relaxed)
         return inst, witness.paths, witness.pairing
-    g = load(json.dumps(doc))
+    g = _load_graph(json.dumps(doc))
     return _instance_from_args(g, args), None, None
 
 
@@ -440,12 +452,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=_cmd_generate)
 
+    graph_help = f"graph JSON file, - for stdin; at most {_GENERATE_MAX_EDGES:,} edges"
     p = sub.add_parser("connectivity", help="edge and node connectivity with witnesses")
-    p.add_argument("--graph", default="-", help="graph JSON file, - for stdin")
+    p.add_argument("--graph", default="-", help=graph_help)
     p.set_defaults(func=_cmd_connectivity)
 
     p = sub.add_parser("feasibility", help="decide protection deployability")
-    p.add_argument("--graph", default="-")
+    p.add_argument("--graph", default="-", help=graph_help)
     p.add_argument("--sources", help="comma-separated node ids (default: role tags)")
     p.add_argument("--receivers", help="comma-separated node ids (default: role tags)")
     p.add_argument("--relaxed", action="store_true", help="let trees reuse path edges")
@@ -479,7 +492,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_recover)
 
     p = sub.add_parser("simulate", help="full protection drill on a graph or report")
-    p.add_argument("--graph", default="-", help="graph or feasibility-report JSON")
+    p.add_argument("--graph", default="-",
+                   help=f"graph or feasibility-report JSON; at most {_GENERATE_MAX_EDGES:,} edges")
     p.add_argument("--k", type=int, required=True, help=k_help)
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--sources")

@@ -18,11 +18,16 @@ the received symbols (Plank, "A Tutorial on Reed-Solomon Coding for
 Fault-Tolerance in RAID-like Systems", 1997): `recover_blocks` copies
 those, and a plan holds one coefficient matrix that yields only the
 lost data and the surviving parity symbols the data must reproduce, at
-most t columns, so a recovery makes at most one `kernels.gf_matmul`
-call (m <= 16).
+most t columns, so a recovery makes at most one call of the kernel's
+unchecked product, `kernels._product` (m <= 16).  A plan is compiled
+once with all that call needs: its positions as read-only index arrays,
+its checked matrix, and a handle on the matrix's kernel tables, so a
+repeated pattern does only the gathers and the byte compare of the
+check symbols.  `encode_blocks` calls `kernels.gf_matmul`.
 The kernel keeps its tables for a coefficient matrix (a parity matrix,
 a decode plan's matrix) in its own memo, within the byte budget
-`kernels.TABLE_MEMO_BYTES`, so a repeating pattern also reuses them.
+`kernels.TABLE_MEMO_BYTES`; the plan's handle refers to them weakly, so
+the memo alone bounds their memory.
 The scalar `encode` and `recover` are one-row calls of `encode_blocks`
 and `recover_blocks`.  FieldElement stays at the API edge: data blocks,
 codewords and `NpcCode.parity`.
@@ -147,9 +152,9 @@ class NpcCode:
         g.setflags(write=False)
         self._parity_ints = p
         self._generator_ints = g
-        # frozenset(erased) -> (use, lost, coef, check); see _decode_plan.  Threads
+        # frozenset(erased) -> _Plan; see _decode_plan.  Threads
         # that miss together compute equal plans, so the last store is harmless.
-        self._decode: dict[frozenset[int], tuple] = {}
+        self._decode: dict[frozenset[int], _Plan] = {}
 
     @property
     def data_len(self) -> int:
@@ -247,8 +252,31 @@ def verify_mds(code: NpcCode) -> bool:
     return True
 
 
-def _decode_plan(code: NpcCode, erased: Iterable[int]) -> tuple[list[int], list[int], np.ndarray | None, list[int]]:
-    """(use, lost, coef, check) for an erasure set, from the code's cache.
+def _indices(positions: list[int]) -> np.ndarray:
+    a = np.array(positions, dtype=np.intp)
+    a.setflags(write=False)
+    return a
+
+
+class _Plan:
+    """An erasure set's decode plan; see `_decode_plan`.
+
+    use, lost and check are read-only intp arrays of positions, coef the
+    read-only coefficient matrix or None, and tables coef's
+    `kernels._Coefficients` handle, which reaches the matrix's gather
+    tables without a memo key and without keeping them alive.
+    """
+
+    __slots__ = ("use", "lost", "check", "coef", "tables")
+
+    def __init__(self, use: list[int], lost: list[int], check: list[int], coef: np.ndarray | None, field: FieldContext):
+        self.use, self.lost, self.check = _indices(use), _indices(lost), _indices(check)
+        self.coef = coef
+        self.tables = None if coef is None else kernels._Coefficients(coef, field)
+
+
+def _decode_plan(code: NpcCode, erased: Iterable[int]) -> _Plan:
+    """The decode plan of an erasure set, from the code's cache.
 
     use is the first k-t surviving positions, lost the erased data
     positions and check the surviving parity positions outside use.
@@ -263,7 +291,9 @@ def _decode_plan(code: NpcCode, erased: Iterable[int]) -> tuple[list[int], list[
     that matrix right of its identity block.  With no data lost, use is
     the data positions, and coef is G[:, check], or None with no check
     position.  data @ G[:, use] equals received[use] by construction, so
-    the consistency check compares check alone.
+    the consistency check compares check alone.  The plan is built once
+    per erasure set, with everything `recover_blocks` reads: the
+    positions as index arrays and a handle on coef's kernel tables.
     """
     key = frozenset(erased)
     plan = code._decode.get(key)
@@ -286,7 +316,7 @@ def _decode_plan(code: NpcCode, erased: Iterable[int]) -> tuple[list[int], list[
         coef = _row_reduce(aug, code.field)[:, d:]
     if coef is not None:
         coef.setflags(write=False)
-    plan = code._decode[key] = (use, lost, coef, check)
+    plan = code._decode[key] = _Plan(use, lost, check, coef, code.field)
     return plan
 
 
@@ -313,9 +343,9 @@ def recover(code: NpcCode, received: Codeword) -> DataBlock:
     """
     if len(received.symbols) != code.k:
         raise CodecError(f"expected {code.k} symbols, got {len(received.symbols)}")
-    use, _, _, check = _decode_plan(code, received.erased)
+    plan = _decode_plan(code, received.erased)
     f = code.field
-    f._check(*(received.symbols[i] for i in use + check))
+    f._check(*(received.symbols[i] for i in np.concatenate((plan.use, plan.check))))
     values = [0 if i in received.erased else s.value for i, s in enumerate(received.symbols)]
     data = recover_blocks(code, np.array([values], dtype=f.symbol_dtype), received.erased)[0]
     return DataBlock(tuple(f.elements(data.tolist())))
@@ -362,16 +392,22 @@ def recover_blocks(code: NpcCode, received: np.ndarray, erased: Iterable[int]) -
     `encode_blocks` returns is the fastest: its codeword positions are
     read as contiguous rows without a transpose.  The data comes back as
     the (n, k-t) transpose of a C-ordered (k-t, n) array: a copy of the
-    received data rows, with the lost ones solved in.
+    received data rows, with the lost ones solved in.  Every batch size
+    and field takes one path: the plan's index arrays pick the rows, and
+    one `kernels._product` call on the plan's matrix and tables gives the
+    lost data and the check symbols, which must equal the received ones
+    byte for byte.
     """
     r = _as_symbol_matrix(received, code.k, code.field)
-    use, lost, coef, check = _decode_plan(code, erased)
-    rows = np.ascontiguousarray(r.T)
+    plan = _decode_plan(code, erased)
+    rows = r.T
     data = rows[: code.data_len].copy()
-    if coef is not None:
+    if plan.tables is not None:
+        lost = plan.lost
         # with no data lost, use is the data positions: their copy is data
-        out = kernels.gf_matmul((rows[use] if lost else data).T, coef, code.field).T
-        data[lost] = out[: len(lost)]
-        if check and not np.array_equal(out[len(lost) :], rows[check]):
+        out = kernels._product(rows.take(plan.use, axis=0) if lost.size else data, plan.tables)
+        if lost.size:
+            data[lost] = out[: lost.size]
+        if plan.check.size and out[lost.size :].tobytes() != rows.take(plan.check, axis=0).tobytes():
             raise InconsistentSymbolsError("surviving symbols fit no codeword")
     return data.T

@@ -372,11 +372,33 @@ def edge_connectivity(g: Graph) -> CutReport:
 
 
 def is_k_edge_connected(g: Graph, k: int) -> bool:
+    """True iff lambda(g) >= k: every cut separating the nodes has k edges.
+
+    Only lambda >= k is asked, so no witness is built and every flow stops
+    at k units.  A node of degree < k answers at once.  Otherwise the flows
+    run as in `edge_connectivity`, with k for the least value so far: one
+    from node 0 to each later node t, or, when t is adjacent to t - 1, a
+    k-unit flow from t - 1 to t on the residual of the last k-unit flow,
+    whose sum is a k-unit flow from node 0 to t.  The first t that neither
+    reaches k units answers False.
+    """
     if k <= 0:
         return True
     if g.num_nodes < 2:
         return False
-    return edge_connectivity(g).value >= k
+    snap = _Snapshot(g)
+    adj = snap.adj
+    if min(len(a) for a in adj) < k:
+        return False
+    net = snap.network()
+    for t in range(1, len(snap.nodes)):
+        # cap holds the last flow, k units from node 0 to t - 1
+        if t > 1 and any(y == t - 1 for _, _, y in adj[t]) and _flow(net, cap, t - 1, t, k)[0] == k:
+            continue
+        cap = net.cap[:]
+        if _flow(net, cap, 0, t, k)[0] < k:
+            return False
+    return True
 
 
 def node_connectivity(g: Graph) -> CutReport:

@@ -523,6 +523,37 @@ def test_simulate_refuses_payload_past_16_mib(monkeypatch, capsys, poly, itemsiz
         assert err.startswith(f"error: --blocks {blocks} ") and err.count("\n") == 1
 
 
+def test_graph_verbs_refuse_graphs_past_the_edge_limit(monkeypatch, tmp_path, capsys):
+    # a stubbed limit of Fig. 2's edge count less one: each verb that reads a
+    # graph refuses it right after the load, before any search (the searches
+    # are stubbed out), and a graph at the limit is read
+    for verb in ("connectivity", "feasibility", "simulate"):
+        with pytest.raises(SystemExit):
+            cli.main([verb, "--help"])
+        assert "at most 200,000 edges" in " ".join(capsys.readouterr().out.split()), verb
+    assert cli.main(["feasibility", "--graph", str(FIG2), "--relaxed"]) == 0
+    report = tmp_path / "report.json"
+    report.write_text(capsys.readouterr().out)
+    edges = len(json.loads(FIG2.read_text())["edges"])
+    monkeypatch.setattr(cli, "_GENERATE_MAX_EDGES", edges - 1)
+    monkeypatch.setattr(cli, "edge_connectivity", None)
+    monkeypatch.setattr(cli, "node_connectivity", None)
+    monkeypatch.setattr(feasibility, "check_single_source", None)
+    monkeypatch.setattr(feasibility, "check_feasibility", None)
+    monkeypatch.setattr(simulator, "run", None)
+    sim = ["simulate", "--k", "3", "--t", "1", "--failures", "L1", "--graph"]
+    for argv in (["connectivity", "--graph", str(FIG2)], ["feasibility", "--graph", str(FIG2)],
+                 [*sim, str(FIG2)], [*sim, str(report)]):
+        assert cli.main(argv) == 2, argv
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: --graph has {edges} edges; this verb reads at most {edges - 1}\n"
+    monkeypatch.undo()
+    monkeypatch.setattr(cli, "_GENERATE_MAX_EDGES", edges)
+    assert cli.main(["connectivity", "--graph", str(FIG2)]) == 0
+    assert json.loads(capsys.readouterr().out)["edges"] == edges
+
+
 _CROSSED = json.dumps({
     "nodes": [{"id": "s1", "role": "source"}, {"id": "s2", "role": "source"},
               {"id": "r1", "role": "receiver"}, {"id": "r2", "role": "receiver"}],

@@ -1,4 +1,8 @@
+import gc
 import random
+import sys
+import threading
+import weakref
 from itertools import combinations
 
 import numpy as np
@@ -411,9 +415,11 @@ def test_decode_plan_matches_oracle(name):
         d = code.data_len
         for _ in range(12):
             erased = rng.sample(range(k), rng.randint(1, t))
-            use, lost, coef, check = codec_module._decode_plan(code, erased)
+            plan = codec_module._decode_plan(code, erased)
+            use, lost, coef, check = plan.use.tolist(), plan.lost.tolist(), plan.coef, plan.check.tolist()
             assert lost == sorted(i for i in erased if i < d)
             assert use == [i for i in range(k) if i not in erased][:d]
+            assert check == [i for i in range(k) if i not in erased][d:]
             if coef is None:
                 assert not check and not lost
                 continue
@@ -432,15 +438,16 @@ def test_decode_plan_matches_oracle(name):
 
 
 def test_decode_plan_makes_no_kernel_call(monkeypatch):
+    # gf_matmul's product runs through _product too, so this counts both
     code = build_code(10, 4, GF8)
     calls = []
-    real = kernels.gf_matmul
+    real = kernels._product
 
-    def counting(a, b, field):
-        calls.append(b.shape)
-        return real(a, b, field)
+    def counting(symbols, coef):
+        calls.append(coef.b.shape)
+        return real(symbols, coef)
 
-    monkeypatch.setattr(kernels, "gf_matmul", counting)
+    monkeypatch.setattr(kernels, "_product", counting)
     for erased in ([0], [2, 7], [1, 3, 5, 8], [6, 9], []):
         codec_module._decode_plan(code, erased)
     assert not calls
@@ -478,29 +485,37 @@ def test_decode_cache_is_per_code(monkeypatch):
         received[:, [0, 3]] = 0
         assert np.array_equal(recover_blocks(code, received, [0, 3]), data)
     assert [f.reduction_poly for f in calls] == [0x11B, 0x11D]
-    assert not np.array_equal(a._decode[frozenset({0, 3})][2], b._decode[frozenset({0, 3})][2])
+    assert not np.array_equal(a._decode[frozenset({0, 3})].coef, b._decode[frozenset({0, 3})].coef)
 
 
 def test_one_kernel_call_per_warm_recovery(monkeypatch):
     # erasing data position 1 of a [8, 5] code leaves use = [0, 2, 3, 4, 5]
     # and check = [6, 7]: the data and the check symbols come from one
     # product; parity-only erasures need one product for the check, and
-    # t of them none at all
+    # t of them none at all.  A warm recovery reaches its tables through the
+    # plan: it builds no memo key and neither calls nor re-checks like
+    # gf_matmul
     code = build_code(8, 3, GF8)
     data = np.random.default_rng(37).integers(0, 256, size=(64, 5), dtype=np.uint8)
     sent = encode_blocks(code, data)
     calls = []
-    real = kernels.gf_matmul
+    real = kernels._product
 
-    def counting(a, b, field):
-        calls.append(b.shape)
-        return real(a, b, field)
+    def counting(symbols, coef):
+        calls.append(coef.b.shape)
+        return real(symbols, coef)
+
+    def refused(*args):
+        raise AssertionError("called on a warm recovery")
 
     for erased, products in (([1], 1), ([0, 6], 1), ([5], 1), ([5, 6, 7], 0)):
         received = sent.copy()
         received[:, erased] = 0
         assert np.array_equal(recover_blocks(code, received, erased), data)  # plan now cached
-        monkeypatch.setattr(kernels, "gf_matmul", counting)
+        monkeypatch.setattr(kernels, "_product", counting)
+        for name in ("gf_matmul", "_symbols_in_range"):
+            monkeypatch.setattr(kernels, name, refused)
+        monkeypatch.setattr(kernels._TABLES, "tables", refused)
         calls.clear()
         assert np.array_equal(recover_blocks(code, received, erased), data)
         assert len(calls) == products, (erased, calls)
@@ -520,13 +535,39 @@ def test_corruption_detected_past_the_row_gather_cut_off(m):
     erased = [1]
     sent[:, erased] = 0
     assert np.array_equal(recover_blocks(code, sent, erased), data)
-    use, _, _, check = codec_module._decode_plan(code, erased)
-    assert check
-    for pos in (check[0], use[-1]):
+    plan = codec_module._decode_plan(code, erased)
+    assert plan.check.size
+    for pos in (plan.check[0], plan.use[-1]):
         received = sent.copy()
         received[n - 1, pos] ^= 1
         with pytest.raises(InconsistentSymbolsError):
             recover_blocks(code, received, erased)
+
+
+@pytest.mark.parametrize("m", [8, 16])
+def test_corruption_detected_on_a_cached_plan(m, monkeypatch):
+    # the row gather's twin of the test above: the plan is compiled by a
+    # clean recovery of a short batch, then one flipped check symbol, and
+    # one flipped use symbol, must each fail the byte compare
+    field = FieldContext(m)
+    code = build_code(12, 4, field)
+    rng = np.random.default_rng(m)
+    data = rng.integers(0, field.order, size=(64, 8), dtype=field.symbol_dtype)
+    sent = encode_blocks(code, data)
+    erased = [2, 9]
+    sent[:, erased] = 0
+    assert np.array_equal(recover_blocks(code, sent, erased), data)
+    plan = code._decode[frozenset(erased)]
+    ran = []
+    real = kernels._row_gather
+    monkeypatch.setattr(kernels, "_row_gather", lambda *args: ran.append(args) or real(*args))
+    for pos in (plan.check[0], plan.use[-1]):
+        received = sent.copy()
+        received[rng.integers(64), pos] ^= 1
+        with pytest.raises(InconsistentSymbolsError):
+            recover_blocks(code, received, erased)
+    assert len(ran) == 2
+    assert code._decode[frozenset(erased)] is plan
 
 
 @pytest.mark.parametrize("m", [8, 16])
@@ -548,6 +589,151 @@ def test_recover_blocks_leaves_received_alone(m, long):
             assert np.array_equal(got, data), erased
             assert np.array_equal(received, before)
             assert not np.shares_memory(got, received)
+
+
+# -- the compiled decode plan --------------------------------------------------------
+
+GF16 = FieldContext(16)
+_PLAN_CODES: dict = {}
+
+
+def _row_gather_blocks(field):
+    """The longest batch, in blocks, that the kernel's row gather takes."""
+    return kernels._ROW_GATHER_BYTES // field.symbol_dtype.itemsize
+
+
+@st.composite
+def _plan_cases(draw):
+    """(code, data, erased): k <= 16, t <= 4, a batch at either side of the
+    row gather's cut-off, and a data, parity or mixed erasure set."""
+    field = draw(st.sampled_from([GF8, GF16]))
+    k = draw(st.integers(2, 16))
+    t = draw(st.integers(1, min(4, k - 1)))
+    d = k - t
+    kind = draw(st.sampled_from(["data", "parity", "mixed"] if t > 1 else ["data", "parity"]))
+    if kind == "data":
+        erased = draw(st.lists(st.integers(0, d - 1), min_size=1, max_size=min(t, d), unique=True))
+    elif kind == "parity":
+        erased = draw(st.lists(st.integers(d, k - 1), min_size=1, max_size=t, unique=True))
+    else:
+        data_part = draw(st.lists(st.integers(0, d - 1), min_size=1, max_size=min(t - 1, d), unique=True))
+        erased = data_part + draw(st.lists(st.integers(d, k - 1), min_size=1,
+                                           max_size=t - len(data_part), unique=True))
+    cut = _row_gather_blocks(field)
+    n = draw(st.sampled_from([1, 64, cut, cut + 1]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    data = rng.integers(0, field.order, size=(n, d), dtype=field.symbol_dtype)
+    key = (field.m, k, t)
+    if key not in _PLAN_CODES:
+        _PLAN_CODES[key] = build_code(k, t, field)
+    return _PLAN_CODES[key], data, erased
+
+
+@settings(max_examples=60, deadline=None)
+@given(_plan_cases())
+def test_property_compiled_plan_round_trip(case):
+    # encode_blocks' column-major view, a C-ordered copy and a strided slice,
+    # each recovered twice: first compiling the plan, then reusing it
+    code, data, erased = case
+    key = frozenset(erased)
+    sent = encode_blocks(code, data)
+    spread = np.zeros((2 * len(data), code.k), dtype=sent.dtype)
+    spread[::2] = sent
+    for received in (encode_blocks(code, data), np.ascontiguousarray(sent), spread[::2]):
+        received[:, erased] = 0
+        before = received.copy()
+        code._decode.pop(key, None)
+        first = recover_blocks(code, received, erased)
+        plan = code._decode[key]
+        second = recover_blocks(code, received, erased)
+        assert code._decode[key] is plan
+        for got in (first, second):
+            assert got.dtype == code.field.symbol_dtype and got.T.flags.c_contiguous
+            assert np.array_equal(got, data)
+            assert not np.shares_memory(got, received)
+        assert not np.shares_memory(first, second)
+        assert np.array_equal(received, before)
+
+
+def test_plan_does_not_keep_evicted_tables_alive(monkeypatch):
+    # a memo that holds one 8 x 4 row table: compiling a second pattern's plan
+    # evicts the first's table, which the first plan then must not keep
+    # alive, and its next recovery looks the table up again, exactly
+    code = build_code(12, 4, GF8)
+    data = np.random.default_rng(41).integers(0, 256, size=(64, 8), dtype=np.uint8)
+    sent = encode_blocks(code, data)
+    tables, size = kernels._row_table(np.zeros((8, 4), dtype=np.uint8), GF8)
+    memo = kernels._TableMemo(size + size // 2)
+    monkeypatch.setattr(kernels, "_TABLES", memo)
+
+    def recover_with(erased):
+        received = sent.copy()
+        received[:, erased] = 0
+        assert np.array_equal(recover_blocks(code, received, erased), data)
+        return code._decode[frozenset(erased)]
+
+    first = recover_with([0])
+    [(table, _)] = [entry for entry, _ in memo._entries.values()]
+    gone = weakref.ref(table)
+    del table
+    assert first.tables.tables(kernels._row_table)[0] is gone()
+    recover_with([1])
+    gc.collect()
+    assert gone() is None
+    assert memo.nbytes <= memo.budget and len(memo._entries) == 1
+    assert recover_with([0]) is first
+    assert memo.nbytes <= memo.budget
+
+
+def test_shared_plans_under_concurrent_recoveries(monkeypatch):
+    # more threads than cores and a short switch interval, on one code's
+    # shared plans and a memo that holds two of the six plan matrices'
+    # tables, so handles go stale and look their tables up again all along:
+    # every recovery must be exact, and the memo within its budget
+    code = build_code(12, 4, GF8)
+    data = np.random.default_rng(43).integers(0, 256, size=(64, 8), dtype=np.uint8)
+    sent = encode_blocks(code, data)
+    patterns = [[0], [1], [2, 9], [3, 4], [5, 6, 7], [0, 11]]
+    received = []
+    for erased in patterns:
+        r = sent.copy()
+        r[:, erased] = 0
+        received.append(r)
+    _, size = kernels._row_table(np.zeros((8, 4), dtype=np.uint8), GF8)
+    memo = kernels._TableMemo(2 * size)
+    monkeypatch.setattr(kernels, "_TABLES", memo)
+    wrong = []
+
+    def work(offset):
+        for i in range(120):
+            j = (i + offset) % len(patterns)
+            if not np.array_equal(recover_blocks(code, received[j], patterns[j]), data):
+                wrong.append(j)
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(6)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert not wrong
+    assert memo.nbytes == sum(size for _, size in memo._entries.values()) <= memo.budget
+
+
+def test_plan_index_arrays_are_read_only():
+    code = build_code(9, 3, GF8)
+    plan = codec_module._decode_plan(code, [1, 7])
+    assert (plan.use.tolist(), plan.lost.tolist(), plan.check.tolist()) == ([0, 2, 3, 4, 5, 6], [1], [8])
+    for a in (plan.use, plan.lost, plan.check, plan.coef):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 0
+    assert plan.use.dtype == plan.lost.dtype == plan.check.dtype == np.intp
 
 
 def test_invalid_erasure_sets_are_not_cached():

@@ -205,6 +205,23 @@ def test_is_k_edge_connected():
             assert not is_k_edge_connected(h, k + 1)
 
 
+@st.composite
+def _small_multigraphs(draw):
+    """Up to 10 nodes: random edges, many of them parallel, over 0-2 copies of a ring."""
+    n = draw(st.integers(2, 10))
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda uv: uv[0] != uv[1])
+    ring = [(i, (i + 1) % n) for i in range(n)] * draw(st.integers(0, 2))
+    return graph_from_pairs(n, ring + draw(st.lists(pair, max_size=25)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_small_multigraphs())
+def test_is_k_edge_connected_matches_edge_connectivity(g):
+    value = edge_connectivity(g).value
+    for k in range(max(g.degree(v) for v in g.nodes) + 2):
+        assert is_k_edge_connected(g, k) == (value >= k), k
+
+
 def test_whitney_on_corpus_upto_5():
     for n, pairs in connected_graph_corpus(5):
         g = graph_from_pairs(n, pairs)

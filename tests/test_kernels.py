@@ -222,7 +222,7 @@ def test_decode_plan_gathers_only_what_it_lost(monkeypatch):
     received = encode_blocks(code, data)
     received[:, 0] = 0
     assert np.array_equal(recover_blocks(code, received, [0]), data)
-    coef = _decode_plan(code, [0])[2]
+    coef = _decode_plan(code, [0]).coef
     assert coef.shape == (8, 4)
     [(cols, tables)] = _word_entry(memo, coef)
     assert range(4)[cols] == range(4)
