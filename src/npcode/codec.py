@@ -21,13 +21,13 @@ lost data and the surviving parity symbols the data must reproduce, at
 most t columns, so a recovery makes at most one call of the kernel's
 unchecked product, `kernels._product` (m <= 16).  A plan is compiled
 once with all that call needs: its positions as read-only index arrays,
-its checked matrix, and a handle on the matrix's kernel tables, so a
-repeated pattern does only the gathers and the byte compare of the
-check symbols.  `encode_blocks` calls `kernels.gf_matmul`.
+its checked matrix and that matrix's memo key, so a repeated pattern
+does only the gathers and the byte compare of the check symbols.
+`encode_blocks` calls `kernels.gf_matmul`.
 The kernel keeps its tables for a coefficient matrix (a parity matrix,
 a decode plan's matrix) in its own memo, within the byte budget
-`kernels.TABLE_MEMO_BYTES`; the plan's handle refers to them weakly, so
-the memo alone bounds their memory.
+`kernels.TABLE_MEMO_BYTES`; a plan holds only the key, so the memo alone
+bounds their memory.
 The scalar `encode` and `recover` are one-row calls of `encode_blocks`
 and `recover_blocks`.  FieldElement stays at the API edge: data blocks,
 codewords and `NpcCode.parity`.
@@ -262,17 +262,17 @@ class _Plan:
     """An erasure set's decode plan; see `_decode_plan`.
 
     use, lost and check are read-only intp arrays of positions, coef the
-    read-only coefficient matrix or None, and tables coef's
-    `kernels._Coefficients` handle, which reaches the matrix's gather
-    tables without a memo key and without keeping them alive.
+    read-only coefficient matrix or None, and key coef's
+    `kernels._memo_key`, which finds its gather tables in the kernel's
+    memo without keeping them alive.
     """
 
-    __slots__ = ("use", "lost", "check", "coef", "tables")
+    __slots__ = ("use", "lost", "check", "coef", "key")
 
     def __init__(self, use: list[int], lost: list[int], check: list[int], coef: np.ndarray | None, field: FieldContext):
         self.use, self.lost, self.check = _indices(use), _indices(lost), _indices(check)
         self.coef = coef
-        self.tables = None if coef is None else kernels._Coefficients(coef, field)
+        self.key = None if coef is None else kernels._memo_key(coef, field)
 
 
 def _decode_plan(code: NpcCode, erased: Iterable[int]) -> _Plan:
@@ -293,7 +293,7 @@ def _decode_plan(code: NpcCode, erased: Iterable[int]) -> _Plan:
     position.  data @ G[:, use] equals received[use] by construction, so
     the consistency check compares check alone.  The plan is built once
     per erasure set, with everything `recover_blocks` reads: the
-    positions as index arrays and a handle on coef's kernel tables.
+    positions as index arrays and coef's kernel memo key.
     """
     key = frozenset(erased)
     plan = code._decode.get(key)
@@ -394,7 +394,7 @@ def recover_blocks(code: NpcCode, received: np.ndarray, erased: Iterable[int]) -
     the (n, k-t) transpose of a C-ordered (k-t, n) array: a copy of the
     received data rows, with the lost ones solved in.  Every batch size
     and field takes one path: the plan's index arrays pick the rows, and
-    one `kernels._product` call on the plan's matrix and tables gives the
+    one `kernels._product` call on the plan's matrix and key gives the
     lost data and the check symbols, which must equal the received ones
     byte for byte.
     """
@@ -402,10 +402,10 @@ def recover_blocks(code: NpcCode, received: np.ndarray, erased: Iterable[int]) -
     plan = _decode_plan(code, erased)
     rows = r.T
     data = rows[: code.data_len].copy()
-    if plan.tables is not None:
+    if plan.coef is not None:
         lost = plan.lost
         # with no data lost, use is the data positions: their copy is data
-        out = kernels._product(rows.take(plan.use, axis=0) if lost.size else data, plan.tables)
+        out = kernels._product(rows.take(plan.use, axis=0) if lost.size else data, plan.coef, code.field, plan.key)
         if lost.size:
             data[lost] = out[: lost.size]
         if plan.check.size and out[lost.size :].tobytes() != rows.take(plan.check, axis=0).tobytes():

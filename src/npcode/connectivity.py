@@ -329,76 +329,73 @@ def max_edge_disjoint_paths(g: Graph, s: str, r: str) -> DisjointPathSet:
     return snap.path_set([_walk_path(net, cap, x, y) for _ in range(value)], [(x, y)] * value)
 
 
+def _short_flows(snap: _Snapshot, net: _Network, bound: int | None):
+    """Yield (value, parent) for each node t whose flow from node 0 falls
+    short of the least value so far, which starts at bound (None: no bound).
+
+    One flow runs from node 0 to each later node t, stopped at the least
+    value L so far; each yielded value is the new L, and parent the flow's
+    last BFS tree, whose reached nodes are the minimal cut's source side.
+    The flow to t - 1 carries L units (f).  When t is adjacent to t - 1,
+    the sink changes first: a flow g of L units from t - 1 to t on f's
+    residual makes f + g an L-unit flow from 0 to t, so lambda(0, t) >= L
+    and t cannot fall short.  Conversely, for any L-unit flow f' from 0
+    to t, f' - f is an L-unit flow from t - 1 to t on f's residual, so g
+    falls short only when lambda(0, t) < L.  Then, and when t is not
+    adjacent to t - 1 or has fewer than L edges (so lambda(0, t) < L), t
+    gets the fresh flow from node 0 it would get without the chain.
+    Adjacency keeps the chained search local: on dense random graphs,
+    chaining to a far sink costs more than a fresh flow.
+    """
+    adj = snap.adj
+    for t in range(1, len(snap.nodes)):
+        # cap holds the last flow, bound units from node 0 to t - 1
+        if (t > 1 and len(adj[t]) >= bound and any(y == t - 1 for _, _, y in adj[t])
+                and _flow(net, cap, t - 1, t, bound)[0] == bound):
+            continue
+        cap = net.cap[:]
+        value, parent = _flow(net, cap, 0, t, bound)
+        if parent is not None:
+            bound = value
+            yield value, parent
+
+
 def edge_connectivity(g: Graph) -> CutReport:
     """Size and witness of a smallest edge cut (0 if already disconnected).
 
-    One flow runs from node 0 to each later node t, stopped at the least
-    value L so far (the first runs to the end); the witness is the minimal
-    cut of the last t whose flow fell short of L, the first to reach the
-    minimum.  The flow to t - 1 carries L units (f).  When t is adjacent
-    to t - 1, the sink changes first: a flow g of L units from t - 1 to t
-    on f's residual makes f + g an L-unit flow from 0 to t, so
-    lambda(0, t) >= L and t cannot change the answer.  Conversely, for any
-    L-unit flow f' from 0 to t, f' - f is an L-unit flow from t - 1 to t
-    on f's residual, so g falls short only when lambda(0, t) < L.  Then,
-    and when t is not adjacent to t - 1 or has fewer than L edges (so
-    lambda(0, t) < L), t gets the fresh flow from node 0 it would get
-    without the chain.  Adjacency keeps the chained search local: on dense
-    random graphs, chaining to a far sink costs more than a fresh flow.
+    The flows are `_short_flows`' with no bound, so the first runs to the
+    end; the witness is the minimal cut of the last flow that fell short,
+    the first to reach the minimum.
     """
     if g.num_nodes < 2:
         raise GraphError("edge connectivity needs at least 2 nodes")
     snap = _Snapshot(g)
-    adj = snap.adj
-    if min(_distances(adj, 0, snap.full)) < 0:
+    if min(_distances(snap.adj, 0, snap.full)) < 0:
         return CutReport(0, ())
-    net = snap.network()
-    best_value = None
-    best_witness: tuple[str, ...] = ()
-    for t in range(1, len(snap.nodes)):
-        # cap holds the last flow, best_value units from node 0 to t - 1
-        if (t > 1 and len(adj[t]) >= best_value and any(y == t - 1 for _, _, y in adj[t])
-                and _flow(net, cap, t - 1, t, best_value)[0] == best_value):
-            continue
-        cap = net.cap[:]
-        value, parent = _flow(net, cap, 0, t, best_value)
-        if parent is not None:
-            best_value = value
-            best_witness = tuple(
-                e for e, (u, v) in zip(snap.edges, snap.edge_ends)
-                if (parent[u] == -1) != (parent[v] == -1)
-            )
-    return CutReport(best_value, best_witness)
+    for value, parent in _short_flows(snap, snap.network(), None):
+        pass
+    witness = tuple(
+        e for e, (u, v) in zip(snap.edges, snap.edge_ends)
+        if (parent[u] == -1) != (parent[v] == -1)
+    )
+    return CutReport(value, witness)
 
 
 def is_k_edge_connected(g: Graph, k: int) -> bool:
     """True iff lambda(g) >= k: every cut separating the nodes has k edges.
 
-    Only lambda >= k is asked, so no witness is built and every flow stops
-    at k units.  A node of degree < k answers at once.  Otherwise the flows
-    run as in `edge_connectivity`, with k for the least value so far: one
-    from node 0 to each later node t, or, when t is adjacent to t - 1, a
-    k-unit flow from t - 1 to t on the residual of the last k-unit flow,
-    whose sum is a k-unit flow from node 0 to t.  The first t that neither
-    reaches k units answers False.
+    Only lambda >= k is asked, so no witness is built: a node of degree
+    < k answers at once, and otherwise `_short_flows` runs with bound k,
+    every flow stopping at k units, until the first one that falls short.
     """
     if k <= 0:
         return True
     if g.num_nodes < 2:
         return False
     snap = _Snapshot(g)
-    adj = snap.adj
-    if min(len(a) for a in adj) < k:
+    if min(len(a) for a in snap.adj) < k:
         return False
-    net = snap.network()
-    for t in range(1, len(snap.nodes)):
-        # cap holds the last flow, k units from node 0 to t - 1
-        if t > 1 and any(y == t - 1 for _, _, y in adj[t]) and _flow(net, cap, t - 1, t, k)[0] == k:
-            continue
-        cap = net.cap[:]
-        if _flow(net, cap, 0, t, k)[0] < k:
-            return False
-    return True
+    return next(_short_flows(snap, snap.network(), k), None) is None
 
 
 def node_connectivity(g: Graph) -> CutReport:

@@ -17,8 +17,8 @@ as the transpose of a C-ordered (mm, n) array.
 `gf_matmul` checks its operands, then runs `_product`, the unchecked
 product on (kk, n) symbol rows, which `codec.encode_blocks` reaches
 through `gf_matmul` and `codec.recover_blocks` calls directly with a
-decode plan's matrix, checked once when the plan was built.  `_product`
-picks the gather from the input alone: a batch of up to
+decode plan's matrix and memo key, both made once when the plan was
+built.  `_product` picks the gather from the input alone: a batch of up to
 `_ROW_GATHER_BYTES` bytes per input column (n symbols of 1 or 2 bytes)
 takes the row gather, a longer one the word gather.  With no input
 column (kk = 0) there is nothing to gather, and the row gather's XOR
@@ -50,16 +50,15 @@ and b's dtype, shape and bytes, and evicted oldest first to stay within
 `TABLE_MEMO_BYTES`.  A matrix's row table takes kk * planes * entries *
 mm symbols, and its word tables up to kk * planes * entries *
 ceil(mm / lanes) * 8 bytes (q entries for m <= 8, 256 above); tables
-that exceed the whole budget are not kept.  The gathers reach the memo
-through a `_Coefficients` handle: `gf_matmul` makes one per call, and a
-decode plan keeps its own, whose weak references skip the memo key on a
-repeat and leave the tables owned by the memo alone.
+that exceed the whole budget are not kept.  The gathers look their
+tables up by b's `_memo_key`: `gf_matmul` builds it on every call, and a
+decode plan keeps its own, so a repeated recovery builds none.  Only the
+memo holds the tables, so the budget bounds their memory.
 """
 
 from __future__ import annotations
 
 import threading
-import weakref
 
 import numpy as np
 
@@ -108,14 +107,7 @@ def _symbols_in_range(a: np.ndarray, order: int) -> bool:
     return not a.size or (int(a.min()) >= 0 and int(a.max()) < order)
 
 
-class _Tables(list):
-    """One matrix's tables of one kind, as the memo keeps them: a list, so
-    that a `_Coefficients` handle can refer to it weakly (a tuple cannot)."""
-
-    __slots__ = ("__weakref__",)
-
-
-def _row_table(b: np.ndarray, field: FieldContext) -> tuple[_Tables, int]:
+def _row_table(b: np.ndarray, field: FieldContext) -> tuple[tuple[np.ndarray, np.ndarray], int]:
     """(the row table of b, the plane offsets into it), with their bytes.
 
     Row (l * planes + p) * entries + x of the read-only (kk * planes *
@@ -128,10 +120,10 @@ def _row_table(b: np.ndarray, field: FieldContext) -> tuple[_Tables, int]:
     table = np.ascontiguousarray(products.transpose(0, 2, 3, 1)).reshape(kk * planes * entries, mm)
     table.setflags(write=False)
     offsets = np.arange(0, kk * planes * entries, entries, dtype=np.intp)[:, None]
-    return _Tables([table, offsets]), table.nbytes + offsets.nbytes
+    return (table, offsets), table.nbytes + offsets.nbytes
 
 
-def _word_tables(b: np.ndarray, field: FieldContext) -> tuple[_Tables, int]:
+def _word_tables(b: np.ndarray, field: FieldContext) -> tuple[list, int]:
     """The chunks of b's columns, with their bytes.
 
     The chunks take the columns in order, as many per chunk as a word
@@ -143,7 +135,7 @@ def _word_tables(b: np.ndarray, field: FieldContext) -> tuple[_Tables, int]:
     """
     lane = field.symbol_dtype
     per_word = _WORD_BYTES // lane.itemsize
-    chunks = _Tables()
+    chunks = []
     for c0 in range(0, b.shape[1], per_word):
         cols = slice(c0, c0 + per_word)
         products = field.plane_products(b[:, cols])
@@ -173,9 +165,10 @@ class _TableMemo:
         self._entries: dict[tuple, tuple[object, int]] = {}
         self._lock = threading.Lock()
 
-    def tables(self, build, field: FieldContext, b: np.ndarray):
-        """`build(b, field)`'s tables, for a b whose entries are already checked."""
-        key = (build, field.m, field.reduction_poly, b.dtype, b.shape, b.tobytes())
+    def tables(self, build, field: FieldContext, b: np.ndarray, key: tuple):
+        """`build(b, field)`'s tables, for a b whose entries are already
+        checked and whose `_memo_key` is key."""
+        key = (build, *key)
         entry = self._entries.get(key)
         if entry is not None:
             return entry[0]
@@ -193,30 +186,10 @@ class _TableMemo:
 _TABLES = _TableMemo(TABLE_MEMO_BYTES)
 
 
-class _Coefficients:
-    """A checked (kk, mm) coefficient matrix, with weak handles on its tables.
-
-    The first read of a kind of table looks it up in `_TABLES` and keeps a
-    weak reference to it; later reads follow that reference and build no
-    memo key.  The memo alone owns the tables, so once it evicts them they
-    are freed, and the next read looks them up again.
-    """
-
-    __slots__ = ("b", "field", "_refs")
-
-    def __init__(self, b: np.ndarray, field: FieldContext):
-        self.b = b
-        self.field = field
-        self._refs: dict = {}
-
-    def tables(self, build) -> _Tables:
-        """The tables that `build` makes for this matrix."""
-        ref = self._refs.get(build)
-        tables = None if ref is None else ref()
-        if tables is None:
-            tables = _TABLES.tables(build, self.field, self.b)
-            self._refs[build] = weakref.ref(tables)
-        return tables
+def _memo_key(b: np.ndarray, field: FieldContext) -> tuple:
+    """b's memo key, less the kind of table: the field's (m, polynomial)
+    and b's dtype, shape and bytes."""
+    return (field.m, field.reduction_poly, b.dtype, b.shape, b.tobytes())
 
 
 def _planes(symbols: np.ndarray) -> np.ndarray:
@@ -231,20 +204,20 @@ def _planes(symbols: np.ndarray) -> np.ndarray:
     return planes.reshape(2 * kk, n)
 
 
-def _row_gather(symbols: np.ndarray, coef: _Coefficients) -> np.ndarray:
+def _row_gather(symbols: np.ndarray, b: np.ndarray, field: FieldContext, key: tuple) -> np.ndarray:
     """The (mm, n) product of the symbol rows: one take, one XOR reduce."""
-    table, offsets = coef.tables(_row_table)
+    table, offsets = _TABLES.tables(_row_table, field, b, key)
     products = table.take(_planes(symbols) + offsets, axis=0)
     return np.ascontiguousarray(np.bitwise_xor.reduce(products, axis=0).T)
 
 
-def _word_gather(symbols: np.ndarray, coef: _Coefficients) -> np.ndarray:
+def _word_gather(symbols: np.ndarray, b: np.ndarray, field: FieldContext, key: tuple) -> np.ndarray:
     """The (mm, n) product of the symbol rows: word-table gathers per chunk."""
     lane = symbols.dtype
     n = symbols.shape[1]
-    out = np.empty((coef.b.shape[1], n), dtype=lane)
+    out = np.empty((b.shape[1], n), dtype=lane)
     planes = _planes(symbols)
-    for cols, tables in coef.tables(_word_tables):
+    for cols, tables in _TABLES.tables(_word_tables, field, b, key):
         block = out[cols]
         word = tables.itemsize
         step = _SLICE_BYTES // word
@@ -263,18 +236,18 @@ def _word_gather(symbols: np.ndarray, coef: _Coefficients) -> np.ndarray:
     return out
 
 
-def _product(symbols: np.ndarray, coef: _Coefficients) -> np.ndarray:
-    """The C-ordered (mm, n) product of (kk, n) symbol rows by coef's matrix.
+def _product(symbols: np.ndarray, b: np.ndarray, field: FieldContext, key: tuple) -> np.ndarray:
+    """The C-ordered (mm, n) product of (kk, n) symbol rows by b.
 
     Nothing is checked: the rows must be in the field's symbol dtype, in
-    any layout, and coef's matrix (kk, mm) with entries below the field
-    order.  A batch of up to `_ROW_GATHER_BYTES` bytes per input column
-    takes the row gather, a longer one the word gather.
+    any layout, b a (kk, mm) matrix with entries below the field order,
+    and key its `_memo_key`.  A batch of up to `_ROW_GATHER_BYTES` bytes
+    per input column takes the row gather, a longer one the word gather.
     """
     kk, n = symbols.shape
     if kk and n * symbols.itemsize > _ROW_GATHER_BYTES:
-        return _word_gather(symbols, coef)
-    return _row_gather(symbols, coef)
+        return _word_gather(symbols, b, field, key)
+    return _row_gather(symbols, b, field, key)
 
 
 def gf_matmul(a: np.ndarray, b: np.ndarray, field: FieldContext) -> np.ndarray:
@@ -292,4 +265,4 @@ def gf_matmul(a: np.ndarray, b: np.ndarray, field: FieldContext) -> np.ndarray:
         raise ValueError(f"coefficients must have shape ({kk}, mm), got {b.shape}")
     if not _symbols_in_range(b, field.order):
         raise ValueError(f"coefficients must be integers in [0, {field.order})")
-    return _product(symbols, _Coefficients(b, field)).T
+    return _product(symbols, b, field, _memo_key(b, field)).T

@@ -443,9 +443,9 @@ def test_decode_plan_makes_no_kernel_call(monkeypatch):
     calls = []
     real = kernels._product
 
-    def counting(symbols, coef):
-        calls.append(coef.b.shape)
-        return real(symbols, coef)
+    def counting(symbols, b, field, key):
+        calls.append(b.shape)
+        return real(symbols, b, field, key)
 
     monkeypatch.setattr(kernels, "_product", counting)
     for erased in ([0], [2, 7], [1, 3, 5, 8], [6, 9], []):
@@ -492,8 +492,8 @@ def test_one_kernel_call_per_warm_recovery(monkeypatch):
     # erasing data position 1 of a [8, 5] code leaves use = [0, 2, 3, 4, 5]
     # and check = [6, 7]: the data and the check symbols come from one
     # product; parity-only erasures need one product for the check, and
-    # t of them none at all.  A warm recovery reaches its tables through the
-    # plan: it builds no memo key and neither calls nor re-checks like
+    # t of them none at all.  A warm recovery looks its tables up by the
+    # plan's memo key: it builds no key and neither calls nor re-checks like
     # gf_matmul
     code = build_code(8, 3, GF8)
     data = np.random.default_rng(37).integers(0, 256, size=(64, 5), dtype=np.uint8)
@@ -501,9 +501,9 @@ def test_one_kernel_call_per_warm_recovery(monkeypatch):
     calls = []
     real = kernels._product
 
-    def counting(symbols, coef):
-        calls.append(coef.b.shape)
-        return real(symbols, coef)
+    def counting(symbols, b, field, key):
+        calls.append(b.shape)
+        return real(symbols, b, field, key)
 
     def refused(*args):
         raise AssertionError("called on a warm recovery")
@@ -513,9 +513,8 @@ def test_one_kernel_call_per_warm_recovery(monkeypatch):
         received[:, erased] = 0
         assert np.array_equal(recover_blocks(code, received, erased), data)  # plan now cached
         monkeypatch.setattr(kernels, "_product", counting)
-        for name in ("gf_matmul", "_symbols_in_range"):
+        for name in ("gf_matmul", "_symbols_in_range", "_memo_key"):
             monkeypatch.setattr(kernels, name, refused)
-        monkeypatch.setattr(kernels._TABLES, "tables", refused)
         calls.clear()
         assert np.array_equal(recover_blocks(code, received, erased), data)
         assert len(calls) == products, (erased, calls)
@@ -676,7 +675,7 @@ def test_plan_does_not_keep_evicted_tables_alive(monkeypatch):
     [(table, _)] = [entry for entry, _ in memo._entries.values()]
     gone = weakref.ref(table)
     del table
-    assert first.tables.tables(kernels._row_table)[0] is gone()
+    assert memo._entries[(kernels._row_table, *first.key)][0][0] is gone()
     recover_with([1])
     gc.collect()
     assert gone() is None
@@ -688,7 +687,7 @@ def test_plan_does_not_keep_evicted_tables_alive(monkeypatch):
 def test_shared_plans_under_concurrent_recoveries(monkeypatch):
     # more threads than cores and a short switch interval, on one code's
     # shared plans and a memo that holds two of the six plan matrices'
-    # tables, so handles go stale and look their tables up again all along:
+    # tables, so plans find their tables evicted and rebuild them all along:
     # every recovery must be exact, and the memo within its budget
     code = build_code(12, 4, GF8)
     data = np.random.default_rng(43).integers(0, 256, size=(64, 8), dtype=np.uint8)
