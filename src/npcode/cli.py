@@ -36,7 +36,9 @@ __all__ = ["main"]
 
 # Work limits, checked before any work.  _GENERATE_MAX_EDGES bounds the
 # graphs `generate` builds and those `connectivity`, `feasibility` and
-# `simulate` read.  At each limit, on a 2-core host:
+# `simulate` read; these also read at most one more node than that, the
+# most `generate` emits (`--minimal-witness 200001 1 single_source`).
+# At each limit, on a 2-core host:
 # `generate --harary 100000 4` took 2.5 s and 352 MB peak, a 16 MiB
 # `simulate` payload (k=3, t=1) 0.6 s and 143 MB, and `build_code` on
 # GF(2^16) 3.3 s at k = 1024, t = 512 (0.7 s at k = 512).
@@ -115,13 +117,6 @@ def _instance_json(inst: feasibility.ProtectionInstance) -> dict:
     }
 
 
-def _pairs(inst, pairing) -> list[tuple[str, str]]:
-    """The instance's (source, receiver) pairs, in a report's pairing if it has one."""
-    if pairing is not None and len(inst.sources) > 1:
-        return list(zip(inst.sources, pairing))
-    return inst.pairs()
-
-
 def _report_json(inst, report) -> dict:
     return {
         "feasible": report.feasible,
@@ -130,7 +125,7 @@ def _report_json(inst, report) -> dict:
         "pairing": list(report.pairing) if report.pairing else None,
         "k_edge_connected": report.k_edge_connected,
         "hamiltonian": report.hamiltonian,
-        "paths": _paths_json(report.paths, _pairs(inst, report.pairing)) if report.paths else None,
+        "paths": _paths_json(report.paths, inst.pairs(report.pairing)) if report.paths else None,
         "source_tree": list(report.source_tree),
         "receiver_tree": list(report.receiver_tree),
         "certificate": list(report.certificate),
@@ -150,11 +145,15 @@ def _check_edges(option: str, n: int, k: int, edges: int) -> None:
 
 
 def _load_graph(text: str) -> Graph:
-    """The graph of a JSON document, refused past the edge limit before any search."""
+    """The graph of a JSON document, refused past the edge or node limit before any search."""
     g = load(text)
     if g.num_edges > _GENERATE_MAX_EDGES:
         raise _UsageError(
             f"--graph has {g.num_edges} edges; this verb reads at most {_GENERATE_MAX_EDGES}"
+        )
+    if g.num_nodes > _GENERATE_MAX_EDGES + 1:
+        raise _UsageError(
+            f"--graph has {g.num_nodes} nodes; this verb reads at most {_GENERATE_MAX_EDGES + 1}"
         )
     return g
 
@@ -423,7 +422,7 @@ def _cmd_simulate(args) -> int:
             "field": _field_json(field),
             "blocks": args.blocks,
             "seed": args.seed,
-            "provisioned": _paths_json(report.provisioned, _pairs(inst, pairing)),
+            "provisioned": _paths_json(report.provisioned, inst.pairs(pairing)),
         }
     )
     return 0 if report.recovered else 1
@@ -452,7 +451,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=_cmd_generate)
 
-    graph_help = f"graph JSON file, - for stdin; at most {_GENERATE_MAX_EDGES:,} edges"
+    graph_limit = f"at most {_GENERATE_MAX_EDGES:,} edges and {_GENERATE_MAX_EDGES + 1:,} nodes"
+    graph_help = f"graph JSON file, - for stdin; {graph_limit}"
     p = sub.add_parser("connectivity", help="edge and node connectivity with witnesses")
     p.add_argument("--graph", default="-", help=graph_help)
     p.set_defaults(func=_cmd_connectivity)
@@ -493,7 +493,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="full protection drill on a graph or report")
     p.add_argument("--graph", default="-",
-                   help=f"graph or feasibility-report JSON; at most {_GENERATE_MAX_EDGES:,} edges")
+                   help=f"graph or feasibility-report JSON; {graph_limit}")
     p.add_argument("--k", type=int, required=True, help=k_help)
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--sources")

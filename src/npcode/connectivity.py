@@ -17,16 +17,10 @@ neighbours, so O(n + delta^2) flows instead of one per non-adjacent
 pair.  A lexicographic scan of the non-adjacent pairs then takes the
 witness from the first pair that reaches that value.
 
-Both connectivities run many flows from one source, each stopped at the
-least value so far, L.  A flow that carries L units to sink t is kept,
-and the next sink t', when it is adjacent to t, first asks the same
-augmenting-path routine for L units from t to t' on that residual: the
-max-flow survives a change of sink (Hao & Orlin, 1994).  Reaching L
-proves the pair's value is at least L; falling short proves it is below
-L.  Only then, or when the chain is skipped (t' not adjacent to t, or
-too few edges at t'), does a fresh flow run from a copy of the capacity
-list, so every value and witness comes from the same flow as without
-the chain.
+Both connectivities run their flows from one source at a time through
+`_chained_flows`, which lets a flow go on from the last sink's residual
+when the next sink is adjacent; its docstring says why every value and
+witness stays that of a fresh flow.
 
 The multi-pair variant (distinct source-receiver pairs that must be
 mutually edge-disjoint) is NP-complete in general.  When all sources (or
@@ -48,7 +42,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .graph import DisjointPathSet, Graph, GraphError, Path
 
@@ -329,54 +323,62 @@ def max_edge_disjoint_paths(g: Graph, s: str, r: str) -> DisjointPathSet:
     return snap.path_set([_walk_path(net, cap, x, y) for _ in range(value)], [(x, y)] * value)
 
 
-def _short_flows(snap: _Snapshot, net: _Network, bound: int | None):
-    """Yield (value, parent) for each node t whose flow from node 0 falls
-    short of the least value so far, which starts at bound (None: no bound).
+def _chained_flows(net: _Network, source: int, sinks: Iterable[int], bound: int | None,
+                   near: Callable[[int, int], bool]) -> Iterator[tuple[int, int, list[int] | None]]:
+    """Yield (sink, value, parent) for each sink in turn: the flow from
+    source, stopped at bound, the least value so far (None: no bound yet).
 
-    One flow runs from node 0 to each later node t, stopped at the least
-    value L so far; each yielded value is the new L, and parent the flow's
-    last BFS tree, whose reached nodes are the minimal cut's source side.
-    The flow to t - 1 carries L units (f).  When t is adjacent to t - 1,
-    the sink changes first: a flow g of L units from t - 1 to t on f's
-    residual makes f + g an L-unit flow from 0 to t, so lambda(0, t) >= L
-    and t cannot fall short.  Conversely, for any L-unit flow f' from 0
-    to t, f' - f is an L-unit flow from t - 1 to t on f's residual, so g
-    falls short only when lambda(0, t) < L.  Then, and when t is not
-    adjacent to t - 1 or has fewer than L edges (so lambda(0, t) < L), t
-    gets the fresh flow from node 0 it would get without the chain.
+    A fresh flow runs from a copy of net.cap, and value and parent are
+    `_flow`'s: parent is None unless the flow fell short, and then bound
+    drops to its value.  Either way the last flow f, kept in cap, carries
+    bound units from source to the last sink t.  When the next sink t' is
+    adjacent to t (near(t', t)) and has at least bound arcs, the sink
+    changes first (Hao & Orlin, 1994): a flow g of bound units from t to t'
+    on f's residual makes f + g a bound-unit flow from source to t', so the
+    pair's value is at least bound, and (t', bound, None) is yielded, as a
+    fresh flow stopped at bound would give.  Conversely, for any bound-unit
+    flow f' from source to t', f' - f is a bound-unit flow from t to t' on
+    f's residual, so g falls short only when the fresh flow would too.
+    Then, and when t' is not adjacent to t or has fewer than bound arcs
+    (each unit enters a sink by its own arc), t' gets the fresh flow, so
+    every value and witness comes from the same flow as without the chain.
     Adjacency keeps the chained search local: on dense random graphs,
     chaining to a far sink costs more than a fresh flow.
     """
-    adj = snap.adj
-    for t in range(1, len(snap.nodes)):
-        # cap holds the last flow, bound units from node 0 to t - 1
-        if (t > 1 and len(adj[t]) >= bound and any(y == t - 1 for _, _, y in adj[t])
-                and _flow(net, cap, t - 1, t, bound)[0] == bound):
-            continue
-        cap = net.cap[:]
-        value, parent = _flow(net, cap, 0, t, bound)
-        if parent is not None:
-            bound = value
-            yield value, parent
+    last = None
+    for t in sinks:
+        if (last is not None and len(net.out[t]) >= bound and near(t, last)
+                and _flow(net, cap, last, t, bound)[0] == bound):
+            yield t, bound, None
+        else:
+            cap = net.cap[:]
+            value, parent = _flow(net, cap, source, t, bound)
+            if parent is not None:
+                bound = value
+            yield t, value, parent
+        last = t
 
 
 def edge_connectivity(g: Graph) -> CutReport:
     """Size and witness of a smallest edge cut (0 if already disconnected).
 
-    The flows are `_short_flows`' with no bound, so the first runs to the
-    end; the witness is the minimal cut of the last flow that fell short,
-    the first to reach the minimum.
+    The flows are `_chained_flows`' from node 0 to each later node, with no
+    bound, so the first runs to the end; the witness is the minimal cut of
+    the last flow that fell short, the first to reach the minimum.
     """
     if g.num_nodes < 2:
         raise GraphError("edge connectivity needs at least 2 nodes")
     snap = _Snapshot(g)
     if min(_distances(snap.adj, 0, snap.full)) < 0:
         return CutReport(0, ())
-    for value, parent in _short_flows(snap, snap.network(), None):
-        pass
+    adj = snap.adj
+    for _, flowed, parent in _chained_flows(snap.network(), 0, range(1, len(adj)), None,
+                                            lambda t, last: any(y == last for _, _, y in adj[t])):
+        if parent is not None:
+            value, cut = flowed, parent
     witness = tuple(
         e for e, (u, v) in zip(snap.edges, snap.edge_ends)
-        if (parent[u] == -1) != (parent[v] == -1)
+        if (cut[u] == -1) != (cut[v] == -1)
     )
     return CutReport(value, witness)
 
@@ -385,17 +387,20 @@ def is_k_edge_connected(g: Graph, k: int) -> bool:
     """True iff lambda(g) >= k: every cut separating the nodes has k edges.
 
     Only lambda >= k is asked, so no witness is built: a node of degree
-    < k answers at once, and otherwise `_short_flows` runs with bound k,
-    every flow stopping at k units, until the first one that falls short.
+    < k answers at once, and otherwise `_chained_flows` runs from node 0
+    with bound k, every flow stopping at k units, until the first one
+    that falls short.
     """
     if k <= 0:
         return True
     if g.num_nodes < 2:
         return False
     snap = _Snapshot(g)
-    if min(len(a) for a in snap.adj) < k:
+    adj = snap.adj
+    if min(len(a) for a in adj) < k:
         return False
-    return next(_short_flows(snap, snap.network(), k), None) is None
+    return all(parent is None for _, _, parent in _chained_flows(
+        snap.network(), 0, range(1, len(adj)), k, lambda t, last: any(y == last for _, _, y in adj[t])))
 
 
 def node_connectivity(g: Graph) -> CutReport:
@@ -418,13 +423,9 @@ def node_connectivity(g: Graph) -> CutReport:
     pair comes within the first kappa + 1 rows (one flow on Harary graphs).
     The scan skips each pair whose value-phase flow, either way, passed kappa.
 
-    Each phase chains the flows from one out-half as edge_connectivity
-    does: the last flow from that source carries the current limit L
-    (kappa, or kappa + 1 in the scan) to in-half 2t.  When the next sink
-    t' is adjacent to t in g, a flow of L units from 2t to 2t' on that
-    residual shows kappa(v, t') >= L, the same answer as a fresh flow
-    stopped at L; by the f' - f argument it falls short only when the
-    fresh flow would too, and then the fresh flow runs.
+    Both phases run `_chained_flows` once per source row, from out-half
+    2i+1 to the in-half 2j of each sink j, chained when j is adjacent in g
+    to the row's last sink.
     """
     if g.num_nodes == 0:
         raise GraphError("node connectivity needs at least 1 node")
@@ -447,34 +448,25 @@ def node_connectivity(g: Graph) -> CutReport:
     if kappa == n - 1:
         # every pair adjacent: removals can only reduce to a one-node graph
         return CutReport(n - 1, tuple(nodes[1:]))
-    near = sorted(adjacent[low])
-    pairs = [(low, y) for y in range(n) if y != low and y not in adjacent[low]]
-    pairs += [(x, y) for a, x in enumerate(near) for y in near[a + 1 :] if y not in adjacent[x]]
+
+    def near(t: int, last: int) -> bool:
+        return last // 2 in adjacent[t // 2]
+
+    around = sorted(adjacent[low])
+    rows = [(low, [y for y in range(n) if y != low and y not in adjacent[low]])]
+    rows += [(x, [y for y in around[a + 1 :] if y not in adjacent[x]]) for a, x in enumerate(around)]
     known = {}  # a lower bound on each flown pair's local connectivity
-    last = (-1, -1)  # the last pair flown; its flow, in cap, carries kappa units
-    for x, y in pairs:
-        if last[0] == x and y in adjacent[last[1]] and _flow(net, cap, 2 * last[1], 2 * y, kappa)[0] == kappa:
-            value = kappa
-        else:
-            cap = net.cap[:]
-            value, parent = _flow(net, cap, 2 * x + 1, 2 * y, kappa)
-            if parent is not None:
-                kappa = value
-        known[min(x, y), max(x, y)] = value
-        last = x, y
+    for x, ys in rows:
+        for t, value, _ in _chained_flows(net, 2 * x + 1, [2 * y for y in ys], kappa, near):
+            known[min(x, t // 2), max(x, t // 2)] = value
+            kappa = min(kappa, value)
     for i in range(n):
-        last = -1  # the row's last sink; its flow, in cap, carries kappa + 1 units
-        for j in range(i + 1, n):
-            if j in adjacent[i] or known.get((i, j), kappa) > kappa:
-                continue
-            if last < 0 or j not in adjacent[last] or _flow(net, cap, 2 * last, 2 * j, kappa + 1)[0] <= kappa:
-                cap = net.cap[:]
-                value, parent = _flow(net, cap, 2 * i + 1, 2 * j, kappa + 1)
-                if value == kappa:
-                    return CutReport(kappa, tuple(
-                        v for x, v in enumerate(nodes) if parent[2 * x] != -1 and parent[2 * x + 1] == -1
-                    ))
-            last = j
+        sinks = (2 * j for j in range(i + 1, n) if j not in adjacent[i] and known.get((i, j), kappa) <= kappa)
+        for _, value, parent in _chained_flows(net, 2 * i + 1, sinks, kappa + 1, near):
+            if value == kappa:
+                return CutReport(kappa, tuple(
+                    v for x, v in enumerate(nodes) if parent[2 * x] != -1 and parent[2 * x + 1] == -1
+                ))
     raise AssertionError("no non-adjacent pair reaches the node connectivity")
 
 

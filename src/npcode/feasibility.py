@@ -126,12 +126,14 @@ class ProtectionInstance:
             return len(self.receivers)
         return len(self.sources)
 
-    def pairs(self) -> list[tuple[str, str]]:
+    def pairs(self, pairing: Sequence[str] | None = None) -> list[tuple[str, str]]:
+        """The (source, receiver) pairs, the receivers in pairing's order when given."""
+        receivers = self.receivers if pairing is None else pairing
         if len(self.sources) == 1:
-            if len(self.receivers) == 1:
-                return [(self.sources[0], self.receivers[0])] * self.k
-            return [(self.sources[0], r) for r in self.receivers]
-        return list(zip(self.sources, self.receivers))
+            if len(receivers) == 1:
+                return [(self.sources[0], receivers[0])] * self.k
+            return [(self.sources[0], r) for r in receivers]
+        return list(zip(self.sources, receivers))
 
 
 @dataclass(frozen=True)
@@ -485,7 +487,7 @@ def check_feasibility(
             )
         fixed_report, spent = None, 0
         for perm in permutations(inst.receivers):
-            snap = _pair_snapshot(g, list(zip(inst.sources, perm)), spent)
+            snap = _pair_snapshot(g, inst.pairs(perm), spent)
             report = _search(snap, inst.sources, perm, relaxed)
             spent = snap.spent
             if report.feasible:
@@ -576,11 +578,7 @@ def verify_report(inst: ProtectionInstance, report: FeasibilityReport) -> list[s
     g = inst.graph
     if report.pairing is not None and sorted(report.pairing) != sorted(inst.receivers):
         return [f"pairing {list(report.pairing)} is not an ordering of the receivers"]
-    pairs = (
-        list(zip(inst.sources, report.pairing))
-        if report.pairing is not None
-        else inst.pairs()
-    )
+    pairs = inst.pairs(report.pairing)
     receiver_terms = list(dict.fromkeys(r for _, r in pairs))
     if not report.feasible:
         if not report.certificate:

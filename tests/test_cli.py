@@ -526,15 +526,27 @@ def test_simulate_refuses_payload_past_16_mib(monkeypatch, capsys, poly, itemsiz
 def test_graph_verbs_refuse_graphs_past_the_edge_limit(monkeypatch, tmp_path, capsys):
     # a stubbed limit of Fig. 2's edge count less one: each verb that reads a
     # graph refuses it right after the load, before any search (the searches
-    # are stubbed out), and a graph at the limit is read
+    # are stubbed out), and a graph at the limit is read.  The node limit is
+    # one more: Fig. 2 less an edge, with isolated relays up to one node past
+    # it, is refused too.
     for verb in ("connectivity", "feasibility", "simulate"):
         with pytest.raises(SystemExit):
             cli.main([verb, "--help"])
-        assert "at most 200,000 edges" in " ".join(capsys.readouterr().out.split()), verb
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert "at most 200,000 edges and 200,001 nodes" in help_text, verb
     assert cli.main(["feasibility", "--graph", str(FIG2), "--relaxed"]) == 0
     report = tmp_path / "report.json"
     report.write_text(capsys.readouterr().out)
-    edges = len(json.loads(FIG2.read_text())["edges"])
+    fig2 = json.loads(FIG2.read_text())
+    edges = len(fig2["edges"])
+    sparse = dict(fig2, edges=fig2["edges"][1:], nodes=fig2["nodes"] + [
+        {"id": f"x{i}", "role": "relay"} for i in range(edges + 1 - len(fig2["nodes"]))])
+    sparse_graph = tmp_path / "sparse.json"
+    sparse_graph.write_text(json.dumps(sparse))
+    sparse_report = tmp_path / "sparse_report.json"
+    doc = json.loads(report.read_text())
+    doc["instance"]["graph"] = sparse
+    sparse_report.write_text(json.dumps(doc))
     monkeypatch.setattr(cli, "_GENERATE_MAX_EDGES", edges - 1)
     monkeypatch.setattr(cli, "edge_connectivity", None)
     monkeypatch.setattr(cli, "node_connectivity", None)
@@ -542,16 +554,20 @@ def test_graph_verbs_refuse_graphs_past_the_edge_limit(monkeypatch, tmp_path, ca
     monkeypatch.setattr(feasibility, "check_feasibility", None)
     monkeypatch.setattr(simulator, "run", None)
     sim = ["simulate", "--k", "3", "--t", "1", "--failures", "L1", "--graph"]
-    for argv in (["connectivity", "--graph", str(FIG2)], ["feasibility", "--graph", str(FIG2)],
-                 [*sim, str(FIG2)], [*sim, str(report)]):
-        assert cli.main(argv) == 2, argv
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert err == f"error: --graph has {edges} edges; this verb reads at most {edges - 1}\n"
+    for graph, report_path, refusal, limit in ((FIG2, report, f"{edges} edges", edges - 1),
+                                               (sparse_graph, sparse_report, f"{edges + 1} nodes", edges)):
+        for argv in (["connectivity", "--graph", str(graph)], ["feasibility", "--graph", str(graph)],
+                     [*sim, str(graph)], [*sim, str(report_path)]):
+            assert cli.main(argv) == 2, argv
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err == f"error: --graph has {refusal}; this verb reads at most {limit}\n"
     monkeypatch.undo()
     monkeypatch.setattr(cli, "_GENERATE_MAX_EDGES", edges)
     assert cli.main(["connectivity", "--graph", str(FIG2)]) == 0
     assert json.loads(capsys.readouterr().out)["edges"] == edges
+    assert cli.main(["connectivity", "--graph", str(sparse_graph)]) == 0
+    assert json.loads(capsys.readouterr().out)["nodes"] == edges + 1
 
 
 _CROSSED = json.dumps({

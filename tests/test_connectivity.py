@@ -411,6 +411,47 @@ def test_chained_flows_start_few_flows_at_a_source(monkeypatch, n, k):
     assert sum(s % 2 for s in sources) <= 2 + k * (k - 1) // 2
 
 
+def _spanning_random_graph(n, m, seed):
+    # bench_connectivity's rule: a random spanning tree, then distinct sorted
+    # random pairs until there are m edges
+    rng = random.Random(seed)
+    g = Graph()
+    ids = [g.add_node("relay", f"v{i}") for i in range(n)]
+    pairs = {(rng.randrange(i), i) for i in range(1, n)}
+    while len(pairs) < m:
+        pairs.add(tuple(sorted(rng.sample(range(n), 2))))
+    for u, v in sorted(pairs):
+        g.add_edge(ids[u], ids[v])
+    return g
+
+
+@pytest.mark.parametrize("build,edge,node", [
+    pytest.param(lambda: _spanning_random_graph(100, 600, 7), (5, 99, 88), (5, 113, 98), id="n100-m600"),
+    pytest.param(lambda: _spanning_random_graph(50, 100, 3), (1, 49, 43), (1, 89, 76), id="n50-m100"),
+    pytest.param(lambda: harary(60, 6), (6, 59, 1), (6, 60, 5), id="H6-60"),
+])
+def test_chained_flows_keep_their_fresh_flows(monkeypatch, build, edge, node):
+    # (value, flows, fresh flows) as recorded before the chain rule was shared:
+    # a chain that starts at the wrong node still finds every value and
+    # witness, but falls back to more fresh flows
+    sources = []
+    flow = connectivity._flow
+
+    def counted(net, cap, s, t, limit=None):
+        sources.append(s)
+        return flow(net, cap, s, t, limit)
+
+    monkeypatch.setattr(connectivity, "_flow", counted)
+    g = build()
+    value = edge_connectivity(g).value
+    assert (value, sources.count(0)) == (edge[0], edge[2])  # fresh flows start at node 0
+    assert len(sources) <= edge[1]
+    sources.clear()
+    value = node_connectivity(g).value
+    assert (value, sum(s % 2 for s in sources)) == (node[0], node[2])  # and at an out-half
+    assert len(sources) <= node[1]
+
+
 # -- the integer path walker against the string-keyed oracle -------------------------
 
 

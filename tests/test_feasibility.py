@@ -209,6 +209,22 @@ def test_verify_report_needs_a_pairing_of_every_receiver():
     ]
 
 
+def test_verify_report_reads_a_single_source_pairing():
+    # a single-source report may carry its receivers' order as a pairing:
+    # the identity verifies, and a reordered one fails on the swapped ends
+    inst = ProtectionInstance(harary(10, 3), ["v0"], ["v3", "v5", "v8"])
+    report = check_feasibility(inst)
+    assert report.feasible and verify_report(inst, report) == []
+    assert verify_report(inst, replace(report, pairing=("v3", "v5", "v8"))) == []
+    assert verify_report(inst, replace(report, pairing=("v5", "v3", "v8"))) == [
+        "path endpoints 'v0'-'v3' differ from pair 'v0'-'v5'",
+        "path endpoints 'v0'-'v5' differ from pair 'v0'-'v3'",
+    ]
+    repeated = ProtectionInstance(harary(10, 3), ["v0"], ["v5"], num_paths=3)
+    report = check_feasibility(repeated)
+    assert report.feasible and verify_report(repeated, replace(report, pairing=("v5",))) == []
+
+
 def test_source_tree_failure_reason():
     # paths exist but the two sources can never be interconnected
     g = Graph()
