@@ -18,18 +18,9 @@ import random
 import sys
 from pathlib import Path as FilePath
 
-import numpy as np
-
-from . import construction, feasibility, simulator
-from .codec import (
-    CapacityExceededError,
-    InconsistentSymbolsError,
-    build_code,
-    encode_blocks,
-    recover_blocks,
-)
+# codec, galois and simulator load numpy: the graph verbs never touch them
+from . import codec, construction, feasibility, galois, simulator
 from .connectivity import SearchBudgetExceeded, edge_connectivity, node_connectivity
-from .galois import DEFAULT_M, FieldContext
 from .graph import DisjointPathSet, Graph, Path, load, save
 
 __all__ = ["main"]
@@ -68,18 +59,18 @@ def _read_text(path: str) -> str:
         raise _UsageError(f"cannot read {path}: {exc}") from exc
 
 
-def _field_from_env() -> FieldContext:
+def _field_from_env() -> galois.FieldContext:
     raw = os.environ.get("NPC_FIELD_POLY", "").strip()
     if not raw:
-        return FieldContext(DEFAULT_M)
+        return galois.FieldContext(galois.DEFAULT_M)
     try:
         poly = int(raw, 16)
-        return FieldContext(poly.bit_length() - 1, poly)
+        return galois.FieldContext(poly.bit_length() - 1, poly)
     except ValueError as exc:
         raise _UsageError(f"bad NPC_FIELD_POLY {raw!r}: {exc}") from exc
 
 
-def _field_json(field: FieldContext) -> dict:
+def _field_json(field: galois.FieldContext) -> dict:
     return {"m": field.m, "reduction_poly": f"0x{field.reduction_poly:X}"}
 
 
@@ -234,7 +225,9 @@ def _cmd_bounds(args) -> int:
     return 0
 
 
-def _parse_symbols(raw: str, field: FieldContext) -> np.ndarray:
+def _parse_symbols(raw: str, field: galois.FieldContext):
+    import numpy as np
+
     width = 2 * field.symbol_dtype.itemsize
     raw = raw.strip().lower().removeprefix("0x")
     if len(raw) % width:
@@ -249,8 +242,10 @@ def _parse_symbols(raw: str, field: FieldContext) -> np.ndarray:
     return values
 
 
-def _format_symbols(symbols: np.ndarray, field: FieldContext) -> str:
+def _format_symbols(symbols, field: galois.FieldContext) -> str:
     """An (n, cols) symbol array as hex, block by block, most significant byte first."""
+    import numpy as np
+
     return np.ascontiguousarray(symbols, dtype=field.symbol_dtype.newbyteorder(">")).tobytes().hex()
 
 
@@ -259,7 +254,7 @@ def _code(args):
     if args.k > _CODE_MAX_K:
         raise _UsageError(f"--k {args.k} is past the limit of {_CODE_MAX_K} symbols per codeword")
     field = _field_from_env()
-    return field, build_code(args.k, args.t, field)
+    return field, codec.build_code(args.k, args.t, field)
 
 
 def _cmd_encode(args) -> int:
@@ -268,7 +263,7 @@ def _cmd_encode(args) -> int:
     d = code.data_len
     if not values.size or values.size % d:
         raise _UsageError(f"data must be a positive multiple of k-t = {d} symbols")
-    codewords = encode_blocks(code, values.reshape(-1, d))
+    codewords = codec.encode_blocks(code, values.reshape(-1, d))
     _emit(
         {
             "k": args.k,
@@ -302,7 +297,10 @@ def _cmd_recover(args) -> int:
     if not values.size or values.size % args.k:
         raise _UsageError(f"symbols must be a positive multiple of k = {args.k}")
     erased = _parse_positions(args.erased, args.k) if args.erased else []
-    data = recover_blocks(code, values.reshape(-1, args.k), erased)
+    try:
+        data = codec.recover_blocks(code, values.reshape(-1, args.k), erased)
+    except (codec.CapacityExceededError, codec.InconsistentSymbolsError) as exc:
+        raise _DomainNegative(str(exc)) from exc
     _emit(
         {
             "k": args.k,
@@ -400,6 +398,8 @@ def _cmd_simulate(args) -> int:
             f"--blocks {args.blocks} would draw a {size}-byte payload; simulate draws at "
             f"most {_SIMULATE_MAX_PAYLOAD} bytes ({_SIMULATE_MAX_PAYLOAD >> 20} MiB)"
         )
+    import numpy as np
+
     draw = random.Random(args.seed).randbytes(size)
     payload = (np.frombuffer(draw, dtype=dtype) & field.order - 1).reshape(args.blocks, code.data_len)
     labels = simulator.path_labels(args.k)
@@ -523,12 +523,9 @@ def main(argv=None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print("error: stdout was closed before the output was written", file=sys.stderr)
         return 2
-    except (
-        _DomainNegative,
-        feasibility.InfeasibleInstanceError,
-        CapacityExceededError,
-        InconsistentSymbolsError,
-    ) as exc:
+    # recover raises its codec errors as _DomainNegative: naming a codec
+    # class here would load the codec, and numpy, on a graph verb's error
+    except (_DomainNegative, feasibility.InfeasibleInstanceError) as exc:
         print(str(exc), file=sys.stderr)
         return 1
     # below the exit-1 group, whose library errors are ValueErrors too, as

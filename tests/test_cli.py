@@ -355,7 +355,7 @@ def test_codec_verbs_k_limit_is_inclusive_and_stated(verb, monkeypatch, capsys):
         built.append((k, t))
         raise _Built
 
-    monkeypatch.setattr(cli, "build_code", stub)
+    monkeypatch.setattr(codec, "build_code", stub)
     with pytest.raises(_Built):
         cli.main([verb, "--k", "1024", "--t", "1", *_CODEC_VERBS[verb]])
     assert built == [(1024, 1)]
