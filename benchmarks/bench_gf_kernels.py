@@ -17,6 +17,14 @@ recovered bytes checked against the data.  Each time is the best of
 --repeat; a 64-block time is per call, over a loop of calls.  MB/s
 counts the data symbols read.
 
+Then the decode-matrix setup, which the kernel never sees: `build_code`
+over the 51 codes of the perfbench `failover` workload (k = 4..16,
+t = 1..min(4, k-2), GF(2^8)) and at k = 1024, t = 512 on GF(2^16), the
+largest code the CLI verbs admit, and the decode plans of every erasure
+pattern of 1..t positions of (12, 4) and (16, 4) on GF(2^8), per pattern,
+each plan built on an empty plan cache.  Each field's tables are built
+before the timing.
+
 Usage:
     PYTHONPATH=src python benchmarks/bench_gf_kernels.py [--blocks N] [--k K] [--t T] [--repeat R]
 """
@@ -26,6 +34,8 @@ import time
 
 import numpy as np
 
+from itertools import combinations
+
 from npcode import kernels
 from npcode.codec import DataBlock, _decode_plan, build_code, encode, encode_blocks, recover_blocks
 from npcode.galois import FieldContext
@@ -33,6 +43,8 @@ from npcode.galois import FieldContext
 BATCH = 64
 BATCH_CALLS = 200
 WIDTHS = (1, 2, 3, 4, 5, 8, 9, 16)
+FAILOVER_CODES = tuple((k, t) for k in range(4, 17) for t in range(1, min(4, k - 1) + 1))
+PLAN_CODES = ((12, 4), (16, 4))
 
 
 def main():
@@ -64,6 +76,31 @@ def main():
         raise SystemExit("round trip did not recover the data")
     print(f"encode_blocks, erase data column 0, recover_blocks, {args.blocks} blocks")
     print(f"  {'round trip':16} {args.blocks:8d} " + _rate(data.nbytes, trip))
+    _time_setup(field, args.repeat)
+
+
+def _time_setup(gf8, repeat):
+    """Time the decode-matrix setup: code builds and per-pattern plan builds."""
+    gf16 = FieldContext(16)
+    build_code(2, 1, gf16)  # the field's tables, outside the timing
+    print(f"decode-matrix setup, best of {repeat}")
+    print(f"  {'build':28} {'ms':>10}")
+    best, _ = _best_of(repeat, lambda: [build_code(k, t, gf8) for k, t in FAILOVER_CODES])
+    print(f"  {f'{len(FAILOVER_CODES)} failover codes, GF(2^8)':28} {best * 1e3:10.3f}")
+    best, _ = _best_of(repeat, lambda: build_code(1024, 512, gf16))
+    print(f"  {'(1024, 512), GF(2^16)':28} {best * 1e3:10.3f}")
+    print(f"  {'plans':28} {'patterns':>10} {'us/pattern':>10}")
+    for k, t in PLAN_CODES:
+        code = build_code(k, t, gf8)
+        patterns = [p for size in range(1, t + 1) for p in combinations(range(k), size)]
+
+        def plans():
+            code._decode.clear()
+            for erased in patterns:
+                _decode_plan(code, erased)
+
+        best, _ = _best_of(repeat, plans)
+        print(f"  {f'({k}, {t}), GF(2^8)':28} {len(patterns):10d} {best / len(patterns) * 1e6:10.2f}")
 
 
 def _time_shapes(field, args, rng):

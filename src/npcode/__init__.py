@@ -29,7 +29,6 @@ _HOMES = {
         "encode_blocks",
         "recover",
         "recover_blocks",
-        "verify_mds",
     ),
     "connectivity": (
         "CutReport",

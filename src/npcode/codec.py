@@ -2,28 +2,31 @@
 
 A code for k unit-capacity connections tolerating t failures keeps the
 first k-t symbols as plain data and derives the last t as parity, using
-the generator [I | P].  P comes from a Vandermonde matrix over distinct
-field points systematized by Gaussian elimination, which makes every
-choice of k-t generator columns invertible, so any t erased positions
-can be solved back from the survivors.
+the generator [I | P].  It is the evaluation view of Reed-Solomon
+coding (Plank, "A Tutorial on Reed-Solomon Coding for Fault-Tolerance in
+RAID-like Systems", 1997): position c of a codeword holds f(x_c), for k
+distinct field points x = 0, 1, g, g^2, ... (g the field's generator)
+and f the polynomial of degree below k-t that takes the data at the
+first k-t points.  Any k-t values of f determine it, so any t erased
+positions can be solved back from the survivors.
 
 Erasure positions are assumed known (detected failures).  All arithmetic
-runs on integer arrays.  One Gauss-Jordan elimination, `_row_reduce`,
-reduces the Vandermonde matrix to [I | P], tests generator minors in
-`verify_mds`, and builds each decode plan in one reduction, with no
-kernel call.  Each code caches a decode plan per erasure set, shared by
-`recover` and `recover_blocks`, so a pattern that repeats is reduced
+runs on integer arrays.  One routine, `_lagrange`, builds every
+coefficient matrix: the Lagrange basis over some points, evaluated at
+others, in one vectorized pass over the field's log/exp tables, with no
+kernel call.  The parity is P[i, j] = L_i(x_{k-t+j}), the basis over the
+data points.  Each code caches a decode plan per erasure set, shared by
+`recover` and `recover_blocks`, so a pattern that repeats is solved
 once.  The code is systematic, so each surviving data symbol is one of
-the received symbols (Plank, "A Tutorial on Reed-Solomon Coding for
-Fault-Tolerance in RAID-like Systems", 1997): `recover_blocks` copies
-those, and a plan holds one coefficient matrix that yields only the
-lost data and the surviving parity symbols the data must reproduce, at
-most t columns, so a recovery makes at most one call of the kernel's
-unchecked product, `kernels._product` (m <= 16).  A plan is compiled
-once with all that call needs: its positions as read-only index arrays,
-its checked matrix and that matrix's memo key, so a repeated pattern
-does only the gathers and the byte compare of the check symbols.
-`encode_blocks` calls `kernels.gf_matmul`.
+the received symbols: `recover_blocks` copies those, and a plan holds
+one coefficient matrix, the basis over k-t surviving points evaluated at
+the lost data points and at the surviving parity points the data must
+reproduce, at most t columns, so a recovery makes at most one call of
+the kernel's unchecked product, `kernels._product` (m <= 16).  A plan is
+compiled once with all that call needs: its positions as read-only
+index arrays, its checked matrix and that matrix's memo key, so a
+repeated pattern does only the gathers and the byte compare of the
+check symbols.  `encode_blocks` calls `kernels.gf_matmul`.
 The kernel keeps its tables for a coefficient matrix (a parity matrix,
 a decode plan's matrix) in its own memo, within the byte budget
 `kernels.TABLE_MEMO_BYTES`; a plan holds only the key, so the memo alone
@@ -44,7 +47,7 @@ reach the kernel with no copy or transpose.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -65,7 +68,6 @@ __all__ = [
     "encode_blocks",
     "recover",
     "recover_blocks",
-    "verify_mds",
 ]
 
 
@@ -124,34 +126,34 @@ class Codeword:
 
 
 class NpcCode:
-    """An immutable [k, k-t] systematic code over a FieldContext.
+    """The [k, k-t] systematic MDS code tolerating t erasures over a FieldContext.
 
-    parity is the (k-t) x t coefficient matrix: column j gives the
-    weights of parity symbol j as a combination of the data symbols.
-    The constructor checks shape only, so verify_mds can inspect
-    arbitrary parities; build_code guarantees the MDS and field-order
-    constraints for every code it produces.  The code keeps its parity
-    and generator [I | P] as read-only integer arrays, and a decode plan
-    per erasure set once that set has been recovered.
+    NpcCode(k, t, field) builds the code: it requires 1 <= t < k and
+    field order >= k, for k distinct evaluation points 0, 1, g, g^2, ...
+    parity is the (k-t) x t coefficient matrix, as FieldElements made on
+    first read: column j gives the weights of parity symbol j as a
+    combination of the data symbols.  The code keeps its points and
+    parity as read-only integer arrays, and a decode plan per erasure
+    set once that set has been recovered.
     """
 
-    def __init__(self, k: int, t: int, field: FieldContext, parity: Sequence[Sequence[FieldElement]]):
-        if not 1 <= t < k:
-            raise CodecError(f"need 1 <= t < k, got k={k}, t={t}")
-        rows = tuple(tuple(row) for row in parity)
-        if len(rows) != k - t or any(len(r) != t for r in rows):
-            raise CodecError(f"parity must be {k - t}x{t}")
+    def __init__(self, k: int, t: int, field: FieldContext):
+        if t < 1:
+            raise CodecError(f"t must be at least 1, got {t}")
+        if t >= k:
+            raise CodecError(f"t must be smaller than k, got k={k}, t={t}")
+        if field.order < k:
+            raise CodecError(
+                f"field too small: order {field.order} < k = {k} distinct evaluation points needed"
+            )
         self.k = k
         self.t = t
         self.field = field
-        self.parity = rows
-        dtype = field.symbol_dtype
-        p = np.array([[e.value for e in row] for row in rows], dtype=dtype).reshape(k - t, t)
-        g = np.hstack([np.eye(k - t, dtype=dtype), p])
-        p.setflags(write=False)
-        g.setflags(write=False)
-        self._parity_ints = p
-        self._generator_ints = g
+        points = np.zeros(k, dtype=field.symbol_dtype)
+        points[1:] = field.log_exp[1][: k - 1]
+        points.setflags(write=False)
+        self._points = points
+        self._parity_ints = _lagrange(field, points, k - t)
         # frozenset(erased) -> _Plan; see _decode_plan.  Threads
         # that miss together compute equal plans, so the last store is harmless.
         self._decode: dict[frozenset[int], _Plan] = {}
@@ -160,96 +162,43 @@ class NpcCode:
     def data_len(self) -> int:
         return self.k - self.t
 
-    def generator_rows(self) -> list[list[FieldElement]]:
-        """The full generator [I | P] as k-t rows of length k."""
-        return [self.field.elements(int(v) for v in row) for row in self._generator_ints]
+    @cached_property
+    def parity(self) -> tuple[tuple[FieldElement, ...], ...]:
+        return tuple(tuple(self.field.elements(row)) for row in self._parity_ints.tolist())
 
     def parity_int_matrix(self) -> np.ndarray:
         return self._parity_ints
-
-    def generator_int_matrix(self) -> np.ndarray:
-        return self._generator_ints
 
     def __repr__(self) -> str:
         return f"NpcCode(k={self.k}, t={self.t}, field=GF(2^{self.field.m}))"
 
 
-# -- linear algebra over the field on integer arrays ------------------------------
+# -- code and decode-plan matrices ---------------------------------------------
 
 
-def _times(tables: np.ndarray, row: np.ndarray) -> np.ndarray:
-    """Each coefficient of `tables` (from `plane_products`) times the symbol row."""
-    if tables.shape[1] == 1:
-        return tables[:, 0].take(row, axis=1)
-    return tables[:, 0].take(row & 0xFF, axis=1) ^ tables[:, 1].take(row >> 8, axis=1)
+def _lagrange(field: FieldContext, points: np.ndarray, d: int) -> np.ndarray:
+    """M[i, j] = L_i(points[d + j]), the Lagrange basis over the first d
+    of the distinct points evaluated at the others, read-only.
 
-
-def _row_reduce(aug: np.ndarray, field: FieldContext) -> np.ndarray:
-    """Gauss-Jordan: reduce the leading square block of aug to I, in place.
-
-    Per column, one `plane_products` call gives the tables of the pivot's
-    inverse and of the other rows' nonzero factors: one gather normalises
-    the pivot row, one clears those rows.  CodecError if singular.
+    With x the first d points and + the field's addition (XOR), which is
+    also its subtraction, L_i(y) = w_i l(y) / (y + x_i), where l(y)
+    is the product of the (y + x_v) and 1/w_i that of the (x_i + x_v)
+    for v != i.  So log M[i, j] is log l(y_j) - log(y_j + x_i) -
+    log(1/w_i), mod q - 1, from one gather of the logs of x_i + p for
+    every point p.  log[0] is 0, so the zero diagonal x_i + x_i adds
+    nothing to the sums.
     """
-    n = aug.shape[0]
-    for col in range(n):
-        column = aug[:, col].tolist()
-        pivot = next((r for r in range(col, n) if column[r]), None)
-        if pivot is None:
-            raise CodecError("singular matrix")
-        if pivot != col:
-            aug[[col, pivot]] = aug[[pivot, col]]
-        rows = [r for r in range(n) if column[r] and r != pivot]
-        inv = field.inv_int(column[pivot])
-        if inv != 1 or rows:
-            tables = field.plane_products([inv] + [column[r] for r in rows])
-            aug[col, col:] = _times(tables[:1], aug[col, col:])[0]
-            aug[rows, col:] ^= _times(tables[1:], aug[col, col:])
-    return aug
-
-
-# -- code construction ----------------------------------------------------------
+    log, exp = field.log_exp
+    logs = log[points[:d, None] ^ points]
+    to_y = logs[:, d:]
+    coef = exp[(to_y.sum(axis=0) - to_y - logs[:, :d].sum(axis=1)[:, None]) % (field.order - 1)]
+    coef.setflags(write=False)
+    return coef
 
 
 def build_code(k: int, t: int, field: FieldContext | None = None) -> NpcCode:
-    """Build the [k, k-t] systematic code tolerating t erasures.
-
-    The parity block is obtained by evaluating the data polynomial at k
-    distinct points (0, 1, g, g^2, ... for a generator g) and reducing
-    the evaluation matrix to systematic form, so the result is MDS.
-    Requires field order >= k to have enough distinct points.
-    """
-    if field is None:
-        field = FieldContext(DEFAULT_M)
-    if t < 1:
-        raise CodecError(f"t must be at least 1, got {t}")
-    if t >= k:
-        raise CodecError(f"t must be smaller than k, got k={k}, t={t}")
-    if field.order < k:
-        raise CodecError(
-            f"field too small: order {field.order} < k = {k} distinct evaluation points needed"
-        )
-    d = k - t
-    g = field.generator().value
-    points = [0, 1]
-    while len(points) < k:
-        points.append(field.mul_int(points[-1], g))
-    rows = [[1] * k]
-    while len(rows) < d:
-        rows.append([field.mul_int(x, y) for x, y in zip(rows[-1], points)])
-    parity = _row_reduce(np.array(rows, dtype=field.symbol_dtype), field)[:, d:]
-    return NpcCode(k, t, field, [field.elements(row) for row in parity.tolist()])
-
-
-def verify_mds(code: NpcCode) -> bool:
-    """True iff every k-t generator columns are linearly independent."""
-    g = code.generator_int_matrix()
-    for cols in combinations(range(code.k), code.data_len):
-        try:
-            _row_reduce(g[:, list(cols)], code.field)
-        except CodecError:
-            return False
-    return True
+    """The [k, k-t] systematic code tolerating t erasures, over GF(2^8) by default."""
+    return NpcCode(k, t, FieldContext(DEFAULT_M) if field is None else field)
 
 
 def _indices(positions: list[int]) -> np.ndarray:
@@ -280,20 +229,17 @@ def _decode_plan(code: NpcCode, erased: Iterable[int]) -> _Plan:
 
     use is the first k-t surviving positions, lost the erased data
     positions and check the surviving parity positions outside use.
-    With solve the inverse of use's generator columns, data =
-    received[use] @ solve, and the check positions must read
-    data @ G[:, check], by associativity received[use] @
-    (solve @ G[:, check]).  Every other data position is received as is,
-    so coef holds only the columns that need the field,
-    [solve[:, lost] | solve @ G[:, check]], at most t of them, and one
-    product gives the lost data and the check symbols.  One Gauss-Jordan
-    reduction of [G[:, use] | I[:, lost] | G[:, check]] leaves exactly
-    that matrix right of its identity block.  With no data lost, use is
-    the data positions, and coef is G[:, check], or None with no check
-    position.  data @ G[:, use] equals received[use] by construction, so
-    the consistency check compares check alone.  The plan is built once
-    per erasure set, with everything `recover_blocks` reads: the
-    positions as index arrays and coef's kernel memo key.
+    The values at the use points determine the data polynomial f, so
+    f(y) is the sum over u in use of received[u] L_u(y), with L the
+    Lagrange basis over the use points x[use]: coef is that basis at the
+    points x[lost + check], at most t columns, and one product gives the
+    lost data and the check symbols.  Every other data position is received
+    as is.  With no data lost, use is the data positions and coef is
+    the parity's check columns; with no check position either, coef is
+    None.  f takes the received values at the use points by
+    construction, so the consistency check compares check alone.  The
+    plan is built once per erasure set, with everything `recover_blocks`
+    reads: the positions as index arrays and coef's kernel memo key.
     """
     key = frozenset(erased)
     plan = code._decode.get(key)
@@ -309,13 +255,7 @@ def _decode_plan(code: NpcCode, erased: Iterable[int]) -> _Plan:
     d = code.data_len
     use, check = survivors[:d], survivors[d:]
     lost = sorted(i for i in key if i < d)
-    g = code.generator_int_matrix()
-    coef = g[:, check] if check else None
-    if lost:
-        aug = np.hstack([g[:, use], np.eye(d, dtype=g.dtype)[:, lost], g[:, check]])
-        coef = _row_reduce(aug, code.field)[:, d:]
-    if coef is not None:
-        coef.setflags(write=False)
+    coef = _lagrange(code.field, code._points[use + lost + check], d) if lost or check else None
     plan = code._decode[key] = _Plan(use, lost, check, coef, code.field)
     return plan
 

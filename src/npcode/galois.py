@@ -14,8 +14,10 @@ c * s is the XOR of one lookup per byte of s.  One doubling construction
 builds every such table: for m <= 8 the full q x q product table,
 `mul_table`, which `mul_int` and `plane_products` read, and above that
 two 256-entry split tables per coefficient.  `kernels.gf_matmul` packs
-them into its word tables, and the codec's Gauss-Jordan elimination
-gathers its row updates from them.  Wider fields multiply scalars by
+them into its word tables.  `log_exp` holds the powers of the field's
+generator g and their logs, filled from the `plane_products` rows of
+g, g^2, g^4, ... by doubling; the codec builds every code and decode
+plan from them as sums of logs.  Wider fields multiply scalars by
 shift-and-reduce, and every field inverts by the extended Euclidean
 algorithm over GF(2)[x].
 Contexts are immutable after construction and safe to share across
@@ -215,6 +217,35 @@ class FieldContext:
         table = np.ascontiguousarray(self._doubled(np.arange(q))[:, 0, :q])
         table.setflags(write=False)
         return table
+
+    @cached_property
+    def log_exp(self) -> tuple[np.ndarray, np.ndarray]:
+        """(log, exp), read-only: exp[i] = g^i for i < q - 1 and log[exp[i]] = i.
+
+        exp, in the symbol dtype, is filled by doubling: step s sets
+        exp[n:2n] = exp[:n] * g^n for n = 2^s, up to q - 1 entries, from
+        the `plane_products` row of g^n; one call builds every step's row.
+        log is int32, and log[0], which no power takes, is 0, so a zero
+        term adds nothing to a sum of logs.
+        """
+        squares = [self._generator_value]  # g^(2^s)
+        while len(squares) < self.m:
+            squares.append(self.mul_int(squares[-1], squares[-1]))
+        q1 = self.order - 1
+        exp = np.empty(q1, dtype=self.symbol_dtype)
+        exp[0] = 1
+        for s, planes in enumerate(self.plane_products(squares)):
+            n = 1 << s
+            part = exp[: min(n, q1 - n)]
+            product = planes[0].take(part & 0xFF)
+            if len(planes) > 1:
+                product ^= planes[1].take(part >> 8)
+            exp[n : n + part.size] = product
+        log = np.zeros(self.order, dtype=np.int32)
+        log[exp] = np.arange(q1, dtype=np.int32)
+        exp.setflags(write=False)
+        log.setflags(write=False)
+        return log, exp
 
     # -- element construction --------------------------------------------------
 

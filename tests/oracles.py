@@ -89,18 +89,44 @@ def rank_ref(rows, poly, m):
     return rank
 
 
-def columns_independent_gf2_ref(columns) -> bool:
-    """GF(2) independence by enumerating every nonzero combination."""
-    d = len(columns)
-    length = len(columns[0])
-    for combo in range(1, 1 << d):
-        total = [0] * length
-        for i in range(d):
-            if (combo >> i) & 1:
-                total = [x ^ y for x, y in zip(total, columns[i])]
-        if not any(total):
-            return False
-    return True
+def gf_solve_ref(a, b, poly, m):
+    """a^-1 b over GF(2^m), by Gauss-Jordan elimination on [a | b], for an
+    invertible square a.
+
+    Fraction-free, as in rank_ref: clearing a column sets every other row
+    to p * row + f * pivot row, so the left block ends diagonal with no
+    inverse taken.  Each row is then divided by its diagonal entry d_i,
+    as a product with 1/(d_0 ... d_{n-1}) and the other d_j, so one
+    exhaustive inverse serves the whole solve.
+    """
+    def mul(x, y):
+        return gf_mul_ref(x, y, poly, m)
+
+    n = len(a)
+    work = [list(ra) + list(rb) for ra, rb in zip(a, b)]
+    for col in range(n):
+        pivot = next((i for i in range(col, n) if work[i][col]), None)
+        if pivot is None:
+            raise AssertionError("singular matrix")
+        work[col], work[pivot] = work[pivot], work[col]
+        p = work[col][col]
+        for i in range(n):
+            f = work[i][col]
+            if i != col and f:
+                work[i] = [mul(p, x) ^ mul(f, y) for x, y in zip(work[i], work[col])]
+    diag = [work[i][i] for i in range(n)]
+    total = 1
+    for x in diag:
+        total = mul(total, x)
+    inv_total = gf_inv_ref(total, poly, m)
+    out = []
+    for i, row in enumerate(work):
+        inv = inv_total
+        for j, x in enumerate(diag):
+            if j != i:
+                inv = mul(inv, x)
+        out.append([mul(inv, x) for x in row[n:]])
+    return out
 
 
 # -- plain-graph helpers -------------------------------------------------------

@@ -348,7 +348,7 @@ class _Built(Exception):
 
 @pytest.mark.parametrize("verb", sorted(_CODEC_VERBS))
 def test_codec_verbs_k_limit_is_inclusive_and_stated(verb, monkeypatch, capsys):
-    # a stub stands in for build_code, whose k = 1024 build on GF(2^16) takes seconds
+    # a stub stands in for build_code: it records the call and stops the verb there
     built = []
 
     def stub(k, t, field):

@@ -18,17 +18,16 @@ from npcode.codec import (
     Codeword,
     DataBlock,
     InconsistentSymbolsError,
-    NpcCode,
     build_code,
     encode,
     encode_blocks,
     recover,
     recover_blocks,
-    verify_mds,
 )
 from npcode.galois import FieldContext, FieldMismatchError
 
-from oracles import columns_independent_gf2_ref, gf_dot_ref, gf_mul_ref, rank_ref
+from oracles import gf_dot_ref, gf_mul_ref, gf_solve_ref, rank_ref
+from test_code_pins import CODE_CASES
 
 GF8 = FieldContext(8)
 
@@ -45,6 +44,24 @@ def _encode_ref(code, data):
     return np.hstack([np.asarray(data), np.array(parity, dtype=np.int64).reshape(-1, code.t)])
 
 
+def _systematic(parity):
+    """The generator [I | P] of the parity rows P, as int rows."""
+    return [[int(i == j) for j in range(len(parity))] + row for i, row in enumerate(parity)]
+
+
+def _generator(code):
+    return _systematic(code.parity_int_matrix().tolist())
+
+
+def _minors_invertible(code):
+    """Whether every k-t generator columns are independent, by the oracle's rank."""
+    rows, f = _generator(code), code.field
+    return all(
+        rank_ref([[row[c] for c in cols] for row in rows], f.reduction_poly, f.m) == code.data_len
+        for cols in combinations(range(code.k), code.data_len)
+    )
+
+
 def test_smallest_code_has_nonzero_parity():
     code = build_code(2, 1, GF8)
     assert code.parity[0][0].value != 0
@@ -54,11 +71,7 @@ def test_smallest_code_has_nonzero_parity():
 
 
 def test_all_minors_invertible_k4_t2():
-    code = build_code(4, 2, GF8)
-    rows = [[e.value for e in row] for row in code.generator_rows()]
-    for cols in combinations(range(4), 2):
-        sub = [[row[c] for c in cols] for row in rows]
-        assert rank_ref(sub, GF8.reduction_poly, 8) == 2, f"columns {cols} dependent"
+    assert _minors_invertible(build_code(4, 2, GF8))
 
 
 def test_k10_t3_all_erasure_patterns_recover():
@@ -83,7 +96,7 @@ def test_build_code_validation():
         build_code(5, 2, FieldContext(2))  # order 4 < k = 5
     # order >= k is enough: k = q works
     code = build_code(4, 1, FieldContext(2))
-    assert verify_mds(code)
+    assert _minors_invertible(code)
 
 
 def test_encode_zero_and_single_symbol():
@@ -165,31 +178,6 @@ def test_linearity():
         c2 = encode(code, DataBlock.of(GF8, d2)).values()
         c12 = encode(code, DataBlock.of(GF8, [a ^ b for a, b in zip(d1, d2)])).values()
         assert c12 == [a ^ b for a, b in zip(c1, c2)]
-
-
-def test_verify_mds():
-    assert verify_mds(build_code(8, 3, GF8))
-    zero_col = NpcCode(
-        3, 1, GF8, [[GF8.zero], [GF8.zero]]
-    )
-    assert not verify_mds(zero_col)
-
-
-def test_verify_mds_matches_gf2_rank_oracle():
-    gf2 = FieldContext(1)
-    rng = random.Random(21)
-    agree_false = 0
-    for _ in range(40):
-        parity = [[gf2.element(rng.randrange(2)) for _ in range(2)] for _ in range(3)]
-        code = NpcCode(5, 2, gf2, parity)
-        rows = [[e.value for e in row] for row in code.generator_rows()]
-        expected = all(
-            columns_independent_gf2_ref([[rows[r][c] for r in range(3)] for c in cols])
-            for cols in combinations(range(5), 3)
-        )
-        assert verify_mds(code) == expected
-        agree_false += not expected
-    assert agree_false  # the sample includes non-MDS codes
 
 
 def test_round_trip_grid_small():
@@ -330,45 +318,71 @@ def test_property_scalar_and_block_codecs_match_oracle(case):
         assert recover(code, cw.with_erasures(erased)).values() == block.tolist()
 
 
-def _singular(rng, a, f):
-    """a with its last row replaced by a combination of two others, by the oracle."""
-    n = a.shape[0]
-    i, j = rng.integers(0, n - 1, size=2)
-    c1, c2 = (int(c) for c in rng.integers(0, f.order, size=2))
-    a = a.copy()
-    a[-1] = [gf_mul_ref(c1, int(x), f.reduction_poly, f.m) ^ gf_mul_ref(c2, int(y), f.reduction_poly, f.m)
-             for x, y in zip(a[i], a[j])]
-    return a
+def _points_ref(field, k):
+    """The code's evaluation points 0, 1, g, g^2, ..., by the oracle's arithmetic."""
+    g, points = field.generator().value, [0, 1]
+    while len(points) < k:
+        points.append(gf_mul_ref(points[-1], g, field.reduction_poly, field.m))
+    return points
+
+
+def _generator_ref(field, k, t):
+    """[I | P] with P solved from the Vandermonde rows by Gauss-Jordan, with
+    no library arithmetic."""
+    d, poly, m, points = k - t, field.reduction_poly, field.m, _points_ref(field, k)
+    rows = [[1] * k]
+    while len(rows) < d:
+        rows.append([gf_mul_ref(x, y, poly, m) for x, y in zip(rows[-1], points)])
+    return _systematic(gf_solve_ref([r[:d] for r in rows], [r[d:] for r in rows], poly, m))
+
+
+def _plan_ref(field, gen, erased):
+    """A decode plan's matrix by Gauss-Jordan: G[:, use]^-1 [I[:, lost] | G[:, check]]."""
+    k, d = len(gen[0]), len(gen)
+    survivors = [i for i in range(k) if i not in erased]
+    use, check = survivors[:d], survivors[d:]
+    lost = sorted(i for i in erased if i < d)
+    right = [[int(r == i) for i in lost] + [row[c] for c in check] for r, row in enumerate(gen)]
+    if not right[0]:
+        return None
+    return gf_solve_ref([[row[c] for c in use] for row in gen], right, field.reduction_poly, field.m)
+
+
+@pytest.mark.parametrize("m, poly, k, t", CODE_CASES)
+def test_parity_matches_gauss_jordan_oracle(m, poly, k, t):
+    field = FieldContext(m, poly)
+    parity = build_code(k, t, field).parity_int_matrix()
+    assert parity.dtype == field.symbol_dtype
+    assert [row[k - t :] for row in _generator_ref(field, k, t)] == parity.tolist()
+
+
+def _assert_plan_matches_oracle(code, gen, erased):
+    coef = codec_module._decode_plan(code, erased).coef
+    expect = _plan_ref(code.field, gen, erased)
+    if expect is None:
+        assert coef is None
+    else:
+        assert coef.dtype == code.field.symbol_dtype and coef.tolist() == expect, erased
 
 
 @pytest.mark.parametrize("name", sorted(PROPERTY_FIELDS))
-def test_gf_inverse_matches_oracle(name):
-    """_row_reduce of [a | I] inverts a: dense, near-identity (a decode plan's
-    shape) and singular matrices up to 16 x 16."""
+def test_decode_plans_match_gauss_jordan_oracle(name):
+    """Seeded erasure patterns of 0 to t positions: each plan's matrix equals
+    the oracle's Gauss-Jordan solve, byte for byte."""
     f = PROPERTY_FIELDS[name]
-    rng = np.random.default_rng(f.m * f.reduction_poly)
-    seen = {"inverted": 0, "singular": 0}
-    for n in (1, 2, 3, 5, 8, 12, 16):
-        dense = rng.integers(0, f.order, size=(n, n)).astype(f.symbol_dtype)
-        near = np.eye(n, dtype=f.symbol_dtype)
-        swap = rng.choice(n, size=rng.integers(1, n + 1), replace=False)
-        near[:, swap] = rng.integers(0, f.order, size=(n, len(swap)))
-        cases = [dense, near]
-        if n > 1:
-            cases += [_singular(rng, dense, f), _singular(rng, near, f)]
-        cases.append(np.zeros((n, n), dtype=f.symbol_dtype))
-        for a in cases:
-            rows = a.tolist()
-            try:
-                inv = codec_module._row_reduce(np.hstack([a, np.eye(n, dtype=a.dtype)]), f)[:, n:]
-            except CodecError:
-                assert rank_ref(rows, f.reduction_poly, f.m) < n
-                seen["singular"] += 1
-                continue
-            cols = inv.T.tolist()
-            assert [[gf_dot_ref(r, c, f.reduction_poly, f.m) for c in cols] for r in rows] == np.eye(n, dtype=int).tolist()
-            seen["inverted"] += 1
-    assert seen["inverted"] >= 7 and seen["singular"] >= 7
+    rng = random.Random(f.m * f.reduction_poly)
+    samples = 3 if f.m > 12 else 12
+    for k, t in ((6, 2), (min(f.order, 16), 6)):
+        code, gen = build_code(k, t, f), _generator_ref(f, k, t)
+        for _ in range(samples):
+            _assert_plan_matches_oracle(code, gen, rng.sample(range(k), rng.randint(0, t)))
+
+
+def test_every_decode_plan_of_a_small_code_matches_oracle():
+    code, gen = build_code(7, 3, GF8), _generator_ref(GF8, 7, 3)
+    for size in range(4):
+        for erased in combinations(range(7), size):
+            _assert_plan_matches_oracle(code, gen, erased)
 
 
 @settings(max_examples=150, deadline=None)
@@ -391,15 +405,15 @@ def test_property_single_corruption_detected(case, extra):
         recover(code, cw)
 
 
-def _count_inversions(monkeypatch):
+def _count_plan_matrices(monkeypatch):
     calls = []
-    real = codec_module._row_reduce
+    real = codec_module._lagrange
 
-    def counting(aug, field):
+    def counting(field, points, d):
         calls.append(field)
-        return real(aug, field)
+        return real(field, points, d)
 
-    monkeypatch.setattr(codec_module, "_row_reduce", counting)
+    monkeypatch.setattr(codec_module, "_lagrange", counting)
     return calls
 
 
@@ -411,7 +425,7 @@ def test_decode_plan_matches_oracle(name):
     planned = 0
     for k, t in ((3, 1), (6, 2), (9, 4), (min(f.order, 16), 6)):
         code = build_code(k, t, f)
-        g = code.generator_int_matrix()
+        g = np.array(_generator(code))
         d = code.data_len
         for _ in range(12):
             erased = rng.sample(range(k), rng.randint(1, t))
@@ -455,7 +469,7 @@ def test_decode_plan_makes_no_kernel_call(monkeypatch):
 
 def test_decode_cache_inverts_once_per_erasure_set(monkeypatch):
     code = build_code(8, 3, GF8)
-    calls = _count_inversions(monkeypatch)
+    calls = _count_plan_matrices(monkeypatch)
     rng = np.random.default_rng(31)
     for _ in range(5):
         data = rng.integers(0, 256, size=(9, 5), dtype=np.uint8)
@@ -467,18 +481,19 @@ def test_decode_cache_inverts_once_per_erasure_set(monkeypatch):
     cw = encode(code, DataBlock.of(GF8, [1, 2, 3, 4, 5])).with_erasures([6, 1])
     assert recover(code, cw).values() == [1, 2, 3, 4, 5]
     assert len(calls) == 1
-    # parity-only erasures need no inversion at all
+    # a parity-only erasure set is one more set, with one more matrix
     received = encode_blocks(code, data)
     received[:, [5, 7]] = 0
     assert np.array_equal(recover_blocks(code, received, [5, 7]), data)
-    assert len(calls) == 1
+    assert np.array_equal(recover_blocks(code, received, [7, 5]), data)
+    assert len(calls) == 2
     assert set(code._decode) == {frozenset({1, 6}), frozenset({5, 7})}
 
 
 def test_decode_cache_is_per_code(monkeypatch):
     a = build_code(6, 2, GF8)
     b = build_code(6, 2, FieldContext(8, 0x11D))
-    calls = _count_inversions(monkeypatch)
+    calls = _count_plan_matrices(monkeypatch)
     data = np.arange(1, 17, dtype=np.uint8).reshape(4, 4)
     for code in (a, b, a, b):
         received = encode_blocks(code, data)
