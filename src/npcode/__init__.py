@@ -59,12 +59,10 @@ _HOMES = {
     "galois": ("DEFAULT_POLY", "FieldContext", "FieldElement", "FieldMismatchError"),
     "graph": ("DisjointPathSet", "Graph", "GraphError", "GraphFormatError", "Path", "load", "save"),
     "simulator": (
-        "BatchStats",
         "ExplicitFailures",
         "RandomFailures",
         "Scenario",
         "TrialReport",
-        "batch",
         "run",
         "run_node_failure",
     ),

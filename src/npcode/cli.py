@@ -388,6 +388,8 @@ def _simulate_input(args):
 def _cmd_simulate(args) -> int:
     if args.blocks < 1:
         raise _UsageError(f"--blocks must be at least 1, got {args.blocks}")
+    if args.random is not None and args.random < 0:
+        raise _UsageError(f"--random must be at least 0, got {args.random}")
     field, code = _code(args)
     inst, paths, pairing = _simulate_input(args)
     if inst.k != args.k:

@@ -111,13 +111,6 @@ class Codeword:
     def of(cls, field: FieldContext, values: Iterable[int], erased: Iterable[int] = ()) -> "Codeword":
         return cls(tuple(field.element(v) for v in values), frozenset(erased))
 
-    def with_erasures(self, positions: Iterable[int]) -> "Codeword":
-        """Mark positions erased; their symbol values are zeroed as lost."""
-        erased = self.erased | frozenset(positions)
-        zero = self.symbols[0].context.zero
-        syms = tuple(zero if i in erased else s for i, s in enumerate(self.symbols))
-        return Codeword(syms, erased)
-
     def values(self) -> list[int]:
         return [s.value for s in self.symbols]
 

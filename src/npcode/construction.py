@@ -61,10 +61,14 @@ def harary(n: int, k: int) -> Graph:
 
 
 def harary_lower_bound(n: int, k: int) -> int:
-    """ceil(k*n/2): no k-connected graph on n nodes can have fewer edges."""
+    """max(n-1, ceil(k*n/2)): no k-connected graph on n nodes can have fewer edges.
+
+    Each node needs degree at least k, and a connected graph needs n-1
+    edges, which is the larger of the two only for k = 1.
+    """
     if not 1 <= k < n:
         raise ValueError(f"need 1 <= k < n, got k={k}, n={n}")
-    return (k * n + 1) // 2
+    return max(n - 1, (k * n + 1) // 2)
 
 
 def min_edges_single_source(n: int, k: int) -> int:
@@ -102,18 +106,12 @@ def build_minimal_witness(n: int, k: int, mode: str) -> ProtectionInstance:
     g = Graph()
     if mode == "single_source":
         expected = min_edges_single_source(n, k)
-        s = g.add_node("source", "s")
+        sources = [g.add_node("source", "s")]
         receivers = [g.add_node("receiver", f"r{i + 1}") for i in range(k)]
         for r in receivers:
-            g.add_edge(s, r)
+            g.add_edge(sources[0], r)
         for a, b in zip(receivers, receivers[1:]):
             g.add_edge(a, b)
-        chain_tail = receivers[0]
-        for i in range(n - k - 1):
-            u = g.add_node("relay", f"u{i + 1}")
-            g.add_edge(chain_tail, u)
-            chain_tail = u
-        inst = ProtectionInstance(g, [s], receivers)
     elif mode == "predetermined":
         expected = min_edges_predetermined(n, k)
         sources = [g.add_node("source", f"s{i + 1}") for i in range(k)]
@@ -124,14 +122,14 @@ def build_minimal_witness(n: int, k: int, mode: str) -> ProtectionInstance:
             g.add_edge(a, b)
         for s, r in zip(sources, receivers):
             g.add_edge(s, r)
-        chain_tail = receivers[0]
-        for i in range(n - 2 * k):
-            u = g.add_node("relay", f"u{i + 1}")
-            g.add_edge(chain_tail, u)
-            chain_tail = u
-        inst = ProtectionInstance(g, sources, receivers)
     else:
         raise ValueError(f"unknown mode {mode!r}; use single_source or predetermined")
+    chain_tail = receivers[0]
+    for i in range(n - g.num_nodes):
+        u = g.add_node("relay", f"u{i + 1}")
+        g.add_edge(chain_tail, u)
+        chain_tail = u
+    inst = ProtectionInstance(g, sources, receivers)
     if g.num_edges != expected:
         raise AssertionError(f"witness has {g.num_edges} edges, expected {expected}")
     return inst

@@ -18,8 +18,8 @@ them into its word tables.  `log_exp` holds the powers of the field's
 generator g and their logs, filled from the `plane_products` rows of
 g, g^2, g^4, ... by doubling; the codec builds every code and decode
 plan from them as sums of logs.  Wider fields multiply scalars by
-shift-and-reduce, and every field inverts by the extended Euclidean
-algorithm over GF(2)[x].
+shift-and-reduce.  A FieldElement is a checked value at the API edge:
+it does no arithmetic of its own.
 Contexts are immutable after construction and safe to share across
 threads; every operation is pure.
 """
@@ -255,22 +255,11 @@ class FieldContext:
     def elements(self, values) -> list["FieldElement"]:
         return [FieldElement(v, self) for v in values]
 
-    @property
-    def zero(self) -> "FieldElement":
-        return FieldElement(0, self)
-
-    @property
-    def one(self) -> "FieldElement":
-        return FieldElement(1, self)
-
     def generator(self) -> "FieldElement":
         """A multiplicative generator of the nonzero elements."""
         return FieldElement(self._generator_value, self)
 
     # -- integer-level arithmetic ----------------------------------------------
-
-    def add_int(self, a: int, b: int) -> int:
-        return a ^ b
 
     def mul_int(self, a: int, b: int) -> int:
         if self.m <= _TABLE_MAX_M:
@@ -288,17 +277,6 @@ class FieldContext:
         if self.m <= _TABLE_MAX_M:
             return self.mul_table[coeffs][..., None, :]
         return self._doubled(coeffs)
-
-    def inv_int(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("zero has no multiplicative inverse")
-        u, v, g1, g2 = a, self.reduction_poly, 1, 0  # extended Euclid: g1*a = u, g2*a = v
-        while u != 1:
-            j = _degree(u) - _degree(v)
-            if j < 0:
-                u, v, g1, g2, j = v, u, g2, g1, -j
-            u, g1 = u ^ v << j, g1 ^ g2 << j
-        return g1
 
     def pow_int(self, a: int, e: int) -> int:
         if e < 0:
@@ -320,22 +298,6 @@ class FieldContext:
                     f"element of GF(2^{e.context.m})/0x{e.context.reduction_poly:X} "
                     f"used in GF(2^{self.m})/0x{self.reduction_poly:X}"
                 )
-
-    def add(self, a: "FieldElement", b: "FieldElement") -> "FieldElement":
-        self._check(a, b)
-        return FieldElement(a.value ^ b.value, self)
-
-    def mul(self, a: "FieldElement", b: "FieldElement") -> "FieldElement":
-        self._check(a, b)
-        return FieldElement(self.mul_int(a.value, b.value), self)
-
-    def inv(self, a: "FieldElement") -> "FieldElement":
-        self._check(a)
-        return FieldElement(self.inv_int(a.value), self)
-
-    def pow(self, a: "FieldElement", e: int) -> "FieldElement":
-        self._check(a)
-        return FieldElement(self.pow_int(a.value, e), self)
 
     # -- identity ----------------------------------------------------------------
 
@@ -363,25 +325,6 @@ class FieldElement:
             raise ValueError(f"value {value} out of range for GF(2^{context.m})")
         self.value = int(value)
         self.context = context
-
-    def __add__(self, other: "FieldElement") -> "FieldElement":
-        if not isinstance(other, FieldElement):
-            return NotImplemented
-        return self.context.add(self, other)
-
-    # subtraction equals addition in characteristic 2
-    __sub__ = __add__
-
-    def __mul__(self, other: "FieldElement") -> "FieldElement":
-        if not isinstance(other, FieldElement):
-            return NotImplemented
-        return self.context.mul(self, other)
-
-    def __pow__(self, e: int) -> "FieldElement":
-        return self.context.pow(self, e)
-
-    def inverse(self) -> "FieldElement":
-        return self.context.inv(self)
 
     def __bool__(self) -> bool:
         return self.value != 0

@@ -9,8 +9,7 @@ built; the algorithms treat the graphs they receive as read-only.
 A `Graph` stores ids only: two dicts, node id to role and edge id to its
 ends, both in insertion order.  It keeps no adjacency.  Each library
 call builds its own integer snapshot (`connectivity._Snapshot`), and
-that snapshot is the adjacency every search and traversal reads;
-`incident`, `neighbors`, `degree` and `has_parallel` scan the edges.
+that snapshot is the adjacency every search and traversal reads.
 `connected_within` is the verifier's own reachability check on ids,
 independent of the snapshot.
 """
@@ -87,11 +86,6 @@ class Graph:
         self.edges[edge_id] = (u, v)
         return edge_id
 
-    def remove_edge(self, edge_id: str) -> None:
-        if edge_id not in self.edges:
-            raise GraphError(f"unknown edge {edge_id!r}")
-        del self.edges[edge_id]
-
     # -- queries ---------------------------------------------------------------
 
     def _require_node(self, node_id: str) -> None:
@@ -102,19 +96,6 @@ class Graph:
         if edge_id not in self.edges:
             raise GraphError(f"unknown edge {edge_id!r}")
         return self.edges[edge_id]
-
-    def incident(self, node_id: str) -> list[str]:
-        """Edge ids at a node, oldest first (used for deterministic ties)."""
-        self._require_node(node_id)
-        return [e for e, ends in self.edges.items() if node_id in ends]
-
-    def neighbors(self, node_id: str) -> set[str]:
-        self._require_node(node_id)
-        return {v if u == node_id else u for u, v in self.edges.values() if node_id in (u, v)}
-
-    def degree(self, node_id: str) -> int:
-        self._require_node(node_id)
-        return sum(node_id in ends for ends in self.edges.values())
 
     def nodes_with_role(self, role: str) -> list[str]:
         return [n for n, r in self.nodes.items() if r == role]
@@ -127,17 +108,11 @@ class Graph:
     def num_edges(self) -> int:
         return len(self.edges)
 
-    def has_parallel(self, u: str, v: str) -> bool:
-        return sum(ends in ((u, v), (v, u)) for ends in self.edges.values()) > 1
-
     def copy(self) -> "Graph":
         g = Graph()
         g.nodes = dict(self.nodes)
         g.edges = dict(self.edges)
         return g
-
-    def is_connected(self) -> bool:
-        return connected_within(self, self.nodes)
 
     def __repr__(self) -> str:
         return f"Graph({self.num_nodes} nodes, {self.num_edges} edges)"

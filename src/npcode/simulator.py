@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -25,12 +24,10 @@ from .feasibility import InfeasibleInstanceError, ProtectionInstance, check_feas
 from .graph import DisjointPathSet
 
 __all__ = [
-    "BatchStats",
     "ExplicitFailures",
     "RandomFailures",
     "Scenario",
     "TrialReport",
-    "batch",
     "path_labels",
     "run",
     "run_node_failure",
@@ -72,13 +69,6 @@ class TrialReport:
         return "capacity exceeded" if self.capacity_exceeded else "mismatch"
 
 
-@dataclass(frozen=True)
-class BatchStats:
-    trials: int
-    recovered: int
-    recovery_rate: float | None
-
-
 def path_labels(k: int) -> list[str]:
     """Working paths are labelled L1..Lk, matching codeword positions 1..k."""
     return [f"L{i + 1}" for i in range(k)]
@@ -118,6 +108,8 @@ def _failed_labels(sc: Scenario, labels: list[str]) -> tuple[str, ...]:
             raise ValueError(f"unknown path labels {sorted(unknown)}")
         return tuple(l for l in labels if l in set(model.paths))
     if isinstance(model, RandomFailures):
+        if model.count < 0:
+            raise ValueError(f"cannot fail a negative number of paths, got {model.count}")
         if model.count > len(labels):
             raise ValueError("cannot fail more paths than provisioned")
         rng = random.Random(model.seed)
@@ -164,12 +156,3 @@ def run_node_failure(sc: Scenario, node: str) -> TrialReport:
         label for label, p in zip(labels, provisioned) if node in p.nodes
     )
     return _execute(sc, provisioned, failed)
-
-
-def batch(scenarios: Sequence[Scenario]) -> BatchStats:
-    """Run scenarios independently and aggregate the recovery rate."""
-    reports = [run(sc) for sc in scenarios]
-    if not reports:
-        return BatchStats(0, 0, None)
-    recovered = sum(1 for r in reports if r.recovered)
-    return BatchStats(len(reports), recovered, recovered / len(reports))

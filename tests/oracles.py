@@ -138,6 +138,24 @@ def edge_list(g):
     return [(e, u, v) for e, (u, v) in g.edges.items()]
 
 
+def degree_ref(g):
+    """Node id -> its degree, each parallel edge counted, read from g.edges."""
+    degree = dict.fromkeys(g.nodes, 0)
+    for u, v in g.edges.values():
+        degree[u] += 1
+        degree[v] += 1
+    return degree
+
+
+def adjacency_ref(g):
+    """Node id -> the set of its neighbours' ids, read from g.edges."""
+    adjacent = {v: set() for v in g.nodes}
+    for u, v in g.edges.values():
+        adjacent[u].add(v)
+        adjacent[v].add(u)
+    return adjacent
+
+
 def reachable_ref(start, edges, allowed=None):
     seen = {start}
     changed = True
@@ -345,7 +363,7 @@ def hamiltonian_ref(g):
     n = len(nodes)
     if n < 3:
         return False
-    adjacent = {v: g.neighbors(v) for v in nodes}
+    adjacent = adjacency_ref(g)
     first = nodes[0]
     for perm in permutations(nodes[1:]):
         cycle = (first, *perm)

@@ -39,6 +39,8 @@ from oracles import (
     brute_min_st_cut,
     brute_node_cut,
     connected_graph_corpus,
+    connected_ref,
+    degree_ref,
     edge_list,
     feasible_ref,
     graph_from_pairs,
@@ -100,7 +102,7 @@ def test_criterion_3_menger_whitney():
                 cut, _ = brute_min_st_cut(nodes, edges, s, r)
                 assert len(found) == cut, f"n={n} {pairs} pair {s}-{r}"
                 pair_min = cut if pair_min is None else min(pair_min, cut)
-        max_deg = max(g.degree(v) for v in nodes)
+        max_deg = max(degree_ref(g).values())
         for k in range(1, max_deg + 2):
             assert is_k_edge_connected(g, k) == (pair_min >= k)
     _report(3, "Menger/Whitney equivalence", started, 300.0)
@@ -111,7 +113,7 @@ def test_criterion_4_fig2_counterexample():
     inst = build_fig2_fixture()
     g = inst.graph
     assert g.num_nodes == 10 and g.num_edges == 15
-    assert all(g.degree(v) == 3 for v in g.nodes)
+    assert set(degree_ref(g).values()) == {3}
     assert edge_connectivity(g).value == 1
     report = check_feasibility(inst)
     assert not report.feasible
@@ -138,13 +140,13 @@ def test_criterion_5_bound_formulas_and_witnesses():
             inst = build_minimal_witness(n, k, mode)
             g = inst.graph
             assert g.num_edges == n + k - 2
-            assert g.is_connected()
+            assert connected_ref(g.nodes, edge_list(g))
             assert check_feasibility(inst, relaxed=True).feasible
             for eid in list(g.edges):
                 g2 = g.copy()
-                g2.remove_edge(eid)
+                del g2.edges[eid]
                 inst2 = ProtectionInstance(g2, inst.sources, inst.receivers)
-                intact = g2.is_connected() and check_feasibility(inst2).feasible
+                intact = connected_ref(g2.nodes, edge_list(g2)) and check_feasibility(inst2).feasible
                 assert not intact, f"{mode} (n={n},k={k}): {eid} removable"
     _report(5, "bound formulas and extremal witnesses", started, None)
 

@@ -7,7 +7,9 @@ are tried from fewest edges up: the first one on which some choice of
 terminals has a strict feasible verdict gives the exhaustive minimum,
 which must equal the formula.  (n = 7 also matches, but takes about
 17 s.)  `min_edges_arbitrary` is not checked here: no reading of it
-tried so far matches the exhaustive minimum.
+tried so far matches the exhaustive minimum.  `harary_lower_bound` is
+checked against the fewest edges of a k-connected atlas graph, for n
+from 2 to 7, with networkx's own node connectivity.
 """
 
 from functools import lru_cache
@@ -16,7 +18,7 @@ from itertools import combinations, permutations
 import networkx as nx
 import pytest
 
-from npcode.construction import min_edges_predetermined, min_edges_single_source
+from npcode.construction import harary_lower_bound, min_edges_predetermined, min_edges_single_source
 from npcode.feasibility import ProtectionInstance, check_feasibility
 
 from oracles import graph_from_pairs
@@ -63,3 +65,15 @@ def test_predetermined_bound_is_the_atlas_minimum(n, k):
                 yield sources, receivers
 
     assert _fewest_edges(n, choices) == min_edges_predetermined(n, k)
+
+
+def test_harary_bound_is_the_atlas_minimum():
+    fewest = {}  # (n, k) -> fewest edges of an n-node graph with node connectivity >= k
+    for g in nx.graph_atlas_g():
+        n = g.number_of_nodes()
+        if n >= 2 and nx.is_connected(g):
+            for k in range(1, nx.node_connectivity(g) + 1):
+                fewest[n, k] = min(fewest.get((n, k), g.number_of_edges()), g.number_of_edges())
+    assert set(fewest) == {(n, k) for n in range(2, 8) for k in range(1, n)}
+    for (n, k), edges in fewest.items():
+        assert harary_lower_bound(n, k) == edges, (n, k)

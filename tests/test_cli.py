@@ -241,7 +241,8 @@ def test_bounds_limits_of_k():
     assert construction.min_edges_arbitrary(5, 5) == 3
     with pytest.raises(ValueError):
         construction.harary_lower_bound(5, 5)
-    assert construction.harary_lower_bound(5, 1) == 3
+    # a connected graph needs n - 1 edges, more than ceil(k*n/2) at k = 1
+    assert construction.harary_lower_bound(5, 1) == 4
     assert construction.min_edges_arbitrary(5, 1) == 13
 
 
@@ -479,6 +480,14 @@ def test_simulate_rejects_blocks_below_1(capsys, blocks):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: ") and "--blocks" in err and err.count("\n") == 1
+
+
+def test_simulate_rejects_a_negative_random_count(capsys):
+    assert cli.main(["simulate", "--graph", str(FIG2), "--k", "3", "--t", "1",
+                     "--random", "-1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: --random must be at least 0, got -1\n"
 
 
 def test_simulate_report_flags_must_be_booleans(tmp_path, capsys):

@@ -17,7 +17,15 @@ from npcode.feasibility import (
 )
 from npcode.graph import DisjointPathSet, Graph, Path, load, save
 
-from oracles import brute_min_st_cut, edge_list, feasible_ref, hamiltonian_ref, reachable_ref
+from oracles import (
+    adjacency_ref,
+    brute_min_st_cut,
+    degree_ref,
+    edge_list,
+    feasible_ref,
+    hamiltonian_ref,
+    reachable_ref,
+)
 
 K6_BRIDGE = FsPath(__file__).parent / "data" / "k6_bridge.json"
 
@@ -49,7 +57,7 @@ def _random_connected(rng, n, extra):
     tried = 0
     while tried < extra:
         u, v = rng.sample(ids, 2)
-        if v not in g.neighbors(u):
+        if v not in adjacency_ref(g)[u]:
             g.add_edge(u, v)
         tried += 1
     return g, ids
@@ -79,7 +87,7 @@ def test_fig2_fixture_infeasible_receiver_tree():
     inst = build_fig2_fixture()
     g = inst.graph
     assert g.num_nodes == 10 and g.num_edges == 15
-    assert all(g.degree(v) == 3 for v in g.nodes)
+    assert set(degree_ref(g).values()) == {3}
     report = check_feasibility(inst)
     assert not report.feasible
     assert report.failure_reason == "receiver-tree"
@@ -149,11 +157,12 @@ def test_monotone_under_edge_addition():
         if not check_feasibility(inst).feasible:
             continue
         g2 = g.copy()
+        adjacent = adjacency_ref(g)
         candidates = [
             (u, v)
             for i, u in enumerate(ids)
             for v in ids[i + 1 :]
-            if v not in g.neighbors(u)
+            if v not in adjacent[u]
         ]
         if not candidates:
             continue

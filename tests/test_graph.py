@@ -19,7 +19,7 @@ from npcode.graph import (
     save,
 )
 
-from oracles import connected_ref
+from oracles import connected_ref, degree_ref
 
 FIG2 = FsPath(__file__).parent / "data" / "fig2.json"
 
@@ -29,8 +29,8 @@ def test_basic_mutation_and_degrees():
     a = g.add_node()
     b = g.add_node("receiver")
     e = g.add_edge(a, b)
-    assert g.degree(a) == g.degree(b) == 1
-    assert g.neighbors(a) == {b}
+    assert g.nodes == {a: "relay", b: "receiver"}
+    assert degree_ref(g) == {a: 1, b: 1}
     assert g.endpoints(e) == (a, b)
 
 
@@ -39,17 +39,17 @@ def test_triangle_degrees():
     ids = [g.add_node() for _ in range(3)]
     for i in range(3):
         g.add_edge(ids[i], ids[(i + 1) % 3])
-    assert all(g.degree(v) == 2 for v in ids)
+    assert degree_ref(g) == dict.fromkeys(ids, 2)
 
 
 def test_multigraph_double_edge_counts_twice():
     g = Graph()
     u, v = g.add_node(), g.add_node()
-    g.add_edge(u, v)
-    g.add_edge(u, v)
-    assert g.degree(u) == 2
-    assert g.neighbors(u) == {v}
-    assert g.has_parallel(u, v)
+    e1 = g.add_edge(u, v)
+    e2 = g.add_edge(u, v)
+    assert e1 != e2 and g.num_edges == 2
+    assert degree_ref(g) == {u: 2, v: 2}
+    assert g.endpoints(e1) == g.endpoints(e2) == (u, v)
 
 
 def test_degree_sum_is_twice_edges():
@@ -59,10 +59,12 @@ def test_degree_sum_is_twice_edges():
     for _ in range(20):
         g = Graph()
         nodes = [g.add_node() for _ in range(rng.randrange(2, 9))]
-        for _ in range(rng.randrange(0, 15)):
+        added = rng.randrange(0, 15)
+        for _ in range(added):
             u, v = rng.sample(nodes, 2)
             g.add_edge(u, v)
-        assert sum(g.degree(v) for v in g.nodes) == 2 * g.num_edges
+        assert g.num_edges == added
+        assert sum(degree_ref(g).values()) == 2 * g.num_edges
 
 
 def test_errors():
@@ -73,7 +75,7 @@ def test_errors():
     with pytest.raises(GraphError):
         g.add_edge(a, "ghost")
     with pytest.raises(GraphError):
-        g.remove_edge("nope")
+        g.endpoints("nope")
     with pytest.raises(GraphError):
         g.add_node(role="router")
     b = g.add_node(node_id="b")
@@ -90,7 +92,7 @@ def test_remove_and_readd_restores_connectivity():
     for i in range(4):
         g.add_edge(ids[i], ids[(i + 1) % 4], f"c{i}")
     before = edge_connectivity(g).value
-    g.remove_edge("c2")
+    del g.edges["c2"]
     assert edge_connectivity(g).value == 1
     g.add_edge(ids[2], ids[3], "c2")
     assert edge_connectivity(g).value == before == 2
@@ -141,7 +143,7 @@ def test_fig2_fixture_file_loads():
     assert g.num_edges == 15
     assert g.nodes_with_role("source") == ["b1"]
     assert set(g.nodes_with_role("receiver")) == {"d1", "e1", "b2"}
-    assert all(g.degree(v) == 3 for v in g.nodes)
+    assert set(degree_ref(g).values()) == {3}
 
 
 def test_path_validation():
@@ -189,14 +191,8 @@ def _check_model(g, nodes, edges, data):
     """g against the model: nodes {id: role} and edges [(id, u, v)], oldest first."""
     assert list(g.nodes.items()) == list(nodes.items())
     assert list(g.edges.items()) == [(e, (u, v)) for e, u, v in edges]
-    for x in nodes:
-        at = [(e, v if u == x else u) for e, u, v in edges if x in (u, v)]
-        assert g.incident(x) == [e for e, _ in at]
-        assert g.degree(x) == len(at)
-        assert g.neighbors(x) == {y for _, y in at}
-        for y in nodes:
-            assert g.has_parallel(x, y) == (sum({u, v} == {x, y} for _, u, v in edges) > 1)
-    assert g.is_connected() == connected_ref(nodes, edges)
+    for e, u, v in edges:
+        assert g.endpoints(e) == (u, v)
     ids = [e for e, _, _ in edges]
     terminals = data.draw(st.lists(st.sampled_from(list(nodes)), max_size=4)) if nodes else []
     allowed = data.draw(st.none() | st.sets(st.sampled_from(ids + ["unknown"])))
@@ -214,7 +210,7 @@ def _check_copy(g, nodes, edges):
         e = c.add_edge(next(iter(nodes)), x)
         assert e == _first_free("e", {e for e, _, _ in edges})
     if edges:
-        c.remove_edge(edges[0][0])
+        del c.edges[edges[0][0]]
     assert list(g.nodes.items()) == list(nodes.items())
     assert list(g.edges.items()) == [(e, (u, v)) for e, u, v in edges]
 
@@ -250,10 +246,10 @@ def test_graph_matches_an_edge_list_model(data):
         else:
             eid = data.draw(st.sampled_from(ids) | _IDS) if ids else data.draw(_IDS)
             if eid in ids:
-                g.remove_edge(eid)
+                del g.edges[eid]
                 del edges[ids.index(eid)]
             else:
                 with pytest.raises(GraphError):
-                    g.remove_edge(eid)
+                    g.endpoints(eid)
         _check_model(g, nodes, edges, data)
         _check_copy(g, nodes, edges)

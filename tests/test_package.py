@@ -40,11 +40,23 @@ def test_import_registers_every_submodule_without_numpy():
 def test_every_export_is_its_home_module_object():
     _check(
         "import sys, npcode\n"
-        "assert len(npcode.__all__) == len(set(npcode.__all__)) == 50\n"
+        "assert len(npcode.__all__) == len(set(npcode.__all__)) == 48\n"
         "for name, home in npcode._EXPORTS.items():\n"
         "    assert getattr(npcode, name) is getattr(sys.modules[f'npcode.{home}'], name), name\n"
         "    assert name in sys.modules[f'npcode.{home}'].__all__, name\n"
         "assert set(npcode.__all__) <= set(dir(npcode))\n"
+    )
+
+
+def test_every_submodule_export_resolves():
+    # a stale name in a submodule's __all__ breaks only `from npcode.<module> import *`
+    _check(
+        "import importlib\n"
+        f"for m in {SUBMODULES + ('cli',)!r}:\n"
+        "    module = importlib.import_module(f'npcode.{m}')\n"
+        "    assert len(module.__all__) == len(set(module.__all__)), m\n"
+        "    missing = [name for name in module.__all__ if not hasattr(module, name)]\n"
+        "    assert not missing, (m, missing)\n"
     )
 
 

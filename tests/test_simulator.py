@@ -14,11 +14,9 @@ from npcode.feasibility import (
 )
 from npcode.galois import FieldContext
 from npcode.simulator import (
-    BatchStats,
     ExplicitFailures,
     RandomFailures,
     Scenario,
-    batch,
     path_labels,
     run,
     run_node_failure,
@@ -89,6 +87,16 @@ def test_random_failures_deterministic():
     assert reports[0] == reports[1]
     other = run(Scenario(inst, code, _payload(4, 2), RandomFailures(1, seed=6)))
     assert other.recovered
+
+
+def test_random_failure_count_out_of_range():
+    inst = _h310_instance()
+    code = build_code(3, 1, GF8)
+    assert run(Scenario(inst, code, _payload(4, 2), RandomFailures(0))).failed_paths == ()
+    with pytest.raises(ValueError, match="^cannot fail a negative number of paths, got -1$"):
+        run(Scenario(inst, code, _payload(4, 2), RandomFailures(-1)))
+    with pytest.raises(ValueError, match="^cannot fail more paths than provisioned$"):
+        run(Scenario(inst, code, _payload(4, 2), RandomFailures(4)))
 
 
 def test_infeasible_instance_raises():
@@ -199,13 +207,10 @@ def test_batch_thousand_random_trials_rate_one():
         Scenario(inst, code, _payload(1, 2, seed=i), RandomFailures(1, seed=i))
         for i in range(1000)
     ]
-    stats = batch(scenarios)
-    assert stats.trials == 1000
-    assert stats.recovery_rate == 1.0
+    assert all(run(sc).recovered for sc in scenarios)
 
 
 def test_batch_statistics():
-    assert batch([]) == BatchStats(0, 0, None)
     inst = _h310_instance()
     code = build_code(3, 1, GF8)
     good = [
@@ -216,11 +221,9 @@ def test_batch_statistics():
         Scenario(inst, code, _payload(2, 2, seed=i), ExplicitFailures(("L1", "L2")))
         for i in range(2)
     ]
-    stats = batch(good + over)
-    assert stats.trials == 6
-    assert stats.recovered == 4
-    assert stats.recovery_rate == pytest.approx(4 / 6)
-    assert batch(good + over) == stats  # deterministic
+    reports = [run(sc) for sc in good + over]
+    assert [r.status for r in reports] == ["recovered"] * 4 + ["capacity exceeded"] * 2
+    assert [run(sc) for sc in good + over] == reports  # deterministic
 
 
 def test_payload_forms():

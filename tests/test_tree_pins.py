@@ -38,7 +38,7 @@ def _seeded_instance(rng):
     for e in list(g.edges):
         if rng.random() < 0.25:
             u, v = g.edges[e]
-            g.remove_edge(e)
+            del g.edges[e]
             g.add_edge(u, v, e)
     k = rng.choice((1, 2, 2, 3, 3))
     if k == 1:
