@@ -2,18 +2,23 @@
 """Time the exact feasibility search on the instances no first path set settles.
 
 Runs strict `check_feasibility`'s search, `feasibility._search` on the
-pairs' snapshot, on two families:
+pairs' snapshot, on two families, and strict `check_feasibility` with
+pairing="auto" on a third:
 
 - multi-pair H(4,n), pairs v_i -> v_{n/2+i} for i < 4: infeasible with
   no cut certificate, so the search walks the used-edge sets to the end
   (a search that reaches its state budget first reads "budget");
 - two K6 blocks a1..a6 and b1..b6 joined by the bridge a6-b6, sources
   a1,b1 and receivers a2,b2: both trees must cross the bridge, so a cut
-  certificate settles it.
+  certificate settles it;
+- auto-paired multi H(4,n), pairs v_i -> v_{n/2+i} for i < 5 and i < 6,
+  where any source may serve any receiver: the given pairing is
+  infeasible, so the call searches on until some pairing answers.
 
 For each instance it prints the best time of --repeat runs in ms, the
 verdict (the failure reason, or "feasible") and the search states the
-snapshot spent.  --out FILE writes the same as JSON, with the host.
+snapshot spent (for auto, every search of the call, on its one budget).
+--out FILE writes the same as JSON, with the host.
 
 Usage:
     PYTHONPATH=src python benchmarks/bench_search.py [--instances NAME ...] [--repeat R] [--out FILE]
@@ -31,13 +36,14 @@ from npcode.construction import harary
 from npcode.graph import load
 
 SIZES = (10, 12, 14, 16, 18)
+AUTO_SIZES = (12, 14, 16)
 K6_BRIDGE = Path(__file__).resolve().parent.parent / "tests" / "data" / "k6_bridge.json"
 
 
-def _multi_h4(n):
+def _multi_h4(n, k=4):
     g = harary(n, 4)
     half = n // 2
-    return g, [f"v{i}" for i in range(4)], [f"v{half + i}" for i in range(4)]
+    return g, [f"v{i}" for i in range(k)], [f"v{half + i}" for i in range(k)]
 
 
 def _k6_bridge():
@@ -46,8 +52,11 @@ def _k6_bridge():
     return g, g.nodes_with_role("source"), g.nodes_with_role("receiver")
 
 
-INSTANCES = {f"H4-{n}": (f"multi H(4,{n})", lambda n=n: _multi_h4(n)) for n in SIZES}
-INSTANCES["2xK6-bridge"] = ("2xK6 bridge", _k6_bridge)
+# name -> (label, instance maker, pairing mode)
+INSTANCES = {f"H4-{n}": (f"multi H(4,{n})", lambda n=n: _multi_h4(n), "fixed") for n in SIZES}
+INSTANCES["2xK6-bridge"] = ("2xK6 bridge", _k6_bridge, "fixed")
+INSTANCES.update({f"auto-H4-{n}x{k}": (f"auto H(4,{n}) x{k}", lambda n=n, k=k: _multi_h4(n, k), "auto")
+                  for k in (5, 6) for n in AUTO_SIZES})
 
 
 def main():
@@ -61,13 +70,15 @@ def main():
     print(f"  {'instance':16} {'edges':>6} {'ms':>10} {'verdict':>14} {'states':>10}")
     results = []
     for name in args.instances:
-        label, make = INSTANCES[name]
+        label, make, pairing = INSTANCES[name]
         g, sources, receivers = make()
-        best, (report, states) = _best_of(args.repeat, lambda: _search(g, sources, receivers))
+        run = _search if pairing == "fixed" else _auto
+        best, (report, states) = _best_of(args.repeat, lambda: run(g, sources, receivers))
         verdict = ("budget" if report is None else
                    "feasible" if report.feasible else report.failure_reason)
         print(f"  {label:16} {g.num_edges:6d} {best * 1e3:10.1f} {verdict:>14} {states:10,d}")
-        results.append({"instance": label, "edges": g.num_edges, "ms": round(best * 1e3, 2),
+        results.append({"instance": label, "pairing": pairing, "edges": g.num_edges,
+                         "ms": round(best * 1e3, 2),
                          "verdict": verdict, "certificate": bool(report and report.certificate),
                          "states": states})
     if args.out:
@@ -87,6 +98,29 @@ def _search(g, sources, receivers):
     except connectivity.SearchBudgetExceeded:
         report = None
     return report, snap.spent
+
+
+def _auto(g, sources, receivers):
+    """(report, states spent) of one strict `check_feasibility` with pairing="auto";
+    the report is None when the call reached its state budget.  Its searches
+    share one budget, each snapshot going on from the last one's count, so
+    the last snapshot built holds the call's states."""
+    snaps = []
+    make = feasibility._pair_snapshot
+
+    def recorded(*args):
+        snaps.append(make(*args))
+        return snaps[-1]
+
+    feasibility._pair_snapshot = recorded
+    inst = feasibility.ProtectionInstance(g, sources, receivers)
+    try:
+        report = feasibility.check_feasibility(inst, pairing="auto")
+    except connectivity.SearchBudgetExceeded:
+        report = None
+    finally:
+        feasibility._pair_snapshot = make
+    return report, snaps[-1].spent
 
 
 def _cpu_model():

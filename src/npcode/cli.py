@@ -390,6 +390,8 @@ def _cmd_simulate(args) -> int:
         raise _UsageError(f"--blocks must be at least 1, got {args.blocks}")
     if args.random is not None and args.random < 0:
         raise _UsageError(f"--random must be at least 0, got {args.random}")
+    if args.random is not None and args.random > args.k:
+        raise _UsageError(f"--random must be at most --k ({args.k}), got {args.random}")
     field, code = _code(args)
     inst, paths, pairing = _simulate_input(args)
     if inst.k != args.k:
@@ -465,7 +467,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sources", help="comma-separated node ids (default: role tags)")
     p.add_argument("--receivers", help="comma-separated node ids (default: role tags)")
     p.add_argument("--relaxed", action="store_true", help="let trees reuse path edges")
-    p.add_argument("--pairing", choices=("fixed", "auto"), default="fixed")
+    p.add_argument("--pairing", choices=("fixed", "auto"), default="fixed",
+                   help="fixed pairs the i-th source with the i-th receiver; auto lets any "
+                        "source serve any receiver, for any number of pairs: the given "
+                        "pairing first, then one search on a copy with a hub at the sources "
+                        "and one at the receivers.  An auto refusal keeps the given "
+                        "pairing's reason and carries no certificate")
     p.add_argument("--verify", action="store_true",
                    help="re-verify the witness or certificate independently")
     p.set_defaults(func=_cmd_feasibility)

@@ -34,11 +34,10 @@ both a path and the receiver tree.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import combinations, permutations
+from itertools import combinations
 from typing import Callable, Iterator, Sequence
 
 from .connectivity import (
-    SearchBudgetExceeded,
     _distances,
     _flow,
     _multi_paths,
@@ -47,7 +46,7 @@ from .connectivity import (
     _used_edge_sets,
     is_k_edge_connected,
 )
-from .graph import DisjointPathSet, Graph, GraphError, connected_within
+from .graph import DisjointPathSet, Graph, GraphError, Path, connected_within
 
 __all__ = [
     "FeasibilityReport",
@@ -59,7 +58,6 @@ __all__ = [
     "verify_report",
 ]
 
-_PAIRING_MAX = 6
 _HAMILTON_MAX = 16
 
 REASON_PATHS = "paths"
@@ -474,33 +472,55 @@ def check_feasibility(
 ) -> FeasibilityReport:
     """Decide deployability and produce a witness or a certified refusal.
 
-    pairing="fixed" keeps the given source/receiver index pairing;
-    "auto" tries every receiver permutation (pair count <= 6 only) on one budget.
+    pairing="fixed" keeps the given source/receiver index pairing; "auto"
+    lets any source serve any receiver, for any number of pairs, on one
+    budget.  It searches the given pairing first, then, in strict mode, k
+    pairs between two hubs added to a copy of the graph, one joined to each
+    source and one to each receiver: each hub edge carries a path, so no
+    tree uses one, and the paths' ends read off a pairing.  Relaxed trees
+    ignore the paths, so only a flow between the hubs picks the pairing.
+    A certificate with a sources and b receivers inside refuses every
+    pairing when its edges number less than |a - b| + s + r.  An auto
+    refusal keeps the given pairing's reason and carries no certificate.
     """
     g = inst.graph
     if pairing not in ("fixed", "auto"):
         raise ValueError(f"unknown pairing mode {pairing!r}")
-    if pairing == "auto" and len(inst.sources) > 1:
-        if len(inst.sources) > _PAIRING_MAX:
-            raise SearchBudgetExceeded(
-                f"auto pairing supports at most {_PAIRING_MAX} pairs"
-            )
-        fixed_report, spent = None, 0
-        for perm in permutations(inst.receivers):
-            snap = _pair_snapshot(g, inst.pairs(perm), spent)
-            report = _search(snap, inst.sources, perm, relaxed)
-            spent = snap.spent
-            if report.feasible:
-                return FeasibilityReport(
-                    True, report.paths, report.source_tree, report.receiver_tree,
-                    relaxed=relaxed, pairing=perm,
-                )
-            if fixed_report is None:
-                fixed_report = report
-        return FeasibilityReport(
-            False, failure_reason=fixed_report.failure_reason, relaxed=relaxed
-        )
-    return _search(_pair_snapshot(g, inst.pairs()), inst.sources, inst.receivers, relaxed)
+    snap = _pair_snapshot(g, inst.pairs())
+    report = _search(snap, inst.sources, inst.receivers, relaxed)
+    if pairing == "fixed" or len(inst.sources) == 1:
+        return report
+    if report.feasible:
+        return replace(report, pairing=inst.receivers)
+    refusal = FeasibilityReport(False, failure_reason=report.failure_reason, relaxed=relaxed)
+    side = set(report.certificate)
+    c, _, s, r = _cut_demand(g, (), inst.sources, inst.receivers, side)
+    # the fewest pairs that any pairing separates across the certificate
+    separated = abs(sum(v in side for v in inst.sources) - sum(v in side for v in inst.receivers))
+    if c < separated + s + r or (relaxed and report.failure_reason != REASON_PATHS):
+        return refusal
+    aug = g.copy()
+    hubs = aug.add_node(), aug.add_node()
+    for hub, terms in zip(hubs, (inst.sources, inst.receivers)):
+        for v in terms:
+            aug.add_edge(hub, v)
+    hub_snap = _pair_snapshot(aug, [hubs] * inst.k, snap.spent)
+    if relaxed:
+        walks = _multi_paths(hub_snap)
+        if walks is None:
+            return refusal
+        ends = {p.nodes[1]: p.nodes[-2] for p in hub_snap.path_set(walks)}
+        perm = tuple(ends[v] for v in inst.sources)
+        report = _search(_pair_snapshot(g, inst.pairs(perm), hub_snap.spent),
+                         inst.sources, perm, True)
+        return replace(report, pairing=perm) if report.feasible else refusal
+    report = _search(hub_snap, inst.sources, inst.receivers, False)
+    if not report.feasible:
+        return refusal
+    # each path runs hub, source, ..., receiver, hub
+    real = {p.nodes[1]: Path(p.nodes[1:-1], p.edges[1:-1]) for p in report.paths}
+    paths = tuple(real[v] for v in inst.sources)
+    return replace(report, paths=DisjointPathSet(paths), pairing=tuple(p.end for p in paths))
 
 
 def check_single_source(inst: ProtectionInstance, relaxed: bool = False) -> FeasibilityReport:

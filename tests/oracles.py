@@ -4,8 +4,11 @@ Everything here is deliberately brute force and written from scratch so
 that it shares no code path with the library: shift-and-reduce field
 arithmetic, bipartition cut enumeration, full path/tree enumeration for
 feasibility, and an isomorphism-free corpus of small connected graphs.
+`auto_pairing_ref` alone runs the library: its fixed-pairing search, once
+per receiver order, as the reference for auto pairing's hub search.
 """
 
+from dataclasses import replace
 from functools import lru_cache
 from itertools import combinations, permutations
 
@@ -355,6 +358,22 @@ def feasible_ref(g, sources, receivers, pairs, relaxed):
         if relaxed:
             break  # the relaxed pool is every edge, so every path set gives this answer
     return False
+
+
+def auto_pairing_ref(inst, relaxed):
+    """Auto pairing by trying every receiver order with the fixed pairing, the
+    given order first: the first feasible report, with its pairing, or else a
+    refusal with the given order's failure reason and no certificate."""
+    from npcode.feasibility import FeasibilityReport, ProtectionInstance, check_feasibility
+
+    first = None
+    for perm in permutations(inst.receivers):
+        report = check_feasibility(ProtectionInstance(inst.graph, inst.sources, perm), relaxed)
+        if report.feasible:
+            return replace(report, pairing=perm)
+        if first is None:
+            first = report
+    return FeasibilityReport(False, failure_reason=first.failure_reason, relaxed=relaxed)
 
 
 def hamiltonian_ref(g):

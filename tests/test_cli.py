@@ -490,6 +490,17 @@ def test_simulate_rejects_a_negative_random_count(capsys):
     assert err == "error: --random must be at least 0, got -1\n"
 
 
+def test_simulate_rejects_more_random_failures_than_paths(tmp_path, capsys):
+    # refused before the graph is read: the library's own refusal named neither option
+    assert cli.main(["simulate", "--graph", str(tmp_path / "missing.json"), "--k", "3", "--t", "1",
+                     "--random", "4"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: --random must be at most --k (3), got 4\n"
+    assert cli.main(["simulate", "--graph", str(FIG2), "--k", "3", "--t", "1",
+                     "--random", "3"]) == 1  # every path fails, past t
+
+
 def test_simulate_report_flags_must_be_booleans(tmp_path, capsys):
     # Fig. 2 is feasible only when its trees may reuse path edges
     assert cli.main(["feasibility", "--graph", str(FIG2), "--relaxed"]) == 0

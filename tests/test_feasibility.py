@@ -19,6 +19,7 @@ from npcode.graph import DisjointPathSet, Graph, Path, load, save
 
 from oracles import (
     adjacency_ref,
+    auto_pairing_ref,
     brute_min_st_cut,
     degree_ref,
     edge_list,
@@ -881,8 +882,9 @@ def test_cut_settles_a_bridge_that_splits_both_trees():
 
 
 def test_auto_pairing_spends_one_budget(monkeypatch):
-    # the first two receiver orders are infeasible and the third feasible; the
-    # budget that lets the loop answer is the sum of the searches, not the largest
+    # the given receiver order is infeasible and the hub search then finds a
+    # pairing; the budget that lets auto answer is the sum of the two searches,
+    # not the larger
     sources, receivers = ["v0", "v1", "v2", "v3"], ["v5", "v6", "v7", "v8"]
     inst = ProtectionInstance(harary(10, 4), sources, receivers)
     spent = []
@@ -895,13 +897,98 @@ def test_auto_pairing_spends_one_budget(monkeypatch):
 
     monkeypatch.setattr(feasibility, "_search", counted)
     report = check_feasibility(inst, pairing="auto")
-    assert report.pairing == ("v5", "v7", "v6", "v8") and len(spent) == 3
+    assert report.pairing == ("v8", "v7", "v6", "v5") and spent == [1_542, 1_547]
     assert max(b - a for a, b in zip([0] + spent, spent)) < spent[-1] - 1
     monkeypatch.setattr(connectivity, "_MAX_STATES", spent[-1])
     assert check_feasibility(inst, pairing="auto") == report
     monkeypatch.setattr(connectivity, "_MAX_STATES", spent[-1] - 1)
     with pytest.raises(SearchBudgetExceeded):
         check_feasibility(inst, pairing="auto")
+
+
+def _auto_corpus(seed, count):
+    """Seeded instances on 6-11 nodes with 2-4 pairs."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(6, 11)
+        g, ids = _random_connected(rng, n, rng.randrange(3, 2 * n))
+        k = rng.randint(2, min(4, n // 2))
+        picked = rng.sample(ids, 2 * k)
+        yield ProtectionInstance(g, picked[:k], picked[k:])
+
+
+def test_auto_pairing_matches_the_permutation_loop():
+    # the hub search against every receiver order tried with the fixed
+    # pairing: the same verdicts and reasons, the same report where the given
+    # order is feasible, verified witnesses, and refusals with no certificate
+    seen = set()
+    for trial, inst in enumerate(_auto_corpus(3303, 200)):
+        for relaxed in (False, True):
+            label = f"trial {trial}, relaxed {relaxed}"
+            auto = check_feasibility(inst, relaxed=relaxed, pairing="auto")
+            expect = auto_pairing_ref(inst, relaxed)
+            assert (auto.feasible, auto.failure_reason) == (
+                expect.feasible, expect.failure_reason), label
+            if expect.pairing == inst.receivers:
+                assert auto == expect, label
+            if auto.feasible:
+                assert verify_report(inst, auto) == [], label
+                seen.add((relaxed, auto.pairing == inst.receivers))
+            else:
+                assert auto.certificate == (), label
+                seen.add((relaxed, auto.failure_reason))
+    # both modes answer from the given order and from another, and refuse
+    assert seen >= {(False, True), (False, False), (True, True), (True, False),
+                    (False, "paths"), (False, "receiver-tree"), (True, "paths")}
+
+
+@pytest.mark.parametrize("n, k", [(16, 5), (12, 6), (14, 6)])
+def test_auto_pairing_answers_where_the_loop_stopped(n, k):
+    # multi H(4,n) with pairs v_i -> v_{n/2+i}: every receiver order took one
+    # search each and stopped at the budget; the hub search answers at once
+    import time
+
+    inst = ProtectionInstance(harary(n, 4), [f"v{i}" for i in range(k)],
+                              [f"v{n // 2 + i}" for i in range(k)])
+    start = time.perf_counter()
+    report = check_feasibility(inst, pairing="auto")
+    assert time.perf_counter() - start < 2.0
+    assert report.feasible and report.pairing != inst.receivers
+    assert verify_report(inst, report) == []
+
+
+def test_auto_pairing_has_no_pair_limit():
+    # 7 pairs on H(4,16) were refused outright; no pairing has the paths
+    import time
+
+    inst = ProtectionInstance(harary(16, 4), [f"v{i}" for i in range(7)],
+                              [f"v{8 + i}" for i in range(7)])
+    start = time.perf_counter()
+    report = check_feasibility(inst, pairing="auto")
+    assert time.perf_counter() - start < 2.0
+    assert report == FeasibilityReport(False, failure_reason="paths")
+
+
+def test_auto_pairing_refuses_every_pairing_from_one_cut(monkeypatch):
+    # the 2xK6 bridge's certificate keeps a1, a2 on one side: any pairing
+    # separates |1 - 1| = 0 pairs, and the one bridge edge is fewer than the
+    # two trees that cross it, so no hub search runs
+    import time
+
+    inst = _k6_bridge()
+    calls = []
+    search = feasibility._search
+
+    def counted(*args):
+        calls.append(1)
+        return search(*args)
+
+    monkeypatch.setattr(feasibility, "_search", counted)
+    start = time.perf_counter()
+    report = check_feasibility(inst, pairing="auto")
+    assert time.perf_counter() - start < 1.0
+    assert report == FeasibilityReport(False, failure_reason="receiver-tree")
+    assert len(calls) == 1
 
 
 def test_single_source_on_a_large_graph_is_one_flow():
