@@ -24,11 +24,11 @@ The independent checks (`verify_report`, the certificate recount) stay
 on edge ids.
 
 A certificate is a node set X.  Every path of a pair that X separates
-crosses X, and so does each tree whose terminals X splits; in strict
-mode these structures are pairwise edge-disjoint, so fewer crossing
-edges than crossing structures rule out every deployment at once.  This
-generalises the bridged counterexample below, whose bridge cannot carry
-both a path and the receiver tree.
+crosses X, and so does each tree whose terminals X splits.  The trees are
+edge-disjoint, and in strict mode so are the paths, so X rules out every
+deployment when fewer than p + s + r edges cross it: p is the pairs X
+separates, counted in strict mode only, and s and r whether X splits the
+sources and the receivers.  The bridge of the counterexample below is one.
 """
 
 from __future__ import annotations
@@ -317,17 +317,18 @@ def _side_demand(snap: _Snapshot, parent, sources: Sequence[int], receivers: Seq
     return crossing, separated, _splits(inside, sources), _splits(inside, receivers)
 
 
-def _deficient_cut(snap: _Snapshot, sources, receivers, any_source_tree: bool):
-    """(certificate, failure reason) for a strict infeasible instance, or None.
+def _deficient_cut(snap: _Snapshot, sources, receivers, any_source_tree: bool, relaxed: bool):
+    """(certificate, failure reason) for an infeasible instance, or None.
 
     Candidate sides are the minimal minimum cuts between terminals (node
     indices), one flow per unordered pair stopped at k+2 units: no side
     crossed by that many edges can be deficient.  Each is counted on the
-    snapshot (`_side_demand`).  A deficient side, traced to node ids,
-    proves infeasibility, but it gives the reason the exhaustive search
-    names only in two cases: receiver-tree when the first path set left
-    room for a source tree (empty for one source), and source-tree when the
-    side splits the sources and every crossing edge carries a path (c == p).
+    snapshot (`_side_demand`), with p = 0 in relaxed mode.  A deficient
+    side, traced to node ids, proves infeasibility, but it gives the reason
+    the exhaustive search names only in two cases: receiver-tree when the
+    first path set left room for a source tree (empty for one source), and
+    source-tree when the side splits the sources and every crossing edge
+    carries a path (c == p; in relaxed mode, no edge crosses).
     """
     terminals = list(dict.fromkeys((*sources, *receivers)))
     net = snap.network()
@@ -338,7 +339,7 @@ def _deficient_cut(snap: _Snapshot, sources, receivers, any_source_tree: bool):
             if parent is None:
                 continue
             crossing, separated, s, r = _side_demand(snap, parent, sources, receivers)
-            c, p = crossing.bit_count(), separated[0]
+            c, p = crossing.bit_count(), 0 if relaxed else separated[0]
             if c >= p + s + r:
                 continue
             certificate = tuple(v for v, x in zip(snap.nodes, parent) if x != -1)
@@ -405,13 +406,13 @@ def _walk_limits(snap: _Snapshot, sources: Sequence[int], receivers: Sequence[in
 def _search(snap: _Snapshot, sources, receivers, relaxed: bool):
     """Exact witness search on the pairs' snapshot; returns a report without pairing metadata.
 
+    A deficient cut settles an infeasible verdict.  The cut is tried once
+    the first path set's first source tree leaves no room for a receiver
+    tree, so a bridge that both trees must cross does not wait for every
+    other source tree, or after that path set's trees when it has none.
     Relaxed trees are placed in the whole graph, so the first path set's
-    answer is every path set's.  In strict mode a deficient cut settles an
-    infeasible verdict.  The cut is tried once the first path set's first
-    source tree leaves no room for a receiver tree, so a bridge that both
-    trees must cross does not wait for every other source tree, or after
-    that path set's trees when it has none.  Otherwise every other set
-    of used edges is tried, which is all a tree placement depends on, with
+    answer is every path set's.  In strict mode every other set of used
+    edges is tried next, which is all a tree placement depends on, with
     the first path set that uses it.  Before that walk starts, the search
     flows one cut per small bipartition of the terminals (`_terminal_cuts`).
     The walk then skips the sets that leave fewer edges than the trees
@@ -438,19 +439,18 @@ def _search(snap: _Snapshot, sources, receivers, relaxed: bool):
 
     def settle() -> bool:
         nonlocal cut
-        cut = _deficient_cut(snap, *terms, True)
+        cut = _deficient_cut(snap, *terms, True, relaxed)
         return cut is not None
 
     stree, rtree, any_source_tree = _witness_for_path_set(
-        snap, fast_used, *terms, relaxed, None if relaxed else settle)
+        snap, fast_used, *terms, relaxed, settle)
     if rtree is not None:
         return witness(fast, stree, rtree)
+    if not any_source_tree:
+        cut = _deficient_cut(snap, *terms, False, relaxed)
+    if cut is not None:
+        return FeasibilityReport(False, failure_reason=cut[1], relaxed=relaxed, certificate=cut[0])
     if not relaxed:
-        if not any_source_tree:
-            cut = _deficient_cut(snap, *terms, False)
-        if cut is not None:
-            certificate, reason = cut
-            return FeasibilityReport(False, failure_reason=reason, certificate=certificate)
         limits = _walk_limits(snap, *terms)
         for walks in _used_edge_sets(snap, lambda: limits[any_source_tree]):
             used = sum(walks)
@@ -481,7 +481,8 @@ def check_feasibility(
     ignore the paths, so only a flow between the hubs picks the pairing.
     A certificate with a sources and b receivers inside refuses every
     pairing when its edges number less than |a - b| + s + r.  An auto
-    refusal keeps the given pairing's reason and carries no certificate.
+    refusal carries no certificate.  Its reason is the given pairing's in
+    strict mode, and in relaxed mode one that holds for every pairing.
     """
     g = inst.graph
     if pairing not in ("fixed", "auto"):
@@ -492,7 +493,7 @@ def check_feasibility(
         return report
     if report.feasible:
         return replace(report, pairing=inst.receivers)
-    refusal = FeasibilityReport(False, failure_reason=report.failure_reason, relaxed=relaxed)
+    refusal = replace(report, certificate=())
     side = set(report.certificate)
     c, _, s, r = _cut_demand(g, (), inst.sources, inst.receivers, side)
     # the fewest pairs that any pairing separates across the certificate
@@ -513,7 +514,7 @@ def check_feasibility(
         perm = tuple(ends[v] for v in inst.sources)
         report = _search(_pair_snapshot(g, inst.pairs(perm), hub_snap.spent),
                          inst.sources, perm, True)
-        return replace(report, pairing=perm) if report.feasible else refusal
+        return replace(report, pairing=perm) if report.feasible else replace(report, certificate=())
     report = _search(hub_snap, inst.sources, inst.receivers, False)
     if not report.feasible:
         return refusal
@@ -603,7 +604,7 @@ def verify_report(inst: ProtectionInstance, report: FeasibilityReport) -> list[s
     if not report.feasible:
         if not report.certificate:
             return ["report is not feasible; nothing to verify"]
-        return _verify_certificate(inst, report, pairs, receiver_terms)
+        return _verify_certificate(inst, report, () if report.relaxed else pairs, receiver_terms)
     paths = report.paths
     if paths is None or len(paths) != len(pairs):
         return ["witness path count does not match the instance"]
@@ -652,9 +653,7 @@ def verify_report(inst: ProtectionInstance, report: FeasibilityReport) -> list[s
 
 
 def _verify_certificate(inst, report, pairs, receiver_terms) -> list[str]:
-    """Recount a cut certificate: fewer crossing edges than structures that must cross."""
-    if report.relaxed:
-        return ["cut certificates hold in strict mode only"]
+    """Recount a cut certificate: fewer crossing edges than the paths and trees that cross."""
     unknown = [v for v in report.certificate if v not in inst.graph.nodes]
     if unknown:
         return [f"certificate names unknown nodes {unknown}"]

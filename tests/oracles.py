@@ -4,8 +4,9 @@ Everything here is deliberately brute force and written from scratch so
 that it shares no code path with the library: shift-and-reduce field
 arithmetic, bipartition cut enumeration, full path/tree enumeration for
 feasibility, and an isomorphism-free corpus of small connected graphs.
-`auto_pairing_ref` alone runs the library: its fixed-pairing search, once
-per receiver order, as the reference for auto pairing's hub search.
+`auto_pairing_ref` and `every_order_reason_ref` alone run the library:
+its fixed-pairing search, once per receiver order, as the reference for
+auto pairing's hub search.
 """
 
 from dataclasses import replace
@@ -374,6 +375,19 @@ def auto_pairing_ref(inst, relaxed):
         if first is None:
             first = report
     return FeasibilityReport(False, failure_reason=first.failure_reason, relaxed=relaxed)
+
+
+def every_order_reason_ref(inst):
+    """The relaxed refusal reason that holds for every receiver order, none
+    being feasible: `paths` when no order has its paths, else the tree reason
+    of the orders that have them, which must all name the same one."""
+    from npcode.feasibility import ProtectionInstance, check_feasibility
+
+    reasons = {check_feasibility(ProtectionInstance(inst.graph, inst.sources, perm),
+                                 relaxed=True).failure_reason
+               for perm in permutations(inst.receivers)}
+    assert None not in reasons and len(reasons - {"paths"}) <= 1, reasons
+    return min(reasons - {"paths"}, default="paths")
 
 
 def hamiltonian_ref(g):
